@@ -10,11 +10,18 @@ oracles certify these numbers and must agree:
   in-repo derivative-free compass polish on the simplex;
 * multi-start Nelder-Mead over raw quantum parameters (real state
   coefficients, or sphere-plus-phase unitary parameters), re-evaluated
-  through the correlation module.
+  through the correlation module. All starts advance in lockstep as one
+  numpy array of simplices, with the standard coefficients and stop rule
+  (Nelder & Mead 1965; Lagarias et al. 1998). The objectives normalize the
+  leading four parameters, so the simplices are rescaled along that ray
+  after every iteration; this changes no objective value, and it keeps a
+  start from drifting outward until the iteration cap. Each start's path
+  is the same bits whether it runs alone or in a batch.
 
 Reported witnesses always reproduce the reported value through the
 correlation layer; that closure is part of the contract and is asserted
-in the tests.
+in the tests. Multistart reports also carry the number of objective
+evaluations and of starts stopped by the iteration cap.
 """
 
 from __future__ import annotations
@@ -22,9 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .correlation import cc_pvector, dc_pvector, statistic_c
+from .correlation import cc_pvector, dc_pvector, dc_pvector_params_batch, statistic_c
 from .errors import ValidationError
 from .geometry import (
     Tetrahedron,
@@ -77,6 +83,8 @@ class BoundReport:
     grid_step: float | None = None
     starts: int | None = None
     converged: bool = True
+    evaluations: int | None = None
+    nonconverged: int | None = None
 
 
 def _target_for(t: Tetrahedron, direction: str) -> str:
@@ -193,7 +201,181 @@ def polish_extremum(report: BoundReport, tol: float = 1e-10) -> BoundReport:
     )
 
 
-_NM_OPTIONS = {"maxiter": 10_000, "xatol": 1e-12, "fatol": 1e-14}
+# Nelder-Mead coefficients (reflection, expansion, contraction, shrink) of
+# Nelder & Mead (1965), and the initial simplex: each vertex moves one
+# coordinate of the start by 5 %, or to 0.00025 where it is zero.
+_NM_RHO, _NM_CHI, _NM_PSI, _NM_SIGMA = 1.0, 2.0, 0.5, 0.5
+_NM_NONZDELT, _NM_ZDELT = 0.05, 0.00025
+_NM_MAX_ITER = 10_000
+_NM_XATOL = 1e-12
+_NM_FATOL = 1e-14
+# Leading coordinates the objectives normalize: z, or (a1, a2, b1, b2).
+_SCALE_BLOCK = 4
+_TINY_NORM2 = 1e-12
+
+
+@dataclass(frozen=True)
+class _SimplexResult:
+    """Per-start outcome of :func:`_nelder_mead`: best vertex and value,
+    objective evaluations, and whether the stop rule was met."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    evaluations: np.ndarray
+    converged: np.ndarray
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 in a fixed order, so each start's sum is independent
+    of the batch it runs in."""
+    total = a[:, 0]
+    for j in range(1, a.shape[1]):
+        total = total + a[:, j]
+    return total
+
+
+def _rescale_block(sim: np.ndarray, block: int) -> None:
+    """Scale the leading ``block`` coordinates of every vertex, in place, by
+    the power of two that brings their centroid's norm into [0.5, 1).
+
+    The objectives normalize this block, and a power-of-two scaling is exact
+    in floating point, so no objective value and no decision of the search
+    changes; the absolute ``xatol`` test stays reachable however far the
+    simplex has drifted along the ray.
+    """
+    centroid = _sum_rows(sim[:, :, :block]) / sim.shape[1]
+    norm = np.sqrt(_sum_rows(centroid * centroid))
+    _, exponent = np.frexp(norm)
+    sim[:, :, :block] = np.ldexp(sim[:, :, :block], -exponent[:, None, None])
+
+
+def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _SimplexResult:
+    """Nelder-Mead from every row of ``x0`` at once, advanced in lockstep.
+
+    ``objective`` maps an (n, d) array of points to n values and must treat
+    rows independently. All simplices form one (starts, d+1, d) array; each
+    iteration evaluates the reflections in one call, the single expansion or
+    contraction point each simplex needs in a second, and the shrinks in a
+    third. A start leaves the active set once its vertices lie within
+    ``_NM_XATOL`` of the best one and their values within ``_NM_FATOL``, or
+    after ``max_iter`` iterations. With ``block`` > 0 the leading ``block``
+    coordinates are taken to be scale-invariant and rescaled after every
+    iteration (see :func:`_rescale_block`).
+    """
+    x0 = np.asarray(x0, dtype=float)
+    starts, d = x0.shape
+    sim = np.repeat(x0[:, None, :], d + 1, axis=1)
+    for k in range(d):
+        col = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(col != 0, (1 + _NM_NONZDELT) * col, _NM_ZDELT)
+    fsim = objective(sim.reshape(-1, d)).reshape(starts, d + 1)
+    nfev = np.full(starts, d + 1)
+
+    best_x = np.empty((starts, d))
+    best_f = np.empty(starts)
+    evaluations = np.empty(starts, dtype=int)
+    converged = np.zeros(starts, dtype=bool)
+    idx = np.arange(starts)
+    iterations = 0
+    while True:
+        order = np.argsort(fsim, axis=1, kind="stable")
+        rows = np.arange(idx.size)[:, None]
+        fsim, sim = fsim[rows, order], sim[rows, order]
+        if block:
+            _rescale_block(sim, block)
+        # fsim is sorted and rounding is monotone, so its spread is last - first
+        done = (fsim[:, -1] - fsim[:, 0] <= _NM_FATOL) & (
+            np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= _NM_XATOL
+        )
+        stop = done | (iterations >= max_iter)
+        if stop.any():
+            out = idx[stop]
+            best_x[out] = sim[stop, 0]
+            best_f[out] = fsim[stop, 0]
+            evaluations[out] = nfev[stop]
+            converged[out] = done[stop]
+            keep = ~stop
+            sim, fsim, nfev, idx = sim[keep], fsim[keep], nfev[keep], idx[keep]
+            if idx.size == 0:
+                break
+        iterations += 1
+        n = idx.size
+
+        xbar = _sum_rows(sim[:, :-1]) / d
+        worst, f_worst = sim[:, -1], fsim[:, -1]
+        xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
+        fxr = objective(xr)
+        nfev += 1
+
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < f_worst)
+        inside = ~(expand | reflect | outside)
+        xe = (1 + _NM_RHO * _NM_CHI) * xbar - _NM_RHO * _NM_CHI * worst
+        xc = (1 + _NM_PSI * _NM_RHO) * xbar - _NM_PSI * _NM_RHO * worst
+        xcc = (1 - _NM_PSI) * xbar + _NM_PSI * worst
+        second = ~reflect
+        x2 = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
+        f2 = np.full(n, np.nan)
+        if second.any():
+            f2[second] = objective(x2[second])
+            nfev[second] += 1
+
+        take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f_worst))
+        shrink = (outside | inside) & ~take2
+        # a shrinking simplex keeps its worst vertex until the shrink below
+        sim[:, -1] = np.where(take2[:, None], x2, np.where(shrink[:, None], worst, xr))
+        fsim[:, -1] = np.where(take2, f2, np.where(shrink, f_worst, fxr))
+        if shrink.any():
+            s = sim[shrink]
+            s[:, 1:] = s[:, :1] + _NM_SIGMA * (s[:, 1:] - s[:, :1])
+            fs = fsim[shrink]
+            fs[:, 1:] = objective(s[:, 1:].reshape(-1, d)).reshape(-1, d)
+            sim[shrink], fsim[shrink] = s, fs
+            nfev[shrink] += d
+    return _SimplexResult(best_x, best_f, evaluations, converged)
+
+
+def _state_objective(sign: float):
+    """Signed statistic of the real state with entangled-basis coefficients z."""
+    vertices = tcc().vertices
+
+    def objective(z):
+        n2 = _sum_rows(z * z)
+        tiny = n2 < _TINY_NORM2
+        w = z * z / np.where(tiny, 1.0, n2)[:, None]
+        point = _sum_rows(w[:, :, None] * vertices)
+        value = sign * (point[:, 0] * point[:, 1] * point[:, 2])
+        return np.where(tiny, 1.0, value)
+
+    return objective
+
+
+def _unitary_objective(sign: float):
+    """Signed statistic of the unitary with parameters (a1, a2, b1, b2, alpha)."""
+
+    def objective(x):
+        v = x[:, :4]
+        n2 = _sum_rows(v * v)
+        tiny = n2 < _TINY_NORM2
+        params = x.copy()
+        params[:, :4] = v / np.sqrt(np.where(tiny, 1.0, n2))[:, None]
+        point = dc_pvector_params_batch(params)
+        value = sign * (point[:, 0] * point[:, 1] * point[:, 2])
+        return np.where(tiny, 1.0, value)
+
+    return objective
+
+
+def _best_start(objective, x0: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Run every start; return the best end point (the first on ties) and
+    the evaluation and non-convergence counts for the report."""
+    res = _nelder_mead(objective, x0, _SCALE_BLOCK, _NM_MAX_ITER)
+    counts = {
+        "evaluations": int(res.evaluations.sum()),
+        "nonconverged": int((~res.converged).sum()),
+    }
+    return res.x[int(np.argmin(res.fun))], counts
 
 
 def multistart_state_extremum(
@@ -210,28 +392,15 @@ def multistart_state_extremum(
     if starts < 1:
         raise ValidationError("starts must be >= 1")
     sign = -1.0 if direction == "MAX" else 1.0
-    vertices = tcc().vertices
-
-    def objective(z):
-        n2 = z @ z
-        if n2 < 1e-12:
-            return 1.0
-        return sign * float(((z * z / n2) @ vertices).prod())
-
-    rng = cfg.rng()
-    best_z, best_val = None, np.inf
-    for _ in range(starts):
-        res = minimize(
-            objective, rng.standard_normal(4), method="Nelder-Mead", options=_NM_OPTIONS
-        )
-        if res.fun < best_val:
-            best_val, best_z = res.fun, res.x
+    x0 = cfg.rng().standard_normal((starts, 4))
+    best_z, counts = _best_start(_state_objective(sign), x0)
     z = best_z / np.linalg.norm(best_z)
     weights = z * z
     state = sum(zj * bell(j) for j, zj in enumerate(z, start=1))
     value = _evaluate_witness(target, state)
     return BoundReport(
-        target=target, value=value, witness=weights, witness_object=state, starts=starts
+        target=target, value=value, witness=weights, witness_object=state, starts=starts,
+        **counts,
     )
 
 
@@ -243,37 +412,16 @@ def multistart_unitary_extremum(
     if starts < 1:
         raise ValidationError("starts must be >= 1")
     sign = -1.0 if direction == "MAX" else 1.0
-    vertices = tdc().vertices
-
-    def weights_of(x):
-        v = x[:4]
-        n2 = v @ v
-        if n2 < 1e-12:
-            return None
-        a1, a2, b1, b2 = v / np.sqrt(n2)
-        sa, ca = np.sin(x[4]), np.cos(x[4])
-        c = 0.5 + a1 * a2 * sa + 0.5 * ca * (a1 * a1 - a2 * a2)
-        d = b1 * b2 * sa + 0.5 * ca * (b1 * b1 - b2 * b2)
-        point = np.array([2 * (c - d) - 1, 2 * (c + d) - 1, 2 * (a1 * a1 + a2 * a2) - 1])
-        return (vertices @ point + 1.0) / 4.0
-
-    def objective(x):
-        w = weights_of(x)
-        if w is None:
-            return 1.0
-        return sign * float((w @ vertices).prod())
-
     rng = cfg.rng()
-    best_x, best_val = None, np.inf
-    for _ in range(starts):
-        x0 = np.concatenate([rng.standard_normal(4), rng.uniform(0, 2 * np.pi, 1)])
-        res = minimize(objective, x0, method="Nelder-Mead", options=_NM_OPTIONS)
-        if res.fun < best_val:
-            best_val, best_x = res.fun, res.x
+    x0 = np.array([
+        np.concatenate([rng.standard_normal(4), rng.uniform(0, 2 * np.pi, 1)])
+        for _ in range(starts)
+    ])
+    best_x, counts = _best_start(_unitary_objective(sign), x0)
     v = best_x[:4] / np.linalg.norm(best_x[:4])
     u = unitaries_from_params(v[0], v[1], v[2], v[3], best_x[4])
     value = _evaluate_witness(target, u)
     weights = barycentric(tdc(), dc_pvector(u).as_array(), tol=1e-6)
     return BoundReport(
-        target=target, value=value, witness=weights, witness_object=u, starts=starts
+        target=target, value=value, witness=weights, witness_object=u, starts=starts, **counts
     )

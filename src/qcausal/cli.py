@@ -67,7 +67,10 @@ class MatrixDocument:
 
     def to_json(self) -> str:
         doc = {"kind": self.kind, "dim": self.dim, "entries": _listify(self.entries)}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        try:
+            return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ValidationError(f"{self.kind} document has a non-finite entry") from exc
 
 
 def _listify(obj):
@@ -107,6 +110,8 @@ def _parse_document(raw: dict, source: str) -> MatrixDocument:
         raise ValidationError(f"{source}: kind must be one of {_DOCUMENT_KINDS}, got {kind!r}")
     if not isinstance(dim, int):
         raise ValidationError(f"{source}: dim must be an integer, got {dim!r}")
+    if not isinstance(entries, list):
+        raise ValidationError(f"{source}: entries must be a list, got {entries!r}")
     if kind == "pvector":
         if dim != 3 or len(entries) != 3:
             raise ValidationError(f"{source}: pvector documents need dim=3 and 3 entries")
@@ -170,7 +175,10 @@ class RunReport:
             "results": _listify_tree(self.results),
             "violations": _listify_tree(self.violations),
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        try:
+            return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise ConsistencyError(f"{self.command} report holds a non-finite number") from exc
 
 
 def _listify_tree(obj):
@@ -270,6 +278,9 @@ def run_bounds(
             "oracle_agreement": agreement,
             "witness_weights": list(polished.witness),
             "tolerance": tol,
+            "polish_converged": polished.converged,
+            "multistart_evaluations": multi.evaluations,
+            "multistart_nonconverged": multi.nonconverged,
         }
         if agreement > tol or abs(polished.value - reference) > tol:
             violations.append(

@@ -51,6 +51,7 @@ __all__ = [
     "cc_pvector_batch",
     "cc_pvector_pure_batch",
     "dc_pvector_batch",
+    "dc_pvector_params_batch",
     "IMAG_TOL",
 ]
 
@@ -73,6 +74,8 @@ class PPoint(NamedTuple):
         arr = np.asarray(values, dtype=float)
         if arr.shape != (3,):
             raise ValidationError(f"correlation point needs 3 components, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"correlation components must be finite, got {arr}")
         if np.max(np.abs(arr)) > 1.0 + _COMPONENT_SLACK:
             raise ValidationError(f"correlation components must lie in [-1, 1], got {arr}")
         return cls(float(arr[0]), float(arr[1]), float(arr[2]))
@@ -193,15 +196,8 @@ def dc_pvector_closed_form(u: np.ndarray) -> PPoint:
     invariant exercised by the tests.
     """
     u = require_unitary(u)
-    a1, a2, b1, b2, alpha = _unitary_params(u)
-    sa, ca = np.sin(alpha), np.cos(alpha)
-    c = 0.5 + a1 * a2 * sa + 0.5 * ca * (a1 * a1 - a2 * a2)
-    d = b1 * b2 * sa + 0.5 * ca * (b1 * b1 - b2 * b2)
-    return PPoint(
-        2.0 * (c - d) - 1.0,
-        2.0 * (c + d) - 1.0,
-        2.0 * (a1 * a1 + a2 * a2) - 1.0,
-    )
+    point = dc_pvector_params_batch(np.array([_unitary_params(u)]))[0]
+    return PPoint(*(float(x) for x in point))
 
 
 def mixture_pvector(s: MixtureScenario) -> PPoint:
@@ -287,6 +283,23 @@ def cc_pvector_pure_batch(phis: np.ndarray) -> np.ndarray:
         p = np.abs(phis @ v0.conj()) ** 2 + np.abs(phis @ v1.conj()) ** 2
         cols.append(2.0 * p - 1.0)
     return np.stack(cols, axis=1)
+
+
+def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
+    """Correlation points from rows (a1, a2, b1, b2, alpha), shape (n, 3).
+
+    The rows parameterize unitaries as in :func:`_unitary_params`, with
+    (a1, a2, b1, b2) on the unit sphere. The arithmetic is elementwise, so
+    a row's point does not depend on the other rows of the batch.
+    """
+    params = np.asarray(params, dtype=float)
+    a1, a2, b1, b2, alpha = (params[:, k] for k in range(5))
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    c = 0.5 + a1 * a2 * sa + 0.5 * ca * (a1 * a1 - a2 * a2)
+    d = b1 * b2 * sa + 0.5 * ca * (b1 * b1 - b2 * b2)
+    return np.stack(
+        [2.0 * (c - d) - 1.0, 2.0 * (c + d) - 1.0, 2.0 * (a1 * a1 + a2 * a2) - 1.0], axis=1
+    )
 
 
 def dc_pvector_batch(us: np.ndarray) -> np.ndarray:

@@ -206,6 +206,8 @@ def classify(p, tol: float = 1e-9) -> RegionLabel:
     arr = _points(p)
     if arr.ndim != 1:
         raise ValidationError("classify expects a single point; use classify_batch")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError(f"point {arr} has a non-finite component")
     if np.max(np.abs(arr)) > 1.0 + tol:
         raise ValidationError(f"point {arr} lies outside the correlation cube")
     if in_overlap(arr, tol):
@@ -220,6 +222,8 @@ def classify(p, tol: float = 1e-9) -> RegionLabel:
 def classify_batch(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Vectorized :func:`classify`; returns an array of label strings."""
     arr = _points(pts)
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("some points have a non-finite component")
     if np.max(np.abs(arr)) > 1.0 + tol:
         raise ValidationError("some points lie outside the correlation cube")
     labels = np.full(arr.shape[0], RegionLabel.MIXTURE_REQUIRED.value, dtype=object)

@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from qcausal import bounds, geometry as geo, qmath
+import qcausal
+from qcausal import bounds, cli, geometry as geo, qmath
 from qcausal import correlation as corr
 from qcausal.errors import ValidationError
 from qcausal.samplers import SamplerConfig
@@ -140,3 +147,185 @@ class TestOracleAgreement:
             multi = bounds.multistart_unitary_extremum(direction, 80, cfg)
         assert abs(polished.value - multi.value) <= 1e-6
         assert abs(polished.value - reference) <= 1e-6
+
+
+def _state_starts(seed, starts):
+    return SamplerConfig(seed=seed).rng().standard_normal((starts, 4))
+
+
+def _unitary_starts(seed, starts):
+    rng = SamplerConfig(seed=seed).rng()
+    return np.array([
+        np.concatenate([rng.standard_normal(4), rng.uniform(0, 2 * np.pi, 1)])
+        for _ in range(starts)
+    ])
+
+
+def _nelder_mead(objective, x0, block=bounds._SCALE_BLOCK, max_iter=bounds._NM_MAX_ITER):
+    return bounds._nelder_mead(objective, x0, block, max_iter)
+
+
+def _reference_nelder_mead(objective, x0, block, max_iter):
+    """One start, one vertex at a time, in the order of the textbook loop.
+
+    Returns (best vertex, its value, evaluations, converged) for comparison
+    with the lockstep batch, which must match it bit for bit.
+    """
+    def f(x):
+        return objective(x[None, :])[0]
+
+    d = len(x0)
+    sim = [x0.copy()]
+    for k in range(d):
+        y = x0.copy()
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+    sim = np.array(sim)
+    fsim = np.array([f(x) for x in sim])
+    nfev, iterations = d + 1, 0
+    while True:
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+        if block:
+            centroid = sum(x[:block] for x in sim) / (d + 1)
+            _, exponent = math.frexp(math.sqrt(sum(c * c for c in centroid)))
+            sim[:, :block] = np.ldexp(sim[:, :block], -exponent)
+        converged = (np.max(np.abs(sim[1:] - sim[0])) <= 1e-12
+                     and np.max(np.abs(fsim[1:] - fsim[0])) <= 1e-14)
+        if converged or iterations >= max_iter:
+            return sim[0], fsim[0], nfev, converged
+        iterations += 1
+        xbar = sum(sim[:-1]) / d
+        xr = 2.0 * xbar - 1.0 * sim[-1]
+        fxr = f(xr)
+        nfev += 1
+        shrink = False
+        if fxr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fxe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fxc = f(xc)
+            nfev += 1
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            xcc = 0.5 * xbar + 0.5 * sim[-1]
+            fxcc = f(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, d + 1):
+                sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                fsim[j] = f(sim[j])
+            nfev += d
+
+
+class TestLockstepNelderMead:
+    @pytest.mark.parametrize(
+        "make_objective,make_starts",
+        [(bounds._state_objective, _state_starts), (bounds._unitary_objective, _unitary_starts)],
+    )
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_batch_equals_one_at_a_time(self, make_objective, make_starts, sign):
+        objective = make_objective(sign)
+        x0 = make_starts(81, 12)
+        batch = _nelder_mead(objective, x0)
+        for i in range(len(x0)):
+            alone = _nelder_mead(objective, x0[i:i + 1])
+            reference = _reference_nelder_mead(
+                objective, x0[i], bounds._SCALE_BLOCK, bounds._NM_MAX_ITER
+            )
+            for run in ((alone.x[0], alone.fun[0], alone.evaluations[0], alone.converged[0]),
+                        reference):
+                x, fun, evaluations, converged = run
+                assert np.array_equal(x, batch.x[i])
+                assert fun == batch.fun[i]
+                assert evaluations == batch.evaluations[i]
+                assert converged == batch.converged[i]
+
+    @pytest.mark.parametrize("sign,start", [(-1.0, 23), (1.0, 29)])
+    def test_seed42_drifting_starts_converge(self, sign, start):
+        # under the former scipy search these two starts drifted to |z| of
+        # 1.4e15 and 7.2e12 and ran to the 10,000-iteration cap
+        x0 = _state_starts(42, 50)[start:start + 1]
+        res = _nelder_mead(bounds._state_objective(sign), x0)
+        assert res.converged[0]
+        assert res.evaluations[0] < 5_000
+        assert 0.5 <= np.linalg.norm(res.x[0]) < 2.0
+
+    def test_rescaling_is_what_stops_the_drift(self):
+        x0 = _state_starts(42, 50)[29:30]
+        objective = bounds._state_objective(1.0)
+        rescaled = _nelder_mead(objective, x0, max_iter=3_000)
+        plain = _nelder_mead(objective, x0, block=0, max_iter=3_000)
+        assert rescaled.converged[0]
+        assert not plain.converged[0]
+        assert np.linalg.norm(plain.x[0]) > 1e6
+
+    def test_iteration_cap_honoured_and_counted(self):
+        x0 = _state_starts(5, 6)
+        res = _nelder_mead(bounds._state_objective(-1.0), x0, max_iter=3)
+        assert not res.converged.any()
+        # d + 1 initial evaluations, then at most 2 + d per iteration
+        assert np.all(res.evaluations >= 5 + 3)
+        assert np.all(res.evaluations <= 5 + 3 * (2 + 4))
+
+    def test_cap_reported_as_nonconverged(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_NM_MAX_ITER", 5)
+        report = cli.run_bounds(grid_step=0.05, starts=7, seed=3)
+        for entry in report.results.values():
+            assert entry["multistart_nonconverged"] == 7
+            # at least 5 initial vertices and one reflection per iteration
+            assert entry["multistart_evaluations"] >= 7 * (5 + 5)
+
+    def test_quadratic_minimum(self):
+        center = np.array([0.3, -1.2, 2.5])
+        scale = np.array([1.0, 4.0, 0.5])
+
+        def objective(x):
+            diff = x - center
+            return (scale * diff * diff).sum(axis=1)
+
+        x0 = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, -5.0], [-2.0, 1.0, 0.0]])
+        res = _nelder_mead(objective, x0, block=0)
+        assert res.converged.all()
+        np.testing.assert_allclose(res.x, np.tile(center, (3, 1)), atol=1e-6)
+        assert np.all(res.fun <= 1e-12)
+
+
+class TestMultistartCounts:
+    def test_report_carries_counts(self):
+        report = cli.run_bounds(grid_step=0.05, starts=10, seed=11)
+        for entry in report.results.values():
+            assert entry["polish_converged"] is True
+            assert entry["multistart_nonconverged"] == 0
+            assert entry["multistart_evaluations"] > 10 * 5
+
+    def test_counts_deterministic(self):
+        a = bounds.multistart_unitary_extremum("MIN", 15, SamplerConfig(seed=12))
+        b = bounds.multistart_unitary_extremum("MIN", 15, SamplerConfig(seed=12))
+        assert (a.value, a.evaluations, a.nonconverged) == (b.value, b.evaluations, b.nonconverged)
+        assert a.starts == 15
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(qcausal.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    code = (
+        "import sys, qcausal, qcausal.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

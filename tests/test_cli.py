@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qcausal import cli, qmath
-from qcausal.errors import ValidationError
+from qcausal.errors import ConsistencyError, ValidationError
 
 
 def write_doc(tmp_path, name, doc):
@@ -231,3 +231,30 @@ class TestMainEntry:
         parsed = cli.parse_report(out.read_text())
         assert parsed.command == "sample"
         assert parsed.results["csv_rows"] == 50
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "pvector", "dim": 3, "entries": [NaN, 0.1, 0.2]}',
+            '{"kind": "pvector", "dim": 3, "entries": [0.1, -Infinity, 0.2]}',
+            '{"kind": "density", "dim": 4, "entries": 5}',
+            '{"kind": "density", "dim": 4, "entries": null}',
+            '{"kind": "pvector", "dim": 3, "entries": 5}',
+        ],
+    )
+    def test_exit_one_with_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["classify", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("validation error:")
+
+    def test_non_finite_report_refused(self):
+        report = cli.RunReport(command="x", seed=0, results={"value": float("nan")})
+        with pytest.raises(ConsistencyError):
+            report.to_json()

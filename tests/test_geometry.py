@@ -153,6 +153,15 @@ class TestClassify:
         with pytest.raises(ValidationError):
             geo.classify((1.5, 0.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            geo.classify((bad, 0.0, 0.0))
+        with pytest.raises(ValidationError):
+            geo.classify_batch(np.array([[0.1, 0.2, 0.3], [0.0, bad, 0.0]]))
+        with pytest.raises(ValidationError):
+            corr.PPoint.from_array((0.0, 0.0, bad))
+
 
 class TestBarycentric:
     def test_vertex_weight(self):
