@@ -66,30 +66,19 @@ class MatrixDocument:
         return values.reshape(self.dim, self.dim)
 
     def to_json(self) -> str:
-        doc = {"kind": self.kind, "dim": self.dim, "entries": _listify(self.entries)}
+        doc = {"kind": self.kind, "dim": self.dim, "entries": _listify_tree(self.entries)}
         try:
             return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError as exc:
             raise ValidationError(f"{self.kind} document has a non-finite entry") from exc
 
 
-def _listify(obj):
-    if isinstance(obj, (list, tuple)):
-        return [_listify(x) for x in obj]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
-
-
 def document_from_array(kind: str, values: np.ndarray) -> MatrixDocument:
     """Build a document from a density operator, unitary, or correlation point."""
     if kind == "pvector":
-        arr = np.asarray(values, dtype=float)
-        if arr.shape != (3,):
-            raise ValidationError("pvector documents need exactly 3 entries")
-        return MatrixDocument(kind="pvector", dim=3, entries=tuple(float(x) for x in arr))
+        return MatrixDocument(
+            kind="pvector", dim=3, entries=tuple(correlation.PPoint.from_array(values))
+        )
     arr = np.asarray(values, dtype=complex)
     if kind == "density":
         require_density(arr)
@@ -298,40 +287,69 @@ def run_bounds(
 _CSV_HEADER = "c11,c22,c33,c,label"
 
 
-def _sample_rows(kind: str, n: int, cfg: samplers.SamplerConfig):
-    rng = cfg.rng()
-    if kind == "CC":
-        objs = samplers.sample_density(rng, rank=cfg.density_rank, size=n)
-        pts = correlation.cc_pvector_batch(objs)
-    else:
-        objs = samplers.sample_unitary(rng, size=n)
-        pts = correlation.dc_pvector_batch(objs)
-    cvals = pts.prod(axis=1)
-    labels = geometry.classify_batch(pts, tol=1e-9)
-    return pts, cvals, labels
+_CHUNK_ROWS = 1 << 16
+# A shorter tail joins the chunk before it: numpy elides temporaries only from 256 KiB
+# (2^15 float64 rows) on, and elision changes the bits of unitaries_from_params.
+_TAIL_ROWS = 1 << 15
+
+
+def _chunk_bounds(n: int) -> list[tuple[int, int]]:
+    starts = list(range(0, n, _CHUNK_ROWS))
+    if len(starts) > 1 and n - starts[-1] < _TAIL_ROWS:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> str:
+    """CSV rows ``c11,c22,c33,c,label``, floats as their shortest round-trip repr."""
+    columns = [map(repr, col) for col in (*pts.T.tolist(), cvals.tolist())]
+    labels = geometry._LABEL_NAMES[codes].tolist()
+    return "\n".join(map(",".join, zip(*columns, labels)))
 
 
 def run_sample(
     kind: str, n: int, seed: int, out_path: str, rank: int = 4
 ) -> RunReport:
-    """Write a CSV scatter of sampled correlation points and check the bounds."""
+    """Write a CSV scatter of sampled correlation points and check the bounds.
+
+    The random draw covers all ``n`` rows at once, so it alone fixes the
+    stream. Points, labels and CSV rows then follow in chunks of
+    ``_CHUNK_ROWS`` rows, each written as soon as it is encoded; a tail
+    shorter than ``_TAIL_ROWS`` joins the chunk before it, so every chunk
+    computes the same bits as the whole array would, and the CSV does not
+    depend on the chunking.
+    """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    cfg = samplers.SamplerConfig(seed=seed, density_rank=rank)
-    pts, cvals, labels = _sample_rows(kind, n, cfg)
+    rng = samplers.SamplerConfig(seed=seed, density_rank=rank).rng()
     if kind == "CC":
-        n_violations = int((cvals > CC_BOUND + BOUND_SLACK).sum())
+        rhos = samplers.sample_density(rng, rank=rank, size=n)
+
+        def points(lo: int, hi: int) -> np.ndarray:
+            return correlation.cc_pvector_batch(rhos[lo:hi])
     else:
-        n_violations = int((cvals < DC_BOUND - BOUND_SLACK).sum())
-    lines = [_CSV_HEADER]
-    for row, c, label in zip(pts, cvals, labels):
-        lines.append(
-            f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r},{float(c)!r},{label}"
-        )
+        params = samplers.sample_unitary_params(rng, n)
+
+        def points(lo: int, hi: int) -> np.ndarray:
+            us = samplers.unitaries_from_params(*(p[lo:hi] for p in params))
+            return correlation.dc_pvector_batch(us)
+
+    n_violations = 0
+    min_c, max_c = np.inf, -np.inf
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(_CSV_HEADER + "\n")
+        for lo, hi in _chunk_bounds(n):
+            pts = points(lo, hi)
+            cvals = pts.prod(axis=1)
+            if kind == "CC":
+                n_violations += int((cvals > CC_BOUND + BOUND_SLACK).sum())
+            else:
+                n_violations += int((cvals < DC_BOUND - BOUND_SLACK).sum())
+            min_c, max_c = min(min_c, cvals.min()), max(max_c, cvals.max())
+            codes = geometry._classify_codes(pts, tol=1e-9)
+            handle.write(_encode_rows(pts, cvals, codes) + "\n")
     violations = []
     if n_violations:
         violations.append({"bound_violations": n_violations, "kind": kind})
@@ -340,8 +358,8 @@ def run_sample(
         seed=seed,
         parameters={"kind": kind, "n": n, "rank": rank, "out": out_path},
         results={
-            "min_c": {"value": float(cvals.min()), "tolerance": BOUND_SLACK},
-            "max_c": {"value": float(cvals.max()), "tolerance": BOUND_SLACK},
+            "min_c": {"value": float(min_c), "tolerance": BOUND_SLACK},
+            "max_c": {"value": float(max_c), "tolerance": BOUND_SLACK},
             "bound_violations": n_violations,
             "csv_rows": n,
         },
@@ -405,7 +423,9 @@ def run_table2(
     Measured proportions are compared against the published references
     with a +-5 percentage-point band; out-of-band rows are flagged in the
     results (``in_band`` false), not treated as violations, because the
-    published figures depend on the sampling distribution.
+    published figures depend on the sampling distribution. Rotation ``idx``
+    (from 1) draws its CC cell from ``worker_rng(2 * (idx - 1))`` and its DC
+    cell from ``worker_rng(2 * (idx - 1) + 1)`` of ``SamplerConfig(seed)``.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -423,9 +443,9 @@ def run_table2(
     for idx, (v, ref) in enumerate(zip(rotations, references), start=1):
         row = {}
         for column, kind in (("cc", "CC"), ("dc", "DC")):
-            cfg = samplers.SamplerConfig(seed=seed + idx * 1000 + (0 if kind == "CC" else 500),
-                                         density_rank=1)
-            res = basis_change.escape_experiment(kind, v, n, cfg)
+            cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
+            stream = 2 * (idx - 1) + (0 if kind == "CC" else 1)
+            res = basis_change.escape_experiment(kind, v, n, cfg, rng=cfg.worker_rng(stream))
             percent = 100.0 * res.proportion
             halfwidth = 100.0 * 1.96 * np.sqrt(
                 max(res.proportion * (1 - res.proportion), 0.0) / n

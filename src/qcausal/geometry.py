@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlation import PPoint
 from .errors import ValidationError
 from .qmath import bell
 
@@ -219,20 +218,28 @@ def classify(p, tol: float = 1e-9) -> RegionLabel:
     return RegionLabel.MIXTURE_REQUIRED
 
 
-def classify_batch(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized :func:`classify`; returns an array of label strings."""
+# The codes of _classify_codes index this table.
+_LABEL_NAMES = np.array([label.value for label in RegionLabel], dtype=object)
+_CODE = {label: code for code, label in enumerate(RegionLabel)}
+
+
+def _classify_codes(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Vectorized :func:`classify` as uint8 codes into ``_LABEL_NAMES``."""
     arr = _points(pts)
     if not np.all(np.isfinite(arr)):
         raise ValidationError("some points have a non-finite component")
     if np.max(np.abs(arr)) > 1.0 + tol:
         raise ValidationError("some points lie outside the correlation cube")
-    labels = np.full(arr.shape[0], RegionLabel.MIXTURE_REQUIRED.value, dtype=object)
-    is_cc = contains(_TCC, arr, tol)
-    is_dc = contains(_TDC, arr, tol)
-    labels[is_cc] = RegionLabel.CC_ONLY.value
-    labels[is_dc] = RegionLabel.DC_ONLY.value
-    labels[in_overlap(arr, tol)] = RegionLabel.AMBIGUOUS.value
-    return labels
+    codes = np.full(arr.shape[0], _CODE[RegionLabel.MIXTURE_REQUIRED], dtype=np.uint8)
+    codes[contains(_TCC, arr, tol)] = _CODE[RegionLabel.CC_ONLY]
+    codes[contains(_TDC, arr, tol)] = _CODE[RegionLabel.DC_ONLY]
+    codes[in_overlap(arr, tol)] = _CODE[RegionLabel.AMBIGUOUS]
+    return codes
+
+
+def classify_batch(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Vectorized :func:`classify`; returns an array of label strings."""
+    return _LABEL_NAMES[_classify_codes(pts, tol)]
 
 
 def barycentric(t: Tetrahedron, p, tol: float = 1e-9) -> np.ndarray:
@@ -288,12 +295,6 @@ def unitary_from_probs(w) -> np.ndarray:
     )
 
 
-def pvector_of_weights(t: Tetrahedron, w) -> PPoint:
-    """Affine image sum_j w_j vertex_j of barycentric weights."""
-    weights = _check_weights(w)
-    return PPoint(*(weights @ t.vertices))
-
-
 def region_test(name: str):
     """Return the membership predicate for a named region."""
     table = {
@@ -308,4 +309,4 @@ def region_test(name: str):
     return table[name]
 
 
-__all__ += ["pvector_of_weights", "region_test"]
+__all__ += ["region_test"]

@@ -144,7 +144,13 @@ def sample_in_region_batch(
     rng: np.random.Generator | None = None,
     tol: float = 1e-9,
 ) -> np.ndarray:
-    """Rejection-sample ``size`` objects whose correlation point lies in ``region``."""
+    """Rejection-sample ``size`` objects whose correlation point lies in ``region``.
+
+    Draws always come in full chunks of ``_CHUNK`` objects, so the accepted
+    stream depends only on the generator, not on ``cfg.max_rejections``. The
+    budget is checked before each chunk, so the raw draws spent may pass
+    ``max_rejections`` by less than one chunk.
+    """
     if kind not in REGIONS_BY_KIND:
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     if region not in REGIONS_BY_KIND[kind]:
@@ -168,9 +174,8 @@ def sample_in_region_batch(
                 accepted=n_accepted,
                 attempts=attempts,
             )
-        chunk = min(_CHUNK, cfg.max_rejections - attempts)
-        objs, pts = _draw_batch(kind, cfg, rng, chunk)
-        attempts += chunk
+        objs, pts = _draw_batch(kind, cfg, rng, _CHUNK)
+        attempts += _CHUNK
         keep = member(pts, tol)
         if keep.any():
             accepted.append(objs[keep])

@@ -1,10 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcausal
 from qcausal import cli, qmath
+from qcausal import correlation as corr
+from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
+from qcausal.samplers import SamplerConfig, sample_density, sample_unitary
 
 
 def write_doc(tmp_path, name, doc):
@@ -24,6 +33,11 @@ class TestDocuments:
         doc = cli.document_from_array("unitary", qmath.pauli(2))
         loaded = cli.load_document(write_doc(tmp_path, "u.json", doc))
         np.testing.assert_allclose(loaded.payload(), qmath.pauli(2), atol=1e-15)
+
+    @pytest.mark.parametrize("values", [[5.0, 0.0, 0.0], [0.1, np.nan, 0.2], [0.1, 0.2]])
+    def test_pvector_from_array_validated(self, values):
+        with pytest.raises(ValidationError):
+            cli.document_from_array("pvector", np.array(values))
 
     def test_pvector_round_trip(self, tmp_path):
         doc = cli.document_from_array("pvector", np.array([0.1, -0.2, 0.3]))
@@ -163,6 +177,112 @@ class TestSampleCommand:
         assert rep_a.to_json() == rep_b.to_json()
 
 
+def whole_array_csv_oracle(kind, n, seed, rank=4):
+    """CSV text and c column of an unchunked sample: every row held, one f-string each."""
+    rng = SamplerConfig(seed=seed, density_rank=rank).rng()
+    if kind == "CC":
+        pts = corr.cc_pvector_batch(sample_density(rng, rank=rank, size=n))
+    else:
+        pts = corr.dc_pvector_batch(sample_unitary(rng, size=n))
+    cvals = pts.prod(axis=1)
+    labels = geo.classify_batch(pts, tol=1e-9)
+    lines = ["c11,c22,c33,c,label"]
+    for row, c, label in zip(pts, cvals, labels):
+        lines.append(
+            f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r},{float(c)!r},{label}"
+        )
+    return "\n".join(lines) + "\n", cvals
+
+
+class TestSampleStreaming:
+    @pytest.mark.parametrize(
+        "kind, n, rank",
+        [
+            ("DC", 1, 4),
+            ("DC", 2**16 - 1, 4),
+            ("DC", 2**16 + 1, 4),
+            # run alone, this 16383-row tail would change rows in their last digits
+            ("DC", 2**16 + 2**14 - 1, 4),
+            ("DC", 2**16 + 2**15 - 1, 4),
+            ("DC", 2**16 + 2**15, 4),
+            ("DC", 3 * 2**16 + 7, 4),
+            ("CC", 2 * 2**16 + 5, 1),
+            ("CC", 2 * 2**16 + 5, 4),
+        ],
+    )
+    def test_csv_matches_whole_array_oracle(self, tmp_path, kind, n, rank):
+        path = tmp_path / "s.csv"
+        report = cli.run_sample(kind, n, seed=3, out_path=str(path), rank=rank)
+        text, cvals = whole_array_csv_oracle(kind, n, seed=3, rank=rank)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert report.results["min_c"]["value"] == float(cvals.min())
+        assert report.results["max_c"]["value"] == float(cvals.max())
+
+    def test_chunk_plan(self):
+        chunk, tail = cli._CHUNK_ROWS, cli._TAIL_ROWS
+        assert cli._chunk_bounds(1) == [(0, 1)]
+        assert cli._chunk_bounds(chunk + tail - 1) == [(0, chunk + tail - 1)]
+        assert cli._chunk_bounds(chunk + tail) == [(0, chunk), (chunk, chunk + tail)]
+        for n in (tail, chunk, 2 * chunk, 3 * chunk + 7, 10**6):
+            bounds = cli._chunk_bounds(n)
+            assert bounds[0][0] == 0 and bounds[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
+            assert all(tail <= hi - lo < chunk + tail for lo, hi in bounds)
+
+    @pytest.mark.parametrize("tol", [1e-9, 0.0])
+    def test_codes_match_scalar_classify_random(self, tol):
+        pts = np.random.default_rng(34).uniform(-1, 1, size=(5000, 3))
+        names = geo._LABEL_NAMES[geo._classify_codes(pts, tol)]
+        assert [geo.classify(p, tol).value for p in pts] == names.tolist()
+
+    def test_codes_match_scalar_classify_near_faces(self):
+        rng = np.random.default_rng(35)
+        signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+        face = signs[rng.integers(0, 8, size=20_000)]
+        pts = rng.uniform(-1, 1, size=(20_000, 3))
+        # project onto the plane face . p = 1, then step off it by at most 1e-12
+        pts += ((1.0 - (face * pts).sum(axis=1)) / 3.0)[:, None] * face
+        pts += rng.uniform(-1e-12, 1e-12, size=(20_000, 1)) * face / np.sqrt(3.0)
+        # and 1000 random points with one coordinate within 1e-12 of a cube face
+        pts[:1000] = rng.uniform(-1, 1, size=(1000, 3))
+        pts[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice(
+            [-1.0, 1.0], size=1000
+        ) + rng.uniform(-1e-12, 1e-12, size=1000)
+        pts = pts[np.abs(pts).max(axis=1) <= 1.0 + 1e-12]
+        assert len(pts) > 5000
+        names = geo._LABEL_NAMES[geo._classify_codes(pts)]
+        assert [geo.classify(p).value for p in pts] == names.tolist()
+        assert set(names) == {label.value for label in geo.RegionLabel}
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_million_rows_peak_memory(self, tmp_path):
+        src = str(Path(qcausal.__file__).resolve().parents[1])
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+        code = textwrap.dedent(
+            """
+            import sys
+            from qcausal.cli import main
+            status = main(["sample", "DC", "--n", "1000000", "--seed", "1",
+                           "--csv", sys.argv[1], "--out", sys.argv[2]])
+            with open("/proc/self/status") as handle:
+                kib = next(int(line.split()[1]) for line in handle if line.startswith("VmHWM:"))
+            print(status, kib)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "s.csv"), str(tmp_path / "r.json")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        status, kib = map(int, out.stdout.split())
+        assert status == 0
+        assert kib / 1024 < 150, f"peak RSS {kib / 1024:.1f} MB"
+        with open(tmp_path / "s.csv", "rb") as handle:
+            assert sum(1 for _ in handle) == 10**6 + 1
+
+
 class TestTable2Command:
     def test_small_run_shape(self):
         report = cli.run_table2(n=400, seed=21)
@@ -181,6 +301,24 @@ class TestTable2Command:
         assert entry["cc"]["proportion_percent"] == 0.0
         assert entry["dc"]["proportion_percent"] == 0.0
         assert "printed_percent" not in entry["cc"]
+
+    def test_seed_streams_do_not_collide(self, monkeypatch):
+        # under additive per-cell seeds (seed + 1000 * idx + 500 * kind) seed
+        # 42's v1-DC stream and seed 542's v1-CC stream coincide
+        real = cli.basis_change.escape_experiment
+        starts = []
+
+        def record(kind, v, n, cfg=None, rng=None):
+            stream = cfg.rng() if rng is None else rng
+            starts.append(stream.bit_generator.state["state"]["state"])
+            return real(kind, v, n, cfg, rng)
+
+        monkeypatch.setattr(cli.basis_change, "escape_experiment", record)
+        cli.run_table2(n=10, seed=42)
+        cli.run_table2(n=10, seed=542)
+        v1_dc_of_42, v1_cc_of_542 = starts[1], starts[8]
+        assert v1_dc_of_42 != v1_cc_of_542
+        assert len(set(starts)) == len(starts) == 16
 
     def test_deterministic(self):
         a = cli.run_table2(n=300, seed=23)

@@ -153,7 +153,8 @@ class TestRegionConditioning:
         cfg = samplers.SamplerConfig(seed=58, max_rejections=64)
         with pytest.raises(SamplingExhaustedError) as info:
             samplers.sample_in_region_batch(cfg, "CC", "O", 10_000)
-        assert info.value.attempts == 64
+        # one full chunk is drawn before the budget check stops the search
+        assert info.value.attempts == samplers._CHUNK
         assert 0.0 <= info.value.acceptance_rate <= 1.0
 
     def test_cc_overlap_acceptance_rate_regression(self):
@@ -165,6 +166,23 @@ class TestRegionConditioning:
         rate = geo.in_overlap(corr.cc_pvector_batch(rhos), 1e-9).mean()
         assert rate > 0.01
         assert 0.80 <= rate <= 0.90
+
+    def test_stream_independent_of_budget(self):
+        # size 3000 needs a third chunk (a budget of two chunks runs out), and
+        # a 10,000 budget leaves less than a full chunk for that third draw
+        size = 3000
+        with pytest.raises(SamplingExhaustedError):
+            samplers.sample_in_region_batch(
+                samplers.SamplerConfig(seed=61, max_rejections=2 * samplers._CHUNK),
+                "DC", "O", size,
+            )
+        tight = samplers.sample_in_region_batch(
+            samplers.SamplerConfig(seed=61, max_rejections=10_000), "DC", "O", size
+        )
+        loose = samplers.sample_in_region_batch(
+            samplers.SamplerConfig(seed=61, max_rejections=10_000_000), "DC", "O", size
+        )
+        np.testing.assert_array_equal(tight, loose)
 
     def test_determinism_of_conditioned_stream(self):
         cfg = samplers.SamplerConfig(seed=60)
