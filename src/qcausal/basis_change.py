@@ -25,7 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import (
+    IMAG_TOL,
     PPoint,
+    _cc_pvector_residue_batch,
     cc_pvector,
     cc_pvector_batch,
     dc_pvector,
@@ -35,14 +37,16 @@ from .errors import ConsistencyError, ValidationError
 from .geometry import contains, in_otc, in_otd, in_overlap, tcc, tdc
 from .qmath import (
     is_density,
+    is_density_batch,
     is_unitary,
+    is_unitary_batch,
     pauli_eigenbasis,
     projector,
     require_density,
     require_unitary,
     tensor_product,
 )
-from .samplers import SamplerConfig, sample_in_region_batch, sample_unitary
+from .samplers import SamplerConfig, sample_in_region_batch, sample_unitary_serial
 
 __all__ = [
     "EscapeResult",
@@ -62,6 +66,11 @@ __all__ = [
 ]
 
 _MEMBERSHIP_TOL = 1e-9
+# Tries per block of the escape search; far below the 2^14 rows from which
+# ``unitaries_from_params`` changes bits.
+_SEARCH_BLOCK = 256
+# Most objects per block of the escape experiment's transform.
+_ESCAPE_BLOCK = 4096
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
@@ -114,10 +123,7 @@ class EscapeResult:
 
 def transform_density(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
     """(v (x) v)^dag rho (v (x) v)."""
-    rho = require_density(rho)
-    v = require_unitary(v)
-    vv = tensor_product(v, v)
-    out = vv.conj().T @ rho @ vv
+    out = _transform_density_batch(require_density(rho), require_unitary(v))
     if not is_density(out, 1e-9):
         raise ConsistencyError("transformed operator failed the density predicate")
     return out
@@ -125,9 +131,7 @@ def transform_density(rho: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def transform_unitary(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """v^dag u v."""
-    u = require_unitary(u)
-    v = require_unitary(v)
-    out = v.conj().T @ u @ v
+    out = _transform_unitary_batch(require_unitary(u), require_unitary(v))
     if not is_unitary(out, 1e-10):
         raise ConsistencyError("transformed matrix failed the unitarity predicate")
     return out
@@ -171,13 +175,17 @@ def pprime_dc(u: np.ndarray, v: np.ndarray) -> PPoint:
     return PPoint(*out)
 
 
-def _transform_density_batch(rhos: np.ndarray, v: np.ndarray) -> np.ndarray:
-    vv = tensor_product(v, v)
-    return np.einsum("ij,njk,kl->nil", vv.conj().T, rhos, vv)
+# The batch transforms broadcast: a stack of objects under one rotation (the
+# escape experiment) or one object under a stack of rotations (the search).
 
 
-def _transform_unitary_batch(us: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,njk,kl->nil", v.conj().T, us, v)
+def _transform_density_batch(rhos: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    vv = (vs[..., :, None, :, None] * vs[..., None, :, None, :]).reshape(vs.shape[:-2] + (4, 4))
+    return vv.conj().swapaxes(-1, -2) @ rhos @ vv
+
+
+def _transform_unitary_batch(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    return np.einsum("...ji,...jk,...kl->...il", vs.conj(), us, vs)
 
 
 def escape_experiment(
@@ -204,11 +212,14 @@ def escape_experiment(
     cfg = SamplerConfig(density_rank=1) if cfg is None else cfg
     objs = sample_in_region_batch(cfg, kind, "O", n, rng=rng)
     if kind == "CC":
-        pts = cc_pvector_batch(_transform_density_batch(objs, v))
-        full, cut = tcc(), in_otc
+        transform, pvec, full, cut = _transform_density_batch, cc_pvector_batch, tcc(), in_otc
     else:
-        pts = dc_pvector_batch(_transform_unitary_batch(objs, v))
-        full, cut = tdc(), in_otd
+        transform, pvec, full, cut = _transform_unitary_batch, dc_pvector_batch, tdc(), in_otd
+    # In blocks, so the transformed objects never hold a second copy of ``objs``.
+    # Equal blocks, so none has one row unless n does: dc_pvector_batch's
+    # einsum rounds a one-row stack differently.
+    blocks = np.array_split(objs, -(-n // _ESCAPE_BLOCK))
+    pts = np.concatenate([pvec(transform(block, v)) for block in blocks])
     if not contains(full, pts, _MEMBERSHIP_TOL).all():
         raise ConsistencyError("a transformed point left its tetrahedron")
     in_target = cut(pts, _MEMBERSHIP_TOL)
@@ -238,25 +249,58 @@ def search_escape_v(
     staying in the proper tetrahedron, or None when ``max_tries`` random
     rotations all fail (the maximally mixed preparation, for instance, is
     rotation-invariant and always returns None).
+
+    Stream rule: try k uses the k-th of successive single
+    ``sample_unitary(rng)`` draws. Tries are drawn and evaluated in blocks
+    of ``_SEARCH_BLOCK`` (fewer in the last block), so a caller-supplied
+    ``rng`` ends at the end of the block that holds the returned try, or of
+    the last block when none escapes. Every try up to and including the
+    returned one must pass the checks the scalar API makes: ``v`` unitary,
+    the transformed object a density operator or unitary, and, for 'CC',
+    each trace's imaginary residue within ``IMAG_TOL``; a failure raises
+    ``ConsistencyError``.
     """
     if max_tries < 1:
         raise ValidationError("max_tries must be >= 1")
     if kind == "CC":
         target = require_density(target)
         base = cc_pvector(target)
-        transform, pvec, tetra = transform_density, cc_pvector, tcc()
+        tetra = tcc()
     elif kind == "DC":
         target = require_unitary(target)
         base = dc_pvector(target)
-        transform, pvec, tetra = transform_unitary, dc_pvector, tdc()
+        tetra = tdc()
     else:
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     if not in_overlap(base.as_array(), _MEMBERSHIP_TOL):
         raise ValidationError("target's correlation point is already outside the overlap")
     rng = (SamplerConfig() if cfg is None else cfg).rng() if rng is None else rng
-    for _ in range(max_tries):
-        v = sample_unitary(rng)
-        moved = pvec(transform(target, v)).as_array()
-        if contains(tetra, moved, _MEMBERSHIP_TOL) and not in_overlap(moved, _MEMBERSHIP_TOL):
-            return v
+    for start in range(0, max_tries, _SEARCH_BLOCK):
+        vs = sample_unitary_serial(rng, min(_SEARCH_BLOCK, max_tries - start))
+        checks = [(is_unitary_batch(vs), "a sampled rotation failed the unitarity predicate")]
+        if kind == "CC":
+            objs = _transform_density_batch(target, vs)
+            moved, residue = _cc_pvector_residue_batch(objs)
+            checks += [
+                (is_density_batch(objs, 1e-9), "transformed operator failed the density predicate"),
+                ((np.abs(residue) <= IMAG_TOL).all(axis=1),
+                 f"an equal-outcome trace has an imaginary residue above {IMAG_TOL:g}"),
+            ]
+        else:
+            objs = _transform_unitary_batch(target, vs)
+            moved = dc_pvector_batch(objs)
+            checks += [
+                (is_unitary_batch(objs, 1e-10), "transformed matrix failed the unitarity predicate")
+            ]
+        escapes = np.flatnonzero(
+            contains(tetra, moved, _MEMBERSHIP_TOL) & ~in_overlap(moved, _MEMBERSHIP_TOL)
+        )
+        last = escapes[0] if escapes.size else len(vs) - 1
+        # Tries after the returned one are never checked, as in a try-by-try loop.
+        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks])[: last + 1])
+        if bad.size:
+            message = next(msg for ok, msg in checks if not ok[bad[0]])
+            raise ConsistencyError(f"search try {start + bad[0]}: {message}")
+        if escapes.size:
+            return vs[last].copy()
     return None

@@ -256,13 +256,18 @@ def sampled_dc_corr_index(
 # per-object validation is skipped.
 
 
+def _cc_pvector_residue_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Correlation points of a stack of density operators, shape (n, 3), and the
+    imaginary residues of their traces tr(rho P_i), which :func:`cc_equal_prob`
+    checks against ``IMAG_TOL``."""
+    rhos = np.asarray(rhos, dtype=complex)
+    traces = np.stack([np.einsum("nij,ji->n", rhos, _EQUAL_PROJ[i]) for i in (1, 2, 3)], axis=1)
+    return 2.0 * traces.real - 1.0, traces.imag
+
+
 def cc_pvector_batch(rhos: np.ndarray) -> np.ndarray:
     """Correlation points of a stack of density operators, shape (n, 3)."""
-    rhos = np.asarray(rhos, dtype=complex)
-    cols = [
-        2.0 * np.einsum("nij,ji->n", rhos, _EQUAL_PROJ[i]).real - 1.0 for i in (1, 2, 3)
-    ]
-    return np.stack(cols, axis=1)
+    return _cc_pvector_residue_batch(rhos)[0]
 
 
 _EQUAL_VECS = {

@@ -25,6 +25,8 @@ __all__ = [
     "projector",
     "is_unitary",
     "is_density",
+    "is_unitary_batch",
+    "is_density_batch",
     "is_unit_vector",
     "require_unitary",
     "require_density",
@@ -126,29 +128,49 @@ def is_unit_vector(v: np.ndarray, tol: float = STATE_TOL) -> bool:
     return abs(np.vdot(v, v).real - 1.0) <= tol
 
 
+def _square(m: np.ndarray) -> bool:
+    return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
+
+
+def _finite_stack(ms: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check a (..., d, d) stack; return (finite mask, stack with non-finite matrices zeroed)."""
+    if not _square(ms):
+        raise ValidationError(f"{name} expects a stack of square matrices, got shape {ms.shape}")
+    finite = np.isfinite(ms).all(axis=(-2, -1))
+    return finite, np.where(finite[..., None, None], ms, 0.0)
+
+
+def is_unitary_batch(ms: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+    """:func:`is_unitary` of every matrix of a (..., d, d) stack, as a bool array."""
+    finite, ms = _finite_stack(np.asarray(ms, dtype=complex), "is_unitary_batch")
+    resid = ms @ ms.conj().swapaxes(-1, -2) - np.eye(ms.shape[-1])
+    return finite & (np.abs(resid).max(axis=(-2, -1)) <= tol)
+
+
+def is_density_batch(ms: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
+    """:func:`is_density` of every matrix of a (..., d, d) stack, as a bool array."""
+    finite, ms = _finite_stack(np.asarray(ms, dtype=complex), "is_density_batch")
+    adjoint = ms.conj().swapaxes(-1, -2)
+    trace = np.trace(ms, axis1=-2, axis2=-1)
+    ok = (
+        finite
+        & (np.abs(ms - adjoint).max(axis=(-2, -1)) <= tol)
+        & (np.abs(trace.real - 1.0) <= tol)
+        & (np.abs(trace.imag) <= tol)
+    )
+    evals = np.linalg.eigvalsh((ms + adjoint) / 2.0)
+    return ok & (evals.min(axis=-1) >= -tol)
+
+
 def is_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    if not np.all(np.isfinite(m)):
-        return False
-    resid = m @ m.conj().T - np.eye(m.shape[0])
-    return np.max(np.abs(resid)) <= tol
+    return m.ndim == 2 and _square(m) and bool(is_unitary_batch(m, tol))
 
 
 def is_density(m: np.ndarray, tol: float = DENSITY_TOL) -> bool:
     """Hermitian within ``tol``, trace within ``tol`` of 1, eigenvalues >= -tol."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    if not np.all(np.isfinite(m)):
-        return False
-    if np.max(np.abs(m - m.conj().T)) > tol:
-        return False
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-        return False
-    evals = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    return bool(evals.min() >= -tol)
+    return m.ndim == 2 and _square(m) and bool(is_density_batch(m, tol))
 
 
 def require_state(v: np.ndarray, dim: int = 4, tol: float = STATE_TOL) -> np.ndarray:

@@ -28,6 +28,7 @@ __all__ = [
     "sample_complex_pure",
     "sample_density",
     "sample_unitary",
+    "sample_unitary_serial",
     "sample_unitary_params",
     "unitaries_from_params",
     "sample_in_region",
@@ -108,6 +109,26 @@ def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
     return _squeeze(unitaries_from_params(*params), size)
 
 
+def sample_unitary_serial(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` unitaries with the bits of ``n`` successive ``sample_unitary(rng)`` calls.
+
+    ``sample_unitary(rng, size=n)`` draws all sphere points before all
+    phases; this draws each unitary's point and phase in turn, as the
+    single calls do, then normalizes and assembles the stack at once.
+    Keep ``n`` below 2^14: larger stacks change the last bits of the
+    assembly (see :func:`unitaries_from_params`).
+    """
+    sphere = np.empty((n, 4))
+    unit = np.empty(n)
+    normal, uniform = rng.standard_normal, rng.random
+    for k in range(n):
+        normal(out=sphere[k])
+        unit[k] = uniform()
+    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
+    # rng.uniform(0, 2 pi) is 0 + 2 pi * rng.random(), bit for bit.
+    return unitaries_from_params(*sphere.T, 2.0 * np.pi * unit)
+
+
 def sample_unitary_params(rng: np.random.Generator, n: int):
     """Raw parameters (a1, a2, b1, b2, alpha): uniform sphere and uniform phase."""
     v = rng.standard_normal((n, 4))
@@ -117,7 +138,12 @@ def sample_unitary_params(rng: np.random.Generator, n: int):
 
 
 def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
-    """Assemble [[a1+i a2, b1+i b2], [-e^{i a}(b1-i b2), e^{i a}(a1-i a2)]]."""
+    """Assemble [[a1+i a2, b1+i b2], [-e^{i a}(b1-i b2), e^{i a}(a1-i a2)]].
+
+    From 2^14 rows on, numpy reuses the complex temporaries in place, which
+    changes the last bits of the products; a row's bits therefore depend on
+    whether its batch is above or below that size.
+    """
     a1, a2, b1, b2, alpha = np.broadcast_arrays(a1, a2, b1, b2, alpha)
     phase = np.exp(1j * alpha)
     u = np.empty(a1.shape + (2, 2), dtype=complex)

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,10 +7,85 @@ from qcausal import basis_change as bc
 from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal import qmath
-from qcausal.errors import ValidationError
-from qcausal.samplers import SamplerConfig, sample_density, sample_unitary
+from qcausal.errors import ConsistencyError, ValidationError
+from qcausal.samplers import (
+    SamplerConfig,
+    sample_density,
+    sample_in_region_batch,
+    sample_unitary,
+    sample_unitary_serial,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def _search_escape_oracle(kind, target, max_tries=2000, cfg=None, rng=None):
+    """The escape search one rotation at a time through the scalar API.
+
+    This is the loop ``bc.search_escape_v`` ran before it worked in blocks,
+    with the two transforms written out; the block search must return the
+    same rotation, bit for bit.
+    """
+    if max_tries < 1:
+        raise ValidationError("max_tries must be >= 1")
+    if kind == "CC":
+        target = qmath.require_density(target)
+        base = corr.cc_pvector(target)
+        pvec, tetra = corr.cc_pvector, geo.tcc()
+
+        def transform(rho, v):
+            vv = np.kron(v, v)
+            out = vv.conj().T @ rho @ vv
+            if not qmath.is_density(out, 1e-9):
+                raise ConsistencyError("transformed operator failed the density predicate")
+            return out
+
+    else:
+        target = qmath.require_unitary(target)
+        base = corr.dc_pvector(target)
+        pvec, tetra = corr.dc_pvector, geo.tdc()
+
+        def transform(u, v):
+            out = v.conj().T @ u @ v
+            if not qmath.is_unitary(out, 1e-10):
+                raise ConsistencyError("transformed matrix failed the unitarity predicate")
+            return out
+
+    if not geo.in_overlap(base.as_array(), 1e-9):
+        raise ValidationError("target's correlation point is already outside the overlap")
+    rng = (SamplerConfig() if cfg is None else cfg).rng() if rng is None else rng
+    for _ in range(max_tries):
+        v = qmath.require_unitary(sample_unitary(rng))
+        moved = pvec(transform(target, v)).as_array()
+        if geo.contains(tetra, moved, 1e-9) and not geo.in_overlap(moved, 1e-9):
+            return v
+    return None
+
+
+@functools.cache
+def _search_targets():
+    """Ambiguous objects: CC at ranks 1-4 and DC, some escaping early, some
+    late (the DC one nearest |tr u|^2/4 = 1/2) and some never."""
+    targets = {
+        "cc-maximally-mixed": ("CC", np.eye(4, dtype=complex) / 4),
+        "cc-separable-rank2": ("CC", np.diag([0.5, 0, 0, 0.5]).astype(complex)),
+        "dc-phase-gate": ("DC", np.diag([1, 1j])),
+    }
+    for rank in (1, 2, 3, 4):
+        cfg = SamplerConfig(seed=600 + rank, density_rank=rank)
+        for k, rho in enumerate(sample_in_region_batch(cfg, "CC", "O", 2)):
+            targets[f"cc-rank{rank}-{k}"] = ("CC", rho)
+    for k, u in enumerate(sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 2)):
+        targets[f"dc-{k}"] = ("DC", u)
+    us = sample_in_region_batch(SamplerConfig(seed=701), "DC", "O", 200)
+    targets["dc-late"] = ("DC", us[np.argmax(np.abs(np.trace(us, axis1=1, axis2=2)))])
+    return targets
+
+
+_TARGET_NAMES = (
+    "cc-maximally-mixed", "cc-separable-rank2", "dc-phase-gate", "dc-0", "dc-1", "dc-late",
+    *(f"cc-rank{rank}-{k}" for rank in (1, 2, 3, 4) for k in (0, 1)),
+)
 
 
 class TestReferenceUnitaries:
@@ -189,6 +266,21 @@ class TestEscapeExperiment:
         with pytest.raises(ValidationError):
             bc.escape_experiment("XX", bc.ESCAPE_V1, 10, SamplerConfig(seed=94))
 
+    @pytest.mark.parametrize("kind", ["CC", "DC"])
+    def test_points_do_not_depend_on_blocking(self, kind):
+        # escape_experiment transforms in blocks of two rows or more; its
+        # counts match a one-pass run only if such blocks give every row's
+        # point the same bits.
+        objs = sample_in_region_batch(SamplerConfig(seed=98, density_rank=1), kind, "O", 9_001)
+        if kind == "CC":
+            transform, pvec = bc._transform_density_batch, corr.cc_pvector_batch
+        else:
+            transform, pvec = bc._transform_unitary_batch, corr.dc_pvector_batch
+        whole = pvec(transform(objs, bc.ESCAPE_V2))
+        for parts in (3, 9_001 // 2, -(-9_001 // bc._ESCAPE_BLOCK)):
+            blocked = [pvec(transform(block, bc.ESCAPE_V2)) for block in np.array_split(objs, parts)]
+            assert np.concatenate(blocked).tobytes() == whole.tobytes(), parts
+
 
 class TestSearchEscape:
     def test_maximally_mixed_never_escapes(self):
@@ -206,3 +298,103 @@ class TestSearchEscape:
     def test_target_outside_overlap_rejected(self):
         with pytest.raises(ValidationError):
             bc.search_escape_v("CC", qmath.projector(qmath.bell(1)), cfg=SamplerConfig(seed=97))
+
+
+class TestSearchMatchesOracle:
+    @pytest.mark.parametrize("block", [4, bc._SEARCH_BLOCK])
+    @pytest.mark.parametrize("name", _TARGET_NAMES)
+    def test_same_rotation_bits(self, monkeypatch, block, name):
+        monkeypatch.setattr(bc, "_SEARCH_BLOCK", block)
+        kind, target = _search_targets()[name]
+        for seed in (1, 2):
+            for max_tries in (1, block - 1, block, block + 1, 2 * block + 3):
+                want = _search_escape_oracle(kind, target, max_tries, SamplerConfig(seed=seed))
+                got = bc.search_escape_v(kind, target, max_tries, SamplerConfig(seed=seed))
+                case = f"seed {seed}, max_tries {max_tries}"
+                assert (got is None) == (want is None), case
+                if want is not None:
+                    assert got.tobytes() == want.tobytes(), case
+
+    def test_targets_escape_early_late_and_never(self):
+        outcomes = {
+            name: _search_escape_oracle(kind, target, 515, SamplerConfig(seed=1))
+            for name, (kind, target) in _search_targets().items()
+        }
+        assert outcomes["cc-maximally-mixed"] is None
+        assert outcomes["cc-separable-rank2"] is None
+        assert outcomes["dc-phase-gate"] is None
+        assert outcomes["dc-0"] is not None
+        # Found, but not within the first block of 4 tries.
+        assert outcomes["dc-late"] is not None
+        assert _search_escape_oracle("DC", _search_targets()["dc-late"][1], 4,
+                                     SamplerConfig(seed=1)) is None
+
+    def test_block_draw_matches_single_draws(self):
+        n, block = 10_000, bc._SEARCH_BLOCK
+        rng = np.random.default_rng(11)
+        single = np.stack([sample_unitary(rng) for _ in range(n)])
+        rng = np.random.default_rng(11)
+        blocks = np.concatenate(
+            [sample_unitary_serial(rng, min(block, n - start)) for start in range(0, n, block)]
+        )
+        assert blocks.tobytes() == single.tobytes()
+
+    def test_caller_rng_ends_at_block_end(self):
+        block = bc._SEARCH_BLOCK
+
+        def advanced(draws):
+            ref = np.random.default_rng(7)
+            for _ in range(draws):
+                sample_unitary(ref)
+            return ref.bit_generator.state
+
+        rng = np.random.default_rng(7)
+        assert bc.search_escape_v("CC", np.eye(4) / 4, block + 1, rng=rng) is None
+        assert rng.bit_generator.state == advanced(block + 1)
+        rng = np.random.default_rng(7)
+        assert bc.search_escape_v("DC", HADAMARD, 3 * block, rng=rng) is not None
+        assert rng.bit_generator.state == advanced(block)
+
+
+class TestSearchChecks:
+    def _corrupt(self, monkeypatch, name, damage):
+        kernel = getattr(bc, name)
+        monkeypatch.setattr(bc, name, lambda objs, vs: damage(kernel(objs, vs)))
+
+    def test_non_density_image_raises(self, monkeypatch):
+        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: 2.0 * out)
+        with pytest.raises(ConsistencyError, match="density predicate"):
+            bc.search_escape_v("CC", np.eye(4) / 4, 10, SamplerConfig(seed=1))
+
+    def test_non_unitary_image_raises(self, monkeypatch):
+        self._corrupt(monkeypatch, "_transform_unitary_batch", lambda out: 2.0 * out)
+        with pytest.raises(ConsistencyError, match="unitarity predicate"):
+            bc.search_escape_v("DC", HADAMARD, 10, SamplerConfig(seed=1))
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        # Hermitian within the density tolerance, but tr(rho P_1) gains 4e-10j.
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 3] = skew[3, 0] = 4e-10j
+        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: out + skew)
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            bc.search_escape_v("CC", np.eye(4) / 4, 10, SamplerConfig(seed=1))
+
+    def test_non_unitary_rotation_raises(self, monkeypatch):
+        draw = bc.sample_unitary_serial
+        monkeypatch.setattr(bc, "sample_unitary_serial", lambda rng, n: 1.5 * draw(rng, n))
+        with pytest.raises(ConsistencyError, match="rotation failed"):
+            bc.search_escape_v("DC", HADAMARD, 10, SamplerConfig(seed=1))
+
+    def test_tries_after_the_returned_one_unchecked(self, monkeypatch):
+        kind, target = _search_targets()["cc-rank1-0"]
+        want = _search_escape_oracle(kind, target, 1, SamplerConfig(seed=1))
+        assert want is not None
+
+        def damage(out):
+            out = out.copy()
+            out[1:] *= 2.0
+            return out
+
+        self._corrupt(monkeypatch, "_transform_density_batch", damage)
+        got = bc.search_escape_v(kind, target, 50, SamplerConfig(seed=1))
+        assert got.tobytes() == want.tobytes()

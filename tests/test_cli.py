@@ -13,7 +13,8 @@ from qcausal import cli, qmath
 from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
-from qcausal.samplers import SamplerConfig, sample_density, sample_unitary
+from qcausal.samplers import SamplerConfig, sample_density, sample_in_region_batch, sample_unitary
+from test_basis_change import _search_escape_oracle
 
 
 def write_doc(tmp_path, name, doc):
@@ -131,6 +132,24 @@ class TestClassifyCommand:
         report = cli.run_classify(doc, seed=5, max_tries=300)
         assert report.results["label"] == "AMBIGUOUS"
         assert report.results["escape"]["applicable"] is True
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    @pytest.mark.parametrize(
+        "name, escapes", [("stuck-density", False), ("density", True), ("unitary", True)]
+    )
+    def test_escape_report_matches_oracle(self, monkeypatch, seed, name, escapes):
+        if name == "stuck-density":
+            doc = cli.document_from_array("density", np.eye(4, dtype=complex) / 4)
+        elif name == "density":
+            cfg = SamplerConfig(seed=601, density_rank=1)
+            doc = cli.document_from_array("density", sample_in_region_batch(cfg, "CC", "O", 1)[0])
+        else:
+            u = sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 1)[0]
+            doc = cli.document_from_array("unitary", u)
+        report = cli.run_classify(doc, seed=seed, max_tries=300).to_json()
+        monkeypatch.setattr(cli.basis_change, "search_escape_v", _search_escape_oracle)
+        assert report == cli.run_classify(doc, seed=seed, max_tries=300).to_json()
+        assert json.loads(report)["results"]["escape"]["found"] is escapes
 
     def test_ambiguous_pvector_escape_not_applicable(self):
         doc = cli.document_from_array("pvector", np.array([0.1, 0.1, 0.1]))

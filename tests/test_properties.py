@@ -1,0 +1,109 @@
+"""Property tests: conjugation invariants of the batch transforms, and the
+stacked predicates against their one-object calls."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcausal import basis_change as bc
+from qcausal import qmath
+from qcausal.samplers import sample_density, sample_unitary
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+ranks = st.sampled_from([1, 2, 3, 4])
+SINGLET = qmath.bell(4)
+
+
+def singlet_population(rhos):
+    return np.einsum("i,...ij,j->...", SINGLET.conj(), rhos, SINGLET).real
+
+
+def trace_weight(us):
+    return np.abs(np.trace(us, axis1=-2, axis2=-1)) ** 2 / 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, rank=ranks)
+def test_singlet_population_preserved(seed, rank):
+    rng = np.random.default_rng(seed)
+    rhos = sample_density(rng, rank=rank, size=16)
+    v = sample_unitary(rng)
+    vs = sample_unitary(rng, size=16)
+    np.testing.assert_allclose(
+        singlet_population(bc._transform_density_batch(rhos, v)),
+        singlet_population(rhos),
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        singlet_population(bc._transform_density_batch(rhos[0], vs)),
+        singlet_population(rhos[0]),
+        atol=1e-12,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds)
+def test_trace_weight_preserved(seed):
+    rng = np.random.default_rng(seed)
+    us = sample_unitary(rng, size=16)
+    v = sample_unitary(rng)
+    vs = sample_unitary(rng, size=16)
+    np.testing.assert_allclose(
+        trace_weight(bc._transform_unitary_batch(us, v)), trace_weight(us), atol=1e-12
+    )
+    np.testing.assert_allclose(
+        trace_weight(bc._transform_unitary_batch(us[0], vs)), trace_weight(us[0]), atol=1e-12
+    )
+
+
+def perturbed_densities(rng, rank, tol):
+    """Valid densities, then one of each kind of defect, with the expected verdicts."""
+    rhos = list(sample_density(rng, rank=rank, size=4))
+    expected = [True] * len(rhos)
+    nan = rhos[0].copy()
+    nan[rng.integers(4), rng.integers(4)] = np.nan
+    w, basis = np.linalg.eigh(rhos[1])
+    w[-1] += w[0] + 2.0 * tol
+    w[0] = -2.0 * tol
+    negative = (basis * w) @ basis.conj().T
+    off_trace = rhos[2] * (1.0 + 2.0 * tol)
+    skew = rhos[3].copy()
+    skew[0, 1] += 2.0 * tol
+    infinite = rhos[0].copy()
+    infinite[1, 1] = np.inf
+    rhos += [nan, negative, off_trace, skew, infinite]
+    expected += [False] * 5
+    return np.stack(rhos), expected
+
+
+def perturbed_unitaries(rng, tol):
+    us = list(sample_unitary(rng, size=4))
+    expected = [True] * len(us)
+    nan = us[0].copy()
+    nan[rng.integers(2), rng.integers(2)] = np.nan
+    scaled = us[1] * (1.0 + 2.0 * tol)
+    generic = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    infinite = us[2].copy()
+    infinite[0, 0] = np.inf
+    us += [nan, scaled, generic, infinite]
+    expected += [False] * 4
+    return np.stack(us), expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, rank=ranks)
+def test_stacked_is_density_agrees_with_scalar(seed, rank):
+    tol = qmath.DENSITY_TOL
+    rhos, expected = perturbed_densities(np.random.default_rng(seed), rank, tol)
+    stacked = qmath.is_density_batch(rhos, tol)
+    assert stacked.tolist() == [qmath.is_density(m, tol) for m in rhos] == expected
+    assert qmath.is_density_batch(rhos.reshape(3, 3, 4, 4), tol).ravel().tolist() == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds)
+def test_stacked_is_unitary_agrees_with_scalar(seed):
+    tol = qmath.UNITARY_TOL
+    us, expected = perturbed_unitaries(np.random.default_rng(seed), tol)
+    stacked = qmath.is_unitary_batch(us, tol)
+    assert stacked.tolist() == [qmath.is_unitary(m, tol) for m in us] == expected
