@@ -11,8 +11,6 @@ from .basis_change import (
     ESCAPE_V_SET,
     EscapeResult,
     escape_experiment,
-    pprime_cc,
-    pprime_dc,
     search_escape_v,
     transform_density,
     transform_unitary,
@@ -31,7 +29,6 @@ from .correlation import (
     cc_pvector,
     dc_corr_index,
     dc_pvector,
-    dc_pvector_closed_form,
     mixture_pvector,
     statistic_c,
 )
@@ -52,7 +49,6 @@ from .geometry import (
 )
 from .qmath import (
     bell,
-    dagger,
     is_density,
     is_unitary,
     pauli,

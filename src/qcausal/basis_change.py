@@ -52,8 +52,8 @@ __all__ = [
     "EscapeResult",
     "transform_density",
     "transform_unitary",
-    "pprime_cc",
-    "pprime_dc",
+    "pprime_cc_oracle",
+    "pprime_dc_oracle",
     "escape_experiment",
     "search_escape_v",
     "ESCAPE_V1",
@@ -137,7 +137,7 @@ def transform_unitary(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def pprime_cc(rho: np.ndarray, v: np.ndarray) -> PPoint:
+def pprime_cc_oracle(rho: np.ndarray, v: np.ndarray) -> PPoint:
     """Rotated-basis correlation point of a preparation, via rotated projectors.
 
     Uses the projectors onto v|m_k> (x) v|m_k> directly; must equal
@@ -159,7 +159,7 @@ def pprime_cc(rho: np.ndarray, v: np.ndarray) -> PPoint:
     return PPoint(*out)
 
 
-def pprime_dc(u: np.ndarray, v: np.ndarray) -> PPoint:
+def pprime_dc_oracle(u: np.ndarray, v: np.ndarray) -> PPoint:
     """Rotated-basis correlation point of an evolution, via rotated eigenvectors.
 
     Uses |(v|m_0>)^dag u (v|m_0>)|^2 directly; must equal
@@ -216,8 +216,7 @@ def escape_experiment(
     else:
         transform, pvec, full, cut = _transform_unitary_batch, dc_pvector_batch, tdc(), in_otd
     # In blocks, so the transformed objects never hold a second copy of ``objs``.
-    # Equal blocks, so none has one row unless n does: dc_pvector_batch's
-    # einsum rounds a one-row stack differently.
+    # The transforms and kernels give a row the same bits in any block.
     blocks = np.array_split(objs, -(-n // _ESCAPE_BLOCK))
     pts = np.concatenate([pvec(transform(block, v)) for block in blocks])
     if not contains(full, pts, _MEMBERSHIP_TOL).all():

@@ -43,8 +43,6 @@ __all__ = [
     "main",
 ]
 
-CC_BOUND = 1.0 / 27.0
-DC_BOUND = -1.0 / 27.0
 BOUND_SLACK = 1e-9
 
 _DOCUMENT_KINDS = ("density", "unitary", "pvector")
@@ -344,9 +342,9 @@ def run_sample(
             pts = points(lo, hi)
             cvals = pts.prod(axis=1)
             if kind == "CC":
-                n_violations += int((cvals > CC_BOUND + BOUND_SLACK).sum())
+                n_violations += int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
             else:
-                n_violations += int((cvals < DC_BOUND - BOUND_SLACK).sum())
+                n_violations += int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
             min_c, max_c = min(min_c, cvals.min()), max(max_c, cvals.max())
             codes = geometry._classify_codes(pts, tol=1e-9)
             handle.write(_encode_rows(pts, cvals, codes) + "\n")
@@ -480,41 +478,44 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Discriminate two-qubit causal structures from correlation statistics.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42)
 
-    p_classify = sub.add_parser("classify", help="classify a matrix document")
+    p_classify = sub.add_parser("classify", parents=[seed, out], help="classify a matrix document")
     p_classify.add_argument("document", help="path to a matrix document (JSON)")
-    p_classify.add_argument("--seed", type=int, default=42)
     p_classify.add_argument("--tol", type=float, default=1e-9)
     p_classify.add_argument("--max-tries", type=int, default=2000)
-    p_classify.add_argument("--out", default=None)
 
-    p_bounds = sub.add_parser("bounds", help="certify the statistic's extrema")
+    p_bounds = sub.add_parser("bounds", parents=[seed, out], help="certify the statistic's extrema")
     p_bounds.add_argument("--grid-step", type=float, default=0.01)
     p_bounds.add_argument("--starts", type=int, default=200)
-    p_bounds.add_argument("--seed", type=int, default=42)
     p_bounds.add_argument("--tol", type=float, default=1e-6)
-    p_bounds.add_argument("--out", default=None)
 
-    p_sample = sub.add_parser("sample", help="Monte Carlo scatter of correlation points")
+    p_sample = sub.add_parser(
+        "sample", parents=[seed, out], help="Monte Carlo scatter of correlation points"
+    )
     p_sample.add_argument("kind", choices=["CC", "DC"])
     p_sample.add_argument("--n", type=int, default=20000)
-    p_sample.add_argument("--seed", type=int, default=42)
     p_sample.add_argument("--rank", type=int, default=4)
     p_sample.add_argument("--csv", required=True, help="output CSV path")
-    p_sample.add_argument("--out", default=None)
 
-    p_t1 = sub.add_parser("table1", help="recompute the eight signature rows")
+    p_t1 = sub.add_parser("table1", parents=[out], help="recompute the eight signature rows")
     p_t1.add_argument("--tol", type=float, default=1e-12)
-    p_t1.add_argument("--out", default=None)
 
-    p_t2 = sub.add_parser("table2", help="escape proportions for the reference rotations")
+    p_t2 = sub.add_parser(
+        "table2", parents=[seed, out], help="escape proportions for the reference rotations"
+    )
     p_t2.add_argument("--n", type=int, default=20000)
-    p_t2.add_argument("--seed", type=int, default=42)
     p_t2.add_argument("--v-doc", action="append", default=None,
                       help="path to a unitary document (repeatable; replaces embedded set)")
-    p_t2.add_argument("--out", default=None)
 
     return parser
+
+
+# Built once: parse_args keeps no state between calls.
+_PARSER = _build_parser()
 
 
 def _emit(report: RunReport, out_path: str | None) -> None:
@@ -527,7 +528,7 @@ def _emit(report: RunReport, out_path: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.subcommand == "classify":
             report = run_classify(

@@ -12,9 +12,13 @@ Three scenarios are covered:
   with a 2x2 unitary and measuring again;
 * a probabilistic mixture of the two.
 
-Probabilities are computed exactly from projectors, so every test is
-deterministic; a seeded shot-sampling mode is provided for demonstration
-only.
+Probabilities are computed exactly from projectors, so every result is
+deterministic. Each correlation point has one implementation, a batch
+kernel over a stack of objects; the scalar functions validate their input
+once and take row 0 of that kernel, so a scalar call and a row of any
+stack give the same bits. ``cc_equal_prob``/``dc_cond_prob`` and the
+``*_oracle`` functions are second implementations, kept as the tests'
+independent cross-checks.
 """
 
 from __future__ import annotations
@@ -42,14 +46,10 @@ __all__ = [
     "dc_cond_prob",
     "dc_corr_index",
     "dc_pvector",
-    "dc_pvector_closed_form",
+    "dc_pvector_oracle",
     "mixture_pvector",
-    "mixture_pvector_direct",
-    "dc_state_independence_check",
-    "sampled_cc_corr_index",
-    "sampled_dc_corr_index",
+    "mixture_pvector_oracle",
     "cc_pvector_batch",
-    "cc_pvector_pure_batch",
     "dc_pvector_batch",
     "dc_pvector_params_batch",
     "IMAG_TOL",
@@ -108,37 +108,44 @@ for _m in _EQUAL_PROJ.values():
     _m.setflags(write=False)
 
 
-def _real_part(value: complex, context: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise ConsistencyError(
-            f"{context}: imaginary residue {value.imag:.3e} exceeds {IMAG_TOL:g}; "
-            "the input is likely corrupted"
-        )
-    return float(value.real)
-
-
 def _check_axis(i: int) -> int:
     if i not in (1, 2, 3):
         raise ValidationError(f"measurement axis must be in 1..3, got {i!r}")
     return i
 
 
+def _check_residue(imag) -> None:
+    worst = float(np.max(np.abs(imag)))
+    if worst > IMAG_TOL:
+        raise ConsistencyError(
+            f"equal-outcome probability: imaginary residue {worst:.3e} exceeds "
+            f"{IMAG_TOL:g}; the input is likely corrupted"
+        )
+
+
 def cc_equal_prob(rho: np.ndarray, i: int) -> float:
-    """p(k = m | ii) when both qubits of ``rho`` are measured along axis i."""
+    """p(k = m | ii) when both qubits of ``rho`` are measured along axis i.
+
+    A per-axis formula, independent of :func:`cc_pvector_batch`; it backs
+    :func:`mixture_pvector_oracle`.
+    """
     rho = require_density(rho)
     _check_axis(i)
-    value = np.trace(rho @ _EQUAL_PROJ[i])
-    return _real_part(complex(value), "equal-outcome probability")
+    value = complex(np.trace(rho @ _EQUAL_PROJ[i]))
+    _check_residue(value.imag)
+    return float(value.real)
 
 
 def cc_corr_index(rho: np.ndarray, i: int) -> float:
     """Correlation index of the common-cause scenario along axis i."""
-    return 2.0 * cc_equal_prob(rho, i) - 1.0
+    return cc_pvector(rho)[_check_axis(i) - 1]
 
 
 def cc_pvector(rho: np.ndarray) -> PPoint:
     """Correlation point of a joint preparation."""
-    return PPoint(*(cc_corr_index(rho, i) for i in (1, 2, 3)))
+    points, residues = _cc_pvector_residue_batch(require_density(rho)[None])
+    _check_residue(residues)
+    return PPoint(*points[0].tolist())
 
 
 def statistic_c(p) -> float:
@@ -166,12 +173,12 @@ def dc_cond_prob(u: np.ndarray, i: int, k: int) -> float:
 
 def dc_corr_index(u: np.ndarray, i: int) -> float:
     """Correlation index of the direct-cause scenario along axis i."""
-    return 2.0 * dc_cond_prob(u, i, 0) - 1.0
+    return dc_pvector(u)[_check_axis(i) - 1]
 
 
 def dc_pvector(u: np.ndarray) -> PPoint:
     """Correlation point of a causal evolution."""
-    return PPoint(*(dc_corr_index(u, i) for i in (1, 2, 3)))
+    return PPoint(*dc_pvector_batch(require_unitary(u)[None])[0].tolist())
 
 
 def _unitary_params(u: np.ndarray) -> tuple[float, float, float, float, float]:
@@ -189,15 +196,15 @@ def _unitary_params(u: np.ndarray) -> tuple[float, float, float, float, float]:
     return a1, a2, b1, b2, alpha
 
 
-def dc_pvector_closed_form(u: np.ndarray) -> PPoint:
+def dc_pvector_oracle(u: np.ndarray) -> PPoint:
     """Correlation point of a unitary via its sphere-plus-phase parameters.
 
-    Must agree with :func:`dc_pvector` to 1e-10; the equivalence is an
-    invariant exercised by the tests.
+    The closed form of :func:`dc_pvector_params_batch`, a route independent
+    of :func:`dc_pvector`; the tests require the two to agree to 1e-10.
     """
     u = require_unitary(u)
     point = dc_pvector_params_batch(np.array([_unitary_params(u)]))[0]
-    return PPoint(*(float(x) for x in point))
+    return PPoint(*point.tolist())
 
 
 def mixture_pvector(s: MixtureScenario) -> PPoint:
@@ -207,7 +214,7 @@ def mixture_pvector(s: MixtureScenario) -> PPoint:
     return PPoint(*combo)
 
 
-def mixture_pvector_direct(s: MixtureScenario) -> PPoint:
+def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:
     """Correlation point of the mixture evaluated through outcome probabilities.
 
     Mixes p(k = m | ii) of the two branches before forming the indices;
@@ -222,43 +229,17 @@ def mixture_pvector_direct(s: MixtureScenario) -> PPoint:
     return PPoint(*out)
 
 
-def dc_state_independence_check(u: np.ndarray, i: int) -> float:
-    """|p(repeat | eigenvector 0) - p(repeat | eigenvector 1)|, expected <= 1e-12."""
-    return abs(dc_cond_prob(u, i, 0) - dc_cond_prob(u, i, 1))
-
-
-def sampled_cc_corr_index(
-    rho: np.ndarray, i: int, shots: int, rng: np.random.Generator
-) -> float:
-    """Shot-sampled estimate of :func:`cc_corr_index` (demonstration only)."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
-    p_equal = cc_equal_prob(rho, i)
-    hits = rng.binomial(shots, min(max(p_equal, 0.0), 1.0))
-    return 2.0 * hits / shots - 1.0
-
-
-def sampled_dc_corr_index(
-    u: np.ndarray, i: int, shots: int, rng: np.random.Generator
-) -> float:
-    """Shot-sampled estimate of :func:`dc_corr_index` (demonstration only)."""
-    if shots < 1:
-        raise ValidationError("shots must be >= 1")
-    p_equal = dc_cond_prob(u, i, 0)
-    hits = rng.binomial(shots, min(max(p_equal, 0.0), 1.0))
-    return 2.0 * hits / shots - 1.0
-
-
 # -- batch kernels -----------------------------------------------------------
 #
-# Vectorized counterparts used by the samplers, the Monte Carlo sweeps and
-# the escape experiments. Inputs are trusted (produced by this package), so
-# per-object validation is skipped.
+# The one implementation of each correlation point. Inputs are trusted
+# (produced by this package or validated by a scalar wrapper), so they skip
+# per-object validation. A row's bits do not depend on the other rows or on
+# the size of the stack, which the tests check.
 
 
 def _cc_pvector_residue_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Correlation points of a stack of density operators, shape (n, 3), and the
-    imaginary residues of their traces tr(rho P_i), which :func:`cc_equal_prob`
+    imaginary residues of their traces tr(rho P_i), which :func:`cc_pvector`
     checks against ``IMAG_TOL``."""
     rhos = np.asarray(rhos, dtype=complex)
     traces = np.stack([np.einsum("nij,ji->n", rhos, _EQUAL_PROJ[i]) for i in (1, 2, 3)], axis=1)
@@ -268,26 +249,6 @@ def _cc_pvector_residue_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def cc_pvector_batch(rhos: np.ndarray) -> np.ndarray:
     """Correlation points of a stack of density operators, shape (n, 3)."""
     return _cc_pvector_residue_batch(rhos)[0]
-
-
-_EQUAL_VECS = {
-    i: (
-        tensor_product(pauli_eigenbasis(i)[0], pauli_eigenbasis(i)[0]),
-        tensor_product(pauli_eigenbasis(i)[1], pauli_eigenbasis(i)[1]),
-    )
-    for i in (1, 2, 3)
-}
-
-
-def cc_pvector_pure_batch(phis: np.ndarray) -> np.ndarray:
-    """Correlation points of a stack of pure states, shape (n, 3)."""
-    phis = np.asarray(phis, dtype=complex)
-    cols = []
-    for i in (1, 2, 3):
-        v0, v1 = _EQUAL_VECS[i]
-        p = np.abs(phis @ v0.conj()) ** 2 + np.abs(phis @ v1.conj()) ** 2
-        cols.append(2.0 * p - 1.0)
-    return np.stack(cols, axis=1)
 
 
 def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
@@ -308,11 +269,17 @@ def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
 
 
 def dc_pvector_batch(us: np.ndarray) -> np.ndarray:
-    """Correlation points of a stack of 2x2 unitaries, shape (n, 3)."""
+    """Correlation points of a stack of 2x2 unitaries, shape (n, 3).
+
+    Each amplitude <m0| u |m0> is summed elementwise in row-major (i, j)
+    order, so a one-row stack gives the bits of the same row in any stack.
+    """
     us = np.asarray(us, dtype=complex)
+    u00, u01, u10, u11 = us[:, 0, 0], us[:, 0, 1], us[:, 1, 0], us[:, 1, 1]
     cols = []
     for i in (1, 2, 3):
-        m0 = pauli_eigenbasis(i)[0]
-        amp = np.einsum("i,nij,j->n", m0.conj(), us, m0)
+        b = pauli_eigenbasis(i)[0]
+        a = b.conj()
+        amp = a[0] * u00 * b[0] + a[0] * u01 * b[1] + a[1] * u10 * b[0] + a[1] * u11 * b[1]
         cols.append(2.0 * np.abs(amp) ** 2 - 1.0)
     return np.stack(cols, axis=1)

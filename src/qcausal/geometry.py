@@ -25,6 +25,7 @@ beyond their cut planes, so the cut planes themselves stay classifiable.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +49,7 @@ __all__ = [
     "barycentric",
     "state_from_weights",
     "unitary_from_probs",
+    "region_test",
 ]
 
 _TCC_VERTICES = np.array(
@@ -93,9 +95,8 @@ class Tetrahedron:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.shape != (4, 3):
             raise ValidationError(f"tetrahedron needs 4 3-d vertices, got {verts.shape}")
-        edges = verts[1:] - verts[0]
-        volume = abs(np.linalg.det(edges)) / 6.0
-        if volume < 1e-12:
+        object.__setattr__(self, "vertices", verts)
+        if self.volume() < 1e-12:
             raise ValidationError("degenerate tetrahedron (volume ~ 0)")
         rows = []
         offs = []
@@ -110,7 +111,6 @@ class Tetrahedron:
             offs.append(offset / scale)
         halfspaces = np.asarray(rows, dtype=float)
         offsets = np.asarray(offs, dtype=float)
-        object.__setattr__(self, "vertices", verts)
         object.__setattr__(self, "halfspaces", halfspaces)
         object.__setattr__(self, "offsets", offsets)
         verts.setflags(write=False)
@@ -177,22 +177,20 @@ def in_overlap(p, tol: float = 0.0):
     return bool(result) if arr.ndim == 1 else result
 
 
+def _corner_cut(t: Tetrahedron, cut: np.ndarray, p, tol: float):
+    arr = _points(p)
+    result = contains(t, arr, tol) & (arr @ cut <= 1.0 + tol)
+    return bool(result) if arr.ndim == 1 else result
+
+
 def in_otc(p, tol: float = 0.0):
     """Preparation tetrahedron minus its unreachable corner (beyond the cut plane)."""
-    arr = _points(p)
-    result = np.all(arr @ _TCC.halfspaces.T <= _TCC.offsets + tol, axis=-1) & (
-        arr @ _OTC_CUT <= 1.0 + tol
-    )
-    return bool(result) if arr.ndim == 1 else result
+    return _corner_cut(_TCC, _OTC_CUT, p, tol)
 
 
 def in_otd(p, tol: float = 0.0):
     """Evolution tetrahedron minus its unreachable corner (beyond the cut plane)."""
-    arr = _points(p)
-    result = np.all(arr @ _TDC.halfspaces.T <= _TDC.offsets + tol, axis=-1) & (
-        arr @ _OTD_CUT <= 1.0 + tol
-    )
-    return bool(result) if arr.ndim == 1 else result
+    return _corner_cut(_TDC, _OTD_CUT, p, tol)
 
 
 def classify(p, tol: float = 1e-9) -> RegionLabel:
@@ -205,31 +203,22 @@ def classify(p, tol: float = 1e-9) -> RegionLabel:
     arr = _points(p)
     if arr.ndim != 1:
         raise ValidationError("classify expects a single point; use classify_batch")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"point {arr} has a non-finite component")
-    if np.max(np.abs(arr)) > 1.0 + tol:
-        raise ValidationError(f"point {arr} lies outside the correlation cube")
-    if in_overlap(arr, tol):
-        return RegionLabel.AMBIGUOUS
-    if contains(_TCC, arr, tol):
-        return RegionLabel.CC_ONLY
-    if contains(_TDC, arr, tol):
-        return RegionLabel.DC_ONLY
-    return RegionLabel.MIXTURE_REQUIRED
+    return _LABELS[_classify_codes(arr[None], tol)[0]]
 
 
 # The codes of _classify_codes index this table.
-_LABEL_NAMES = np.array([label.value for label in RegionLabel], dtype=object)
-_CODE = {label: code for code, label in enumerate(RegionLabel)}
+_LABELS = tuple(RegionLabel)
+_LABEL_NAMES = np.array([label.value for label in _LABELS], dtype=object)
+_CODE = {label: code for code, label in enumerate(_LABELS)}
 
 
 def _classify_codes(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Vectorized :func:`classify` as uint8 codes into ``_LABEL_NAMES``."""
     arr = _points(pts)
     if not np.all(np.isfinite(arr)):
-        raise ValidationError("some points have a non-finite component")
+        raise ValidationError("a correlation point has a non-finite component")
     if np.max(np.abs(arr)) > 1.0 + tol:
-        raise ValidationError("some points lie outside the correlation cube")
+        raise ValidationError("a correlation point lies outside the correlation cube")
     codes = np.full(arr.shape[0], _CODE[RegionLabel.MIXTURE_REQUIRED], dtype=np.uint8)
     codes[contains(_TCC, arr, tol)] = _CODE[RegionLabel.CC_ONLY]
     codes[contains(_TDC, arr, tol)] = _CODE[RegionLabel.DC_ONLY]
@@ -295,18 +284,17 @@ def unitary_from_probs(w) -> np.ndarray:
     )
 
 
+_REGIONS = {
+    "O": in_overlap,
+    "TCC": functools.partial(contains, _TCC),
+    "TDC": functools.partial(contains, _TDC),
+    "OTC": in_otc,
+    "OTD": in_otd,
+}
+
+
 def region_test(name: str):
-    """Return the membership predicate for a named region."""
-    table = {
-        "O": in_overlap,
-        "TCC": lambda p, tol=0.0: contains(_TCC, p, tol),
-        "TDC": lambda p, tol=0.0: contains(_TDC, p, tol),
-        "OTC": in_otc,
-        "OTD": in_otd,
-    }
-    if name not in table:
-        raise ValidationError(f"unknown region {name!r}; expected one of {sorted(table)}")
-    return table[name]
-
-
-__all__ += ["region_test"]
+    """Return the membership predicate ``(p, tol=0.0)`` for a named region."""
+    if name not in _REGIONS:
+        raise ValidationError(f"unknown region {name!r}; expected one of {sorted(_REGIONS)}")
+    return _REGIONS[name]

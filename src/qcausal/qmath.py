@@ -21,24 +21,19 @@ __all__ = [
     "bell",
     "pauli_eigenbasis",
     "tensor_product",
-    "dagger",
     "projector",
     "is_unitary",
     "is_density",
     "is_unitary_batch",
     "is_density_batch",
-    "is_unit_vector",
     "require_unitary",
     "require_density",
-    "require_state",
     "UNITARY_TOL",
     "DENSITY_TOL",
-    "STATE_TOL",
 ]
 
 UNITARY_TOL = 1e-10
 DENSITY_TOL = 1e-9
-STATE_TOL = 1e-10
 
 _SQ2 = np.sqrt(2.0)
 
@@ -110,22 +105,10 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def projector(v: np.ndarray) -> np.ndarray:
     """Rank-1 projector ``|v><v|``."""
     v = np.asarray(v, dtype=complex)
     return np.outer(v, v.conj())
-
-
-def is_unit_vector(v: np.ndarray, tol: float = STATE_TOL) -> bool:
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or not np.all(np.isfinite(v)):
-        return False
-    return abs(np.vdot(v, v).real - 1.0) <= tol
 
 
 def _square(m: np.ndarray) -> bool:
@@ -173,19 +156,10 @@ def is_density(m: np.ndarray, tol: float = DENSITY_TOL) -> bool:
     return m.ndim == 2 and _square(m) and bool(is_density_batch(m, tol))
 
 
-def require_state(v: np.ndarray, dim: int = 4, tol: float = STATE_TOL) -> np.ndarray:
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (dim,):
-        raise ValidationError(f"state vector must have shape ({dim},), got {v.shape}")
-    if not is_unit_vector(v, tol):
-        raise ValidationError("state vector failed the unit-norm predicate")
-    return v
-
-
-def require_unitary(m: np.ndarray, dim: int = 2, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
-    if m.shape != (dim, dim):
-        raise ValidationError(f"unitary must have shape ({dim}, {dim}), got {m.shape}")
+    if m.shape != (2, 2):
+        raise ValidationError(f"unitary must have shape (2, 2), got {m.shape}")
     if not is_unitary(m, tol):
         raise ValidationError("matrix failed the unitarity predicate")
     return m

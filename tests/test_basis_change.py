@@ -151,7 +151,7 @@ class TestRotatedPointIdentities:
     def test_identity_rotation_cc(self):
         rho = qmath.projector(qmath.bell(1))
         np.testing.assert_allclose(
-            bc.pprime_cc(rho, qmath.pauli(0)).as_array(),
+            bc.pprime_cc_oracle(rho, qmath.pauli(0)).as_array(),
             corr.cc_pvector(rho).as_array(),
             atol=1e-14,
         )
@@ -159,7 +159,7 @@ class TestRotatedPointIdentities:
     def test_hadamard_rotation_cc(self):
         rho = qmath.projector(qmath.bell(1))
         np.testing.assert_allclose(
-            bc.pprime_cc(rho, HADAMARD).as_array(),
+            bc.pprime_cc_oracle(rho, HADAMARD).as_array(),
             corr.cc_pvector(bc.transform_density(rho, HADAMARD)).as_array(),
             atol=1e-12,
         )
@@ -169,7 +169,7 @@ class TestRotatedPointIdentities:
         for _ in range(2000):
             rho = sample_density(rng)
             v = sample_unitary(rng)
-            lhs = bc.pprime_cc(rho, v).as_array()
+            lhs = bc.pprime_cc_oracle(rho, v).as_array()
             rhs = corr.cc_pvector(bc.transform_density(rho, v)).as_array()
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -178,7 +178,7 @@ class TestRotatedPointIdentities:
         for _ in range(2000):
             u = sample_unitary(rng)
             v = sample_unitary(rng)
-            lhs = bc.pprime_dc(u, v).as_array()
+            lhs = bc.pprime_dc_oracle(u, v).as_array()
             rhs = corr.dc_pvector(bc.transform_unitary(u, v)).as_array()
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -188,8 +188,8 @@ class TestRotatedPointIdentities:
             rho = sample_density(rng)
             u = sample_unitary(rng)
             v = sample_unitary(rng)
-            assert geo.contains(geo.tcc(), bc.pprime_cc(rho, v).as_array(), 1e-9)
-            assert geo.contains(geo.tdc(), bc.pprime_dc(u, v).as_array(), 1e-9)
+            assert geo.contains(geo.tcc(), bc.pprime_cc_oracle(rho, v).as_array(), 1e-9)
+            assert geo.contains(geo.tdc(), bc.pprime_dc_oracle(u, v).as_array(), 1e-9)
 
     def test_maximally_mixed_invariant(self):
         rng = np.random.default_rng(86)
@@ -207,13 +207,13 @@ class TestRotatedPointIdentities:
             v1 = sample_unitary(rng)
             v2 = sample_unitary(rng)
             np.testing.assert_allclose(
-                bc.pprime_cc(bc.transform_density(rho, v1), v2).as_array(),
-                bc.pprime_cc(rho, v1 @ v2).as_array(),
+                bc.pprime_cc_oracle(bc.transform_density(rho, v1), v2).as_array(),
+                bc.pprime_cc_oracle(rho, v1 @ v2).as_array(),
                 atol=1e-10,
             )
             np.testing.assert_allclose(
-                bc.pprime_dc(bc.transform_unitary(u, v1), v2).as_array(),
-                bc.pprime_dc(u, v1 @ v2).as_array(),
+                bc.pprime_dc_oracle(bc.transform_unitary(u, v1), v2).as_array(),
+                bc.pprime_dc_oracle(u, v1 @ v2).as_array(),
                 atol=1e-10,
             )
 
@@ -268,9 +268,8 @@ class TestEscapeExperiment:
 
     @pytest.mark.parametrize("kind", ["CC", "DC"])
     def test_points_do_not_depend_on_blocking(self, kind):
-        # escape_experiment transforms in blocks of two rows or more; its
-        # counts match a one-pass run only if such blocks give every row's
-        # point the same bits.
+        # escape_experiment transforms in blocks; its counts match a one-pass
+        # run only if the blocks give every row's point the same bits.
         objs = sample_in_region_batch(SamplerConfig(seed=98, density_rank=1), kind, "O", 9_001)
         if kind == "CC":
             transform, pvec = bc._transform_density_batch, corr.cc_pvector_batch

@@ -118,12 +118,12 @@ class TestDirectCause:
 class TestClosedForm:
     def test_hadamard(self):
         np.testing.assert_allclose(
-            corr.dc_pvector_closed_form(HADAMARD), (0, -1, 0), atol=1e-12
+            corr.dc_pvector_oracle(HADAMARD), (0, -1, 0), atol=1e-12
         )
 
     def test_identity(self):
         np.testing.assert_allclose(
-            corr.dc_pvector_closed_form(qmath.pauli(0)), (1, 1, 1), atol=1e-12
+            corr.dc_pvector_oracle(qmath.pauli(0)), (1, 1, 1), atol=1e-12
         )
 
     def test_matches_projector_route(self):
@@ -131,7 +131,7 @@ class TestClosedForm:
         worst = 0.0
         for u in sample_unitary(rng, size=10_000):
             delta = np.abs(
-                corr.dc_pvector_closed_form(u).as_array() - corr.dc_pvector(u).as_array()
+                corr.dc_pvector_oracle(u).as_array() - corr.dc_pvector(u).as_array()
             ).max()
             worst = max(worst, delta)
         assert worst <= 1e-10
@@ -139,16 +139,19 @@ class TestClosedForm:
 
 class TestStateIndependence:
     def test_sigma1_x(self):
-        assert corr.dc_state_independence_check(qmath.pauli(1), 1) == pytest.approx(0.0)
+        u = qmath.pauli(1)
+        assert corr.dc_cond_prob(u, 1, 0) == pytest.approx(corr.dc_cond_prob(u, 1, 1))
 
     def test_hadamard_y(self):
-        assert corr.dc_state_independence_check(HADAMARD, 2) == pytest.approx(0.0, abs=1e-15)
+        assert corr.dc_cond_prob(HADAMARD, 2, 0) == pytest.approx(
+            corr.dc_cond_prob(HADAMARD, 2, 1), abs=1e-15
+        )
 
     def test_random_sweep(self):
         rng = np.random.default_rng(12)
         for u in sample_unitary(rng, size=10_000):
             for i in (1, 2, 3):
-                assert corr.dc_state_independence_check(u, i) <= 1e-12
+                assert abs(corr.dc_cond_prob(u, i, 0) - corr.dc_cond_prob(u, i, 1)) <= 1e-12
 
 
 class TestMixture:
@@ -176,7 +179,7 @@ class TestMixture:
             )
             np.testing.assert_allclose(
                 corr.mixture_pvector(s).as_array(),
-                corr.mixture_pvector_direct(s).as_array(),
+                corr.mixture_pvector_oracle(s).as_array(),
                 atol=1e-12,
             )
 
@@ -255,11 +258,20 @@ class TestBatchKernels:
     def test_pure_batch_matches_scalar(self):
         rng = np.random.default_rng(18)
         phis = sample_complex_pure(rng, size=50)
-        batch = corr.cc_pvector_pure_batch(phis)
+        batch = corr.cc_pvector_batch(phis[:, :, None] * phis[:, None, :].conj())
         for row, phi in zip(batch, phis):
-            np.testing.assert_allclose(
-                row, corr.cc_pvector(qmath.projector(phi)).as_array(), atol=1e-12
-            )
+            assert row.tobytes() == corr.cc_pvector(qmath.projector(phi)).as_array().tobytes()
+
+    def test_cc_pvector_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(m, *args):
+            calls.append(m)
+            return qmath.require_density(m, *args)
+
+        monkeypatch.setattr(corr, "require_density", counting)
+        corr.cc_pvector(bell_projector(1))
+        assert len(calls) == 1
 
     def test_unitary_batch_matches_scalar(self):
         rng = np.random.default_rng(19)
@@ -268,19 +280,3 @@ class TestBatchKernels:
         for row, u in zip(batch, us):
             np.testing.assert_allclose(row, corr.dc_pvector(u).as_array(), atol=1e-12)
 
-
-class TestShotSampling:
-    def test_cc_estimate_converges(self):
-        rng = np.random.default_rng(20)
-        est = corr.sampled_cc_corr_index(bell_projector(1), 2, 200_000, rng)
-        assert abs(est - (-1.0)) <= 0.01
-
-    def test_dc_estimate_converges(self):
-        rng = np.random.default_rng(21)
-        est = corr.sampled_dc_corr_index(HADAMARD, 3, 200_000, rng)
-        assert abs(est - 0.0) <= 0.01
-
-    def test_seeded_estimates_repeat(self):
-        a = corr.sampled_cc_corr_index(bell_projector(1), 1, 1000, np.random.default_rng(5))
-        b = corr.sampled_cc_corr_index(bell_projector(1), 1, 1000, np.random.default_rng(5))
-        assert a == b

@@ -1,11 +1,14 @@
-"""Property tests: conjugation invariants of the batch transforms, and the
-stacked predicates against their one-object calls."""
+"""Property tests: conjugation invariants of the batch transforms, the
+stacked predicates against their one-object calls, and the correlation
+kernels giving a row the same bits alone, in any stack and through the
+scalar API."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcausal import basis_change as bc
+from qcausal import correlation as corr
 from qcausal import qmath
 from qcausal.samplers import sample_density, sample_unitary
 
@@ -107,3 +110,20 @@ def test_stacked_is_unitary_agrees_with_scalar(seed):
     us, expected = perturbed_unitaries(np.random.default_rng(seed), tol)
     stacked = qmath.is_unitary_batch(us, tol)
     assert stacked.tolist() == [qmath.is_unitary(m, tol) for m in us] == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=seeds, rank=ranks, size=st.sampled_from([2, 257, 2**16]), data=st.data())
+def test_point_bits_do_not_depend_on_the_stack(seed, rank, size, data):
+    rng = np.random.default_rng(seed)
+    rhos = sample_density(rng, rank=rank, size=size)
+    us = sample_unitary(rng, size=size)
+    cc, dc = corr.cc_pvector_batch(rhos), corr.dc_pvector_batch(us)
+    axis = data.draw(st.sampled_from([1, 2, 3]))
+    for k in {0, size - 1, data.draw(st.integers(0, size - 1))}:
+        assert corr.cc_pvector_batch(rhos[k : k + 1])[0].tobytes() == cc[k].tobytes()
+        assert corr.dc_pvector_batch(us[k : k + 1])[0].tobytes() == dc[k].tobytes()
+        assert corr.cc_pvector(rhos[k]).as_array().tobytes() == cc[k].tobytes()
+        assert corr.dc_pvector(us[k]).as_array().tobytes() == dc[k].tobytes()
+        assert corr.cc_corr_index(rhos[k], axis) == cc[k, axis - 1]
+        assert corr.dc_corr_index(us[k], axis) == dc[k, axis - 1]

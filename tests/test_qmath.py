@@ -104,19 +104,6 @@ class TestTensorProduct:
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-class TestDagger:
-    def test_hermitian_pauli(self):
-        np.testing.assert_array_equal(qmath.dagger(qmath.pauli(2)), qmath.pauli(2))
-
-    def test_identity(self):
-        np.testing.assert_array_equal(qmath.dagger(np.eye(2)), np.eye(2))
-
-    def test_involution(self):
-        rng = np.random.default_rng(4)
-        m = random_matrix(rng, 4)
-        np.testing.assert_array_equal(qmath.dagger(qmath.dagger(m)), m)
-
-
 class TestPredicates:
     def test_pauli_z_unitary(self):
         assert qmath.is_unitary(qmath.pauli(3), tol=1e-14)
@@ -164,5 +151,3 @@ class TestPredicates:
             qmath.require_density(np.eye(2, dtype=complex))
         with pytest.raises(ValidationError):
             qmath.require_unitary(np.diag([1.0, 2.0]))
-        with pytest.raises(ValidationError):
-            qmath.require_state(np.array([1.0, 1.0, 0.0, 0.0]))

@@ -11,6 +11,11 @@ CC_MAX = 1 / 27
 DC_MIN = -1 / 27
 
 
+def projectors(states):
+    """|phi><phi| of each row of a stack of state vectors."""
+    return states[:, :, None] * states[:, None, :].conj()
+
+
 class TestDeterminism:
     def test_same_seed_same_stream(self):
         cfg = samplers.SamplerConfig(seed=123)
@@ -42,14 +47,14 @@ class TestRealPure:
     def test_points_inside_preparation_tetrahedron(self):
         rng = samplers.SamplerConfig(seed=41).rng()
         states = samplers.sample_real_pure(rng, size=100_000)
-        pts = corr.cc_pvector_pure_batch(states)
+        pts = corr.cc_pvector_batch(projectors(states))
         assert geo.contains(geo.tcc(), pts, 1e-9).all()
 
     def test_mean_point_near_origin(self):
         # sign flips of the entangled-basis coefficients symmetrize the law
         rng = samplers.SamplerConfig(seed=42).rng()
         states = samplers.sample_real_pure(rng, size=100_000)
-        pts = corr.cc_pvector_pure_batch(states)
+        pts = corr.cc_pvector_batch(projectors(states))
         assert np.abs(pts.mean(axis=0)).max() <= 0.02
 
 
@@ -62,7 +67,7 @@ class TestComplexPure:
     def test_statistic_bounded(self):
         rng = samplers.SamplerConfig(seed=44).rng()
         states = samplers.sample_complex_pure(rng, size=100_000)
-        cvals = corr.cc_pvector_pure_batch(states).prod(axis=1)
+        cvals = corr.cc_pvector_batch(projectors(states)).prod(axis=1)
         assert cvals.max() <= CC_MAX + 1e-9
 
     def test_real_imag_decomposition_reassembles(self):
