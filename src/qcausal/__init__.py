@@ -11,7 +11,7 @@ from .basis_change import (
     ESCAPE_V_SET,
     EscapeResult,
     escape_experiment,
-    search_escape_v,
+    escape_witness,
     transform_density,
     transform_unitary,
 )

@@ -1,4 +1,4 @@
-"""Measurement-basis rotation and the overlap escape experiments.
+"""Measurement-basis rotation, the overlap escape experiments and the exact escape test.
 
 Rotating all measurement bases by a single-qubit unitary v maps the
 correlation point of a preparation rho to that of (v (x) v)^dag rho
@@ -6,11 +6,12 @@ correlation point of a preparation rho to that of (v (x) v)^dag rho
 identities are computed here through two independent routes (rotated
 projectors vs. transformed object) and asserted equal in the tests.
 
-A point in the octahedral overlap is ambiguous; the escape experiment
-measures how often a suitable rotation moves conditioned samples out of
-the overlap into the decidable part of their tetrahedron. Four reference
-rotations are embedded at 4-decimal precision and re-unitarized by polar
-projection (printed matrices are only approximately unitary).
+A point in the octahedral overlap is ambiguous. :func:`escape_witness`
+decides exactly whether a rotation moves one object's point out of it;
+the escape experiment measures how often a given rotation moves
+conditioned samples out. Four reference rotations are embedded at
+4-decimal precision and re-unitarized by polar projection (printed
+matrices are only approximately unitary).
 
 Reference escape proportions (20000 samples each) are reproduced by pure
 preparations and sphere-plus-phase unitaries conditioned on the overlap;
@@ -25,28 +26,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import (
-    IMAG_TOL,
     PPoint,
     _cc_pvector_residue_batch,
-    cc_pvector,
+    _check_residue,
     cc_pvector_batch,
-    dc_pvector,
     dc_pvector_batch,
 )
 from .errors import ConsistencyError, ValidationError
 from .geometry import contains, in_otc, in_otd, in_overlap, tcc, tdc
 from .qmath import (
     is_density,
-    is_density_batch,
     is_unitary,
-    is_unitary_batch,
+    pauli,
     pauli_eigenbasis,
     projector,
     require_density,
     require_unitary,
     tensor_product,
 )
-from .samplers import SamplerConfig, sample_in_region_batch, sample_unitary_serial
+from .samplers import SamplerConfig, sample_in_region_batch
 
 __all__ = [
     "EscapeResult",
@@ -55,7 +53,7 @@ __all__ = [
     "pprime_cc_oracle",
     "pprime_dc_oracle",
     "escape_experiment",
-    "search_escape_v",
+    "escape_witness",
     "ESCAPE_V1",
     "ESCAPE_V2",
     "ESCAPE_V3",
@@ -66,11 +64,10 @@ __all__ = [
 ]
 
 _MEMBERSHIP_TOL = 1e-9
-# Tries per block of the escape search; far below the 2^14 rows from which
-# ``unitaries_from_params`` changes bits.
-_SEARCH_BLOCK = 256
 # Most objects per block of the escape experiment's transform.
 _ESCAPE_BLOCK = 4096
+# sigma_1, sigma_2, sigma_3 as one (3, 2, 2) stack.
+_SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
 
 
 def nearest_unitary(m: np.ndarray) -> np.ndarray:
@@ -175,8 +172,8 @@ def pprime_dc_oracle(u: np.ndarray, v: np.ndarray) -> PPoint:
     return PPoint(*out)
 
 
-# The batch transforms broadcast: a stack of objects under one rotation (the
-# escape experiment) or one object under a stack of rotations (the search).
+# The batch transforms broadcast over leading axes: a stack of objects under one
+# rotation (the escape experiment), or one object under one rotation (the witness).
 
 
 def _transform_density_batch(rhos: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -233,73 +230,62 @@ def escape_experiment(
     )
 
 
-def search_escape_v(
-    kind: str,
-    target,
-    max_tries: int = 2000,
-    cfg: SamplerConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray | None:
-    """Search for a rotation that moves one ambiguous object out of the overlap.
+def _lift(q: np.ndarray) -> np.ndarray:
+    """The SU(2) rotation whose transfer matrix is ``q`` in SO(3), by Shepperd's rule.
 
-    ``target`` is a density operator (kind 'CC') or unitary (kind 'DC')
-    whose correlation point must lie in the overlap. Returns the first
-    sampled rotation whose transformed point leaves the overlap while
-    staying in the proper tetrahedron, or None when ``max_tries`` random
-    rotations all fail (the maximally mixed preparation, for instance, is
-    rotation-invariant and always returns None).
-
-    Stream rule: try k uses the k-th of successive single
-    ``sample_unitary(rng)`` draws. Tries are drawn and evaluated in blocks
-    of ``_SEARCH_BLOCK`` (fewer in the last block), so a caller-supplied
-    ``rng`` ends at the end of the block that holds the returned try, or of
-    the last block when none escapes. Every try up to and including the
-    returned one must pass the checks the scalar API makes: ``v`` unitary,
-    the transformed object a density operator or unitary, and, for 'CC',
-    each trace's imaginary residue within ``IMAG_TOL``; a failure raises
-    ``ConsistencyError``.
+    k = 4 t t^T for the quaternion t = (w, x, y, z) of ``q``; t is read off
+    the row of k's largest diagonal entry, so it stays exact at angle pi.
     """
-    if max_tries < 1:
-        raise ValidationError("max_tries must be >= 1")
+    trace = np.trace(q)
+    k = np.empty((4, 4))
+    k[0, 0], k[1:, 1:] = 1 + trace, q + q.T + (1 - trace) * np.eye(3)
+    k[0, 1:] = k[1:, 0] = q[2, 1] - q[1, 2], q[0, 2] - q[2, 0], q[1, 0] - q[0, 1]
+    i = np.argmax(np.diag(k))
+    w, x, y, z = k[i] / (2.0 * np.sqrt(k[i, i]))
+    return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
+
+
+def escape_witness(kind: str, target) -> tuple[float, np.ndarray | None]:
+    """Decide exactly whether a rotation moves one ambiguous object out of the overlap.
+
+    The point of ``target`` (a density operator for 'CC', a unitary for 'DC')
+    is the diagonal of M: T_ij = tr(rho sigma_i (x) sigma_j), or the transfer
+    matrix R_ij = tr(sigma_i u sigma_j u^dag)/2. A rotation v maps M to
+    Q^T M Q, Q the transfer matrix of v, so by Schur-Horn the largest
+    |c11| + |c22| + |c33| reached is sum |lambda(S)|, S = (M + M^T)/2, at the
+    Q that diagonalises S. Returns (margin = sum |lambda(S)| - 1, v): v lifts
+    that Q if it moves the point into its tetrahedron and out of the overlap
+    at ``_MEMBERSHIP_TOL``, else None. ``ConsistencyError`` if a check of the
+    scalar API fails on v or the moved object, or a margin past the
+    tolerance does not escape.
+    """
     if kind == "CC":
         target = require_density(target)
-        base = cc_pvector(target)
-        tetra = tcc()
+        m = np.einsum("iab,jcd,bdac->ij", _SIGMA, _SIGMA, target.reshape(2, 2, 2, 2)).real
     elif kind == "DC":
         target = require_unitary(target)
-        base = dc_pvector(target)
-        tetra = tdc()
+        m = np.einsum("iab,bc,jcd,ad->ij", _SIGMA, target, _SIGMA, target.conj()).real / 2.0
     else:
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    if not in_overlap(base.as_array(), _MEMBERSHIP_TOL):
+    if not in_overlap(np.diag(m), _MEMBERSHIP_TOL):
         raise ValidationError("target's correlation point is already outside the overlap")
-    rng = (SamplerConfig() if cfg is None else cfg).rng() if rng is None else rng
-    for start in range(0, max_tries, _SEARCH_BLOCK):
-        vs = sample_unitary_serial(rng, min(_SEARCH_BLOCK, max_tries - start))
-        checks = [(is_unitary_batch(vs), "a sampled rotation failed the unitarity predicate")]
-        if kind == "CC":
-            objs = _transform_density_batch(target, vs)
-            moved, residue = _cc_pvector_residue_batch(objs)
-            checks += [
-                (is_density_batch(objs, 1e-9), "transformed operator failed the density predicate"),
-                ((np.abs(residue) <= IMAG_TOL).all(axis=1),
-                 f"an equal-outcome trace has an imaginary residue above {IMAG_TOL:g}"),
-            ]
-        else:
-            objs = _transform_unitary_batch(target, vs)
-            moved = dc_pvector_batch(objs)
-            checks += [
-                (is_unitary_batch(objs, 1e-10), "transformed matrix failed the unitarity predicate")
-            ]
-        escapes = np.flatnonzero(
-            contains(tetra, moved, _MEMBERSHIP_TOL) & ~in_overlap(moved, _MEMBERSHIP_TOL)
-        )
-        last = escapes[0] if escapes.size else len(vs) - 1
-        # Tries after the returned one are never checked, as in a try-by-try loop.
-        bad = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in checks])[: last + 1])
-        if bad.size:
-            message = next(msg for ok, msg in checks if not ok[bad[0]])
-            raise ConsistencyError(f"search try {start + bad[0]}: {message}")
-        if escapes.size:
-            return vs[last].copy()
-    return None
+    lam, q = np.linalg.eigh((m + m.T) / 2.0)
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    margin = float(np.abs(lam).sum() - 1.0)
+    v = _lift(q)
+    if kind == "CC":
+        moved = _transform_density_batch(target, v)
+        point, residue = _cc_pvector_residue_batch(moved[None])
+        ok, tetra = is_density(moved, 1e-9), tcc()
+    else:
+        moved = _transform_unitary_batch(target, v)
+        point, residue = dc_pvector_batch(moved[None]), 0.0
+        ok, tetra = is_unitary(moved, 1e-10), tdc()
+    if not (is_unitary(v) and ok):
+        raise ConsistencyError("escape witness: the rotation or moved object failed a predicate")
+    _check_residue(residue)
+    if contains(tetra, point[0], _MEMBERSHIP_TOL) and not in_overlap(point[0], _MEMBERSHIP_TOL):
+        return margin, v
+    if margin > _MEMBERSHIP_TOL + 1e-12:  # the witness reaches 1 + margin up to rounding
+        raise ConsistencyError(f"escape witness: margin {margin:.3e}, but no escape")
+    return margin, None

@@ -88,6 +88,16 @@ def document_from_array(kind: str, values: np.ndarray) -> MatrixDocument:
     return MatrixDocument(kind=kind, dim=arr.shape[0], entries=entries)
 
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; strings, booleans and integers past float range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValidationError(f"{what} is too large for a float") from exc
+
+
 def _parse_document(raw: dict, source: str) -> MatrixDocument:
     for fieldname in ("kind", "dim", "entries"):
         if fieldname not in raw:
@@ -95,17 +105,14 @@ def _parse_document(raw: dict, source: str) -> MatrixDocument:
     kind, dim, entries = raw["kind"], raw["dim"], raw["entries"]
     if kind not in _DOCUMENT_KINDS:
         raise ValidationError(f"{source}: kind must be one of {_DOCUMENT_KINDS}, got {kind!r}")
-    if not isinstance(dim, int):
+    if isinstance(dim, bool) or not isinstance(dim, int):
         raise ValidationError(f"{source}: dim must be an integer, got {dim!r}")
     if not isinstance(entries, list):
         raise ValidationError(f"{source}: entries must be a list, got {entries!r}")
     if kind == "pvector":
         if dim != 3 or len(entries) != 3:
             raise ValidationError(f"{source}: pvector documents need dim=3 and 3 entries")
-        try:
-            values = tuple(float(x) for x in entries)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{source}: pvector entries must be reals ({exc})") from exc
+        values = tuple(_real(x, f"{source}: pvector entry {pos}") for pos, x in enumerate(entries))
         correlation.PPoint.from_array(values)  # range check
         return MatrixDocument(kind=kind, dim=3, entries=values)
     if dim not in (2, 4) or (kind == "density" and dim != 4) or (kind == "unitary" and dim != 2):
@@ -118,10 +125,7 @@ def _parse_document(raw: dict, source: str) -> MatrixDocument:
     for pos, item in enumerate(entries):
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ValidationError(f"{source}: entry {pos} is not a [re, im] pair")
-        try:
-            pairs.append((float(item[0]), float(item[1])))
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"{source}: entry {pos} is not numeric ({exc})") from exc
+        pairs.append(tuple(_real(x, f"{source}: entry {pos}") for x in item))
     doc = MatrixDocument(kind=kind, dim=dim, entries=tuple(pairs))
     if kind == "density":
         require_density(doc.payload())
@@ -132,13 +136,14 @@ def _parse_document(raw: dict, source: str) -> MatrixDocument:
 
 def load_document(path: str) -> MatrixDocument:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        try:
+            raw = json.loads(handle.read())
+        except json.JSONDecodeError as exc:
+            raise ValidationError(
+                f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+            ) from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, integer digit limit, nesting
+            raise ValidationError(f"{path}: unreadable JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: document must be a JSON object")
     return _parse_document(raw, path)
@@ -202,11 +207,8 @@ def _complex_entries(matrix: np.ndarray):
 # -- commands ----------------------------------------------------------------
 
 
-def run_classify(
-    doc: MatrixDocument, seed: int = 42, tol: float = 1e-9, max_tries: int = 2000
-) -> RunReport:
-    """Classify one document; for ambiguous quantum objects, search for an escape."""
-    cfg = samplers.SamplerConfig(seed=seed)
+def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunReport:
+    """Classify one document and decide an ambiguous object's escape (``seed`` is only recorded)."""
     if doc.kind == "density":
         point = correlation.cc_pvector(doc.payload())
     elif doc.kind == "unitary":
@@ -227,18 +229,15 @@ def run_classify(
             }
         else:
             kind = "CC" if doc.kind == "density" else "DC"
-            found = basis_change.search_escape_v(kind, doc.payload(), max_tries, cfg)
+            margin, v = basis_change.escape_witness(kind, doc.payload())
             results["escape"] = {
                 "applicable": True,
-                "found": found is not None,
-                "max_tries": max_tries,
-                "v": None if found is None else _complex_entries(found),
+                "found": v is not None,
+                "margin": margin,
+                "v": None if v is None else _complex_entries(v),
             }
     return RunReport(
-        command="classify",
-        seed=seed,
-        parameters={"kind": doc.kind, "tol": tol, "max_tries": max_tries},
-        results=results,
+        command="classify", seed=seed, parameters={"kind": doc.kind, "tol": tol}, results=results
     )
 
 
@@ -486,7 +485,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify = sub.add_parser("classify", parents=[seed, out], help="classify a matrix document")
     p_classify.add_argument("document", help="path to a matrix document (JSON)")
     p_classify.add_argument("--tol", type=float, default=1e-9)
-    p_classify.add_argument("--max-tries", type=int, default=2000)
 
     p_bounds = sub.add_parser("bounds", parents=[seed, out], help="certify the statistic's extrema")
     p_bounds.add_argument("--grid-step", type=float, default=0.01)
@@ -531,12 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         if args.subcommand == "classify":
-            report = run_classify(
-                load_document(args.document),
-                seed=args.seed,
-                tol=args.tol,
-                max_tries=args.max_tries,
-            )
+            report = run_classify(load_document(args.document), seed=args.seed, tol=args.tol)
         elif args.subcommand == "bounds":
             report = run_bounds(
                 grid_step=args.grid_step, starts=args.starts, seed=args.seed, tol=args.tol

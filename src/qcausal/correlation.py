@@ -210,8 +210,9 @@ def dc_pvector_oracle(u: np.ndarray) -> PPoint:
 def mixture_pvector(s: MixtureScenario) -> PPoint:
     """Convex combination p*P(rho) + (1-p)*P(u) of the two scenario points."""
     s.validate()
-    combo = s.p * cc_pvector(s.rho).as_array() + (1.0 - s.p) * dc_pvector(s.u).as_array()
-    return PPoint(*combo)
+    cc, residue = _cc_pvector_residue_batch(np.asarray(s.rho)[None])
+    _check_residue(residue)
+    return PPoint(*(s.p * cc[0] + (1.0 - s.p) * dc_pvector_batch(np.asarray(s.u)[None])[0]))
 
 
 def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:

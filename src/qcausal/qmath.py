@@ -115,28 +115,29 @@ def _square(m: np.ndarray) -> bool:
     return m.ndim >= 2 and m.shape[-1] == m.shape[-2]
 
 
-def _finite_stack(ms: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """Check a (..., d, d) stack; return (finite mask, stack with non-finite matrices zeroed)."""
+def _bounded_stack(ms: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Check a (..., d, d) stack; return (mask of matrices with all entries finite and
+    within 1e150, so no product overflows; stack with the other matrices zeroed)."""
     if not _square(ms):
         raise ValidationError(f"{name} expects a stack of square matrices, got shape {ms.shape}")
-    finite = np.isfinite(ms).all(axis=(-2, -1))
-    return finite, np.where(finite[..., None, None], ms, 0.0)
+    bounded = (np.maximum(np.abs(ms.real), np.abs(ms.imag)) <= 1e150).all(axis=(-2, -1))
+    return bounded, np.where(bounded[..., None, None], ms, 0.0)
 
 
 def is_unitary_batch(ms: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     """:func:`is_unitary` of every matrix of a (..., d, d) stack, as a bool array."""
-    finite, ms = _finite_stack(np.asarray(ms, dtype=complex), "is_unitary_batch")
+    bounded, ms = _bounded_stack(np.asarray(ms, dtype=complex), "is_unitary_batch")
     resid = ms @ ms.conj().swapaxes(-1, -2) - np.eye(ms.shape[-1])
-    return finite & (np.abs(resid).max(axis=(-2, -1)) <= tol)
+    return bounded & (np.abs(resid).max(axis=(-2, -1)) <= tol)
 
 
 def is_density_batch(ms: np.ndarray, tol: float = DENSITY_TOL) -> np.ndarray:
     """:func:`is_density` of every matrix of a (..., d, d) stack, as a bool array."""
-    finite, ms = _finite_stack(np.asarray(ms, dtype=complex), "is_density_batch")
+    bounded, ms = _bounded_stack(np.asarray(ms, dtype=complex), "is_density_batch")
     adjoint = ms.conj().swapaxes(-1, -2)
     trace = np.trace(ms, axis1=-2, axis2=-1)
     ok = (
-        finite
+        bounded
         & (np.abs(ms - adjoint).max(axis=(-2, -1)) <= tol)
         & (np.abs(trace.real - 1.0) <= tol)
         & (np.abs(trace.imag) <= tol)

@@ -28,7 +28,6 @@ __all__ = [
     "sample_complex_pure",
     "sample_density",
     "sample_unitary",
-    "sample_unitary_serial",
     "sample_unitary_params",
     "unitaries_from_params",
     "sample_in_region",
@@ -107,26 +106,6 @@ def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
     """2x2 unitaries from the uniform 3-sphere x phase parameterization."""
     params = sample_unitary_params(rng, 1 if size is None else int(size))
     return _squeeze(unitaries_from_params(*params), size)
-
-
-def sample_unitary_serial(rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` unitaries with the bits of ``n`` successive ``sample_unitary(rng)`` calls.
-
-    ``sample_unitary(rng, size=n)`` draws all sphere points before all
-    phases; this draws each unitary's point and phase in turn, as the
-    single calls do, then normalizes and assembles the stack at once.
-    Keep ``n`` below 2^14: larger stacks change the last bits of the
-    assembly (see :func:`unitaries_from_params`).
-    """
-    sphere = np.empty((n, 4))
-    unit = np.empty(n)
-    normal, uniform = rng.standard_normal, rng.random
-    for k in range(n):
-        normal(out=sphere[k])
-        unit[k] = uniform()
-    sphere /= np.linalg.norm(sphere, axis=1, keepdims=True)
-    # rng.uniform(0, 2 pi) is 0 + 2 pi * rng.random(), bit for bit.
-    return unitaries_from_params(*sphere.T, 2.0 * np.pi * unit)
 
 
 def sample_unitary_params(rng: np.random.Generator, n: int):

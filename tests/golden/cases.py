@@ -29,7 +29,9 @@ CASES = {
     "sample-dc": ["sample", "DC", "--n", "5000", "--csv", CSV],
     **{
         f"classify-{name}": ["classify", str(INPUTS / f"{name}.json")]
-        for name in ("stuck-density", "escapable-density", "ambiguous-unitary", "pvector")
+        for name in (
+            "stuck-density", "escapable-density", "ambiguous-unitary", "stuck-unitary", "pvector"
+        )
     },
 }
 

@@ -8,23 +8,17 @@ from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal import qmath
 from qcausal.errors import ConsistencyError, ValidationError
-from qcausal.samplers import (
-    SamplerConfig,
-    sample_density,
-    sample_in_region_batch,
-    sample_unitary,
-    sample_unitary_serial,
-)
+from qcausal.samplers import SamplerConfig, sample_density, sample_in_region_batch, sample_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def _search_escape_oracle(kind, target, max_tries=2000, cfg=None, rng=None):
-    """The escape search one rotation at a time through the scalar API.
+    """The random escape search, one rotation at a time through the scalar API.
 
-    This is the loop ``bc.search_escape_v`` ran before it worked in blocks,
-    with the two transforms written out; the block search must return the
-    same rotation, bit for bit.
+    Returns the first of ``max_tries`` sampled rotations that moves the point
+    out of the overlap and stays in the tetrahedron, or None, which proves
+    nothing. The reference that ``bc.escape_witness`` is checked against.
     """
     if max_tries < 1:
         raise ValidationError("max_tries must be >= 1")
@@ -281,38 +275,121 @@ class TestEscapeExperiment:
             assert np.concatenate(blocked).tobytes() == whole.tobytes(), parts
 
 
-class TestSearchEscape:
+def _adjoint(v):
+    """Q_kj = tr(sigma_k v sigma_j v^dag) / 2, entry by entry."""
+    return np.array([
+        [np.trace(qmath.pauli(k) @ v @ qmath.pauli(j) @ v.conj().T).real / 2 for j in (1, 2, 3)]
+        for k in (1, 2, 3)
+    ])
+
+
+def _moved_point(kind, target, v):
+    if kind == "CC":
+        return corr.cc_pvector(bc.transform_density(target, v)).as_array()
+    return corr.dc_pvector(bc.transform_unitary(target, v)).as_array()
+
+
+class TestEscapeWitness:
     def test_maximally_mixed_never_escapes(self):
-        mixed = np.eye(4, dtype=complex) / 4
-        found = bc.search_escape_v("CC", mixed, max_tries=200, cfg=SamplerConfig(seed=95))
-        assert found is None
+        margin, v = bc.escape_witness("CC", np.eye(4, dtype=complex) / 4)
+        assert margin == -1.0
+        assert v is None
 
     def test_hadamard_escape_verified(self):
-        found = bc.search_escape_v("DC", HADAMARD, max_tries=500, cfg=SamplerConfig(seed=96))
-        assert found is not None
-        moved = corr.dc_pvector(bc.transform_unitary(HADAMARD, found)).as_array()
+        margin, v = bc.escape_witness("DC", HADAMARD)
+        assert margin == pytest.approx(2.0, abs=1e-12)
+        moved = _moved_point("DC", HADAMARD, v)
         assert geo.contains(geo.tdc(), moved, 1e-9)
         assert not geo.in_overlap(moved, 1e-9)
 
+    def test_phase_gate_stuck_at_margin_zero(self):
+        assert bc.escape_witness("DC", np.diag([1, 1j])) == (0.0, None)
+
     def test_target_outside_overlap_rejected(self):
         with pytest.raises(ValidationError):
-            bc.search_escape_v("CC", qmath.projector(qmath.bell(1)), cfg=SamplerConfig(seed=97))
+            bc.escape_witness("CC", qmath.projector(qmath.bell(1)))
+
+    def test_bad_kind_rejected(self):
+        with pytest.raises(ValidationError):
+            bc.escape_witness("XX", HADAMARD)
+
+    @pytest.mark.parametrize("kind", ["CC", "DC"])
+    def test_validates_once(self, monkeypatch, kind):
+        calls = []
+
+        def counting(require):
+            return lambda m, *args: calls.append(require) or require(m, *args)
+
+        monkeypatch.setattr(bc, "require_density", counting(qmath.require_density))
+        monkeypatch.setattr(bc, "require_unitary", counting(qmath.require_unitary))
+        target = np.eye(4, dtype=complex) / 4 if kind == "CC" else HADAMARD
+        bc.escape_witness(kind, target)
+        assert calls == [qmath.require_density if kind == "CC" else qmath.require_unitary]
+
+    def test_lift_inverts_the_adjoint(self):
+        rng = np.random.default_rng(12)
+        rotations = list(sample_unitary(rng, size=200))
+        # Rotations by pi about axes and diagonals, where the quaternion's w is 0.
+        for axis in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 0], [1, 0, -1], [1, -1, 1]):
+            n = np.array(axis) / np.linalg.norm(axis)
+            rotations.append(-1j * sum(c * qmath.pauli(i) for i, c in enumerate(n, start=1)))
+        for v in rotations:
+            q = _adjoint(v)
+            lifted = bc._lift(q)
+            assert qmath.is_unitary(lifted, 1e-12)
+            np.testing.assert_allclose(_adjoint(lifted), q, atol=1e-12)
 
 
-class TestSearchMatchesOracle:
-    @pytest.mark.parametrize("block", [4, bc._SEARCH_BLOCK])
-    @pytest.mark.parametrize("name", _TARGET_NAMES)
-    def test_same_rotation_bits(self, monkeypatch, block, name):
-        monkeypatch.setattr(bc, "_SEARCH_BLOCK", block)
+class TestWitnessChecks:
+    def _corrupt(self, monkeypatch, name, damage):
+        kernel = getattr(bc, name)
+        monkeypatch.setattr(bc, name, lambda *args: damage(kernel(*args)))
+
+    def test_non_density_image_raises(self, monkeypatch):
+        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: 2.0 * out)
+        with pytest.raises(ConsistencyError, match="predicate"):
+            bc.escape_witness("CC", np.eye(4) / 4)
+
+    def test_non_unitary_image_raises(self, monkeypatch):
+        self._corrupt(monkeypatch, "_transform_unitary_batch", lambda out: 2.0 * out)
+        with pytest.raises(ConsistencyError, match="predicate"):
+            bc.escape_witness("DC", HADAMARD)
+
+    def test_imaginary_residue_raises(self, monkeypatch):
+        # Hermitian within the density tolerance, but tr(rho P_1) gains 4e-10j.
+        skew = np.zeros((4, 4), dtype=complex)
+        skew[0, 3] = skew[3, 0] = 4e-10j
+        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: out + skew)
+        with pytest.raises(ConsistencyError, match="imaginary residue"):
+            bc.escape_witness("CC", np.eye(4) / 4)
+
+    def test_non_unitary_rotation_raises(self, monkeypatch):
+        self._corrupt(monkeypatch, "_lift", lambda v: 1.5 * v)
+        with pytest.raises(ConsistencyError, match="predicate"):
+            bc.escape_witness("DC", HADAMARD)
+
+    @pytest.mark.parametrize("name", ["cc-rank1-0", "dc-0"])
+    def test_witness_that_does_not_escape_raises(self, monkeypatch, name):
         kind, target = _search_targets()[name]
+        assert bc.escape_witness(kind, target)[0] > 1e-12
+        monkeypatch.setattr(bc, "_lift", lambda q: np.eye(2, dtype=complex))
+        with pytest.raises(ConsistencyError, match="no escape"):
+            bc.escape_witness(kind, target)
+
+
+class TestWitnessMatchesOracle:
+    @pytest.mark.parametrize("tries", [4, 256])
+    @pytest.mark.parametrize("name", _TARGET_NAMES)
+    def test_decision_matches_oracle(self, tries, name):
+        kind, target = _search_targets()[name]
+        margin, v = bc.escape_witness(kind, target)
         for seed in (1, 2):
-            for max_tries in (1, block - 1, block, block + 1, 2 * block + 3):
-                want = _search_escape_oracle(kind, target, max_tries, SamplerConfig(seed=seed))
-                got = bc.search_escape_v(kind, target, max_tries, SamplerConfig(seed=seed))
-                case = f"seed {seed}, max_tries {max_tries}"
-                assert (got is None) == (want is None), case
-                if want is not None:
-                    assert got.tobytes() == want.tobytes(), case
+            found = _search_escape_oracle(kind, target, tries, SamplerConfig(seed=seed))
+            if found is not None:
+                assert v is not None, seed
+                assert np.abs(_moved_point(kind, target, found)).sum() <= 1.0 + margin + 1e-12
+            if margin <= -1e-9:
+                assert found is None, seed
 
     def test_targets_escape_early_late_and_never(self):
         outcomes = {
@@ -323,77 +400,11 @@ class TestSearchMatchesOracle:
         assert outcomes["cc-separable-rank2"] is None
         assert outcomes["dc-phase-gate"] is None
         assert outcomes["dc-0"] is not None
-        # Found, but not within the first block of 4 tries.
+        # Found, but not within the first 4 tries.
         assert outcomes["dc-late"] is not None
         assert _search_escape_oracle("DC", _search_targets()["dc-late"][1], 4,
                                      SamplerConfig(seed=1)) is None
-
-    def test_block_draw_matches_single_draws(self):
-        n, block = 10_000, bc._SEARCH_BLOCK
-        rng = np.random.default_rng(11)
-        single = np.stack([sample_unitary(rng) for _ in range(n)])
-        rng = np.random.default_rng(11)
-        blocks = np.concatenate(
-            [sample_unitary_serial(rng, min(block, n - start)) for start in range(0, n, block)]
-        )
-        assert blocks.tobytes() == single.tobytes()
-
-    def test_caller_rng_ends_at_block_end(self):
-        block = bc._SEARCH_BLOCK
-
-        def advanced(draws):
-            ref = np.random.default_rng(7)
-            for _ in range(draws):
-                sample_unitary(ref)
-            return ref.bit_generator.state
-
-        rng = np.random.default_rng(7)
-        assert bc.search_escape_v("CC", np.eye(4) / 4, block + 1, rng=rng) is None
-        assert rng.bit_generator.state == advanced(block + 1)
-        rng = np.random.default_rng(7)
-        assert bc.search_escape_v("DC", HADAMARD, 3 * block, rng=rng) is not None
-        assert rng.bit_generator.state == advanced(block)
-
-
-class TestSearchChecks:
-    def _corrupt(self, monkeypatch, name, damage):
-        kernel = getattr(bc, name)
-        monkeypatch.setattr(bc, name, lambda objs, vs: damage(kernel(objs, vs)))
-
-    def test_non_density_image_raises(self, monkeypatch):
-        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: 2.0 * out)
-        with pytest.raises(ConsistencyError, match="density predicate"):
-            bc.search_escape_v("CC", np.eye(4) / 4, 10, SamplerConfig(seed=1))
-
-    def test_non_unitary_image_raises(self, monkeypatch):
-        self._corrupt(monkeypatch, "_transform_unitary_batch", lambda out: 2.0 * out)
-        with pytest.raises(ConsistencyError, match="unitarity predicate"):
-            bc.search_escape_v("DC", HADAMARD, 10, SamplerConfig(seed=1))
-
-    def test_imaginary_residue_raises(self, monkeypatch):
-        # Hermitian within the density tolerance, but tr(rho P_1) gains 4e-10j.
-        skew = np.zeros((4, 4), dtype=complex)
-        skew[0, 3] = skew[3, 0] = 4e-10j
-        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: out + skew)
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            bc.search_escape_v("CC", np.eye(4) / 4, 10, SamplerConfig(seed=1))
-
-    def test_non_unitary_rotation_raises(self, monkeypatch):
-        draw = bc.sample_unitary_serial
-        monkeypatch.setattr(bc, "sample_unitary_serial", lambda rng, n: 1.5 * draw(rng, n))
-        with pytest.raises(ConsistencyError, match="rotation failed"):
-            bc.search_escape_v("DC", HADAMARD, 10, SamplerConfig(seed=1))
-
-    def test_tries_after_the_returned_one_unchecked(self, monkeypatch):
-        kind, target = _search_targets()["cc-rank1-0"]
-        want = _search_escape_oracle(kind, target, 1, SamplerConfig(seed=1))
-        assert want is not None
-
-        def damage(out):
-            out = out.copy()
-            out[1:] *= 2.0
-            return out
-
-        self._corrupt(monkeypatch, "_transform_density_batch", damage)
-        got = bc.search_escape_v(kind, target, 50, SamplerConfig(seed=1))
-        assert got.tobytes() == want.tobytes()
+        for name in ("cc-maximally-mixed", "cc-separable-rank2", "dc-phase-gate"):
+            assert bc.escape_witness(*_search_targets()[name])[1] is None, name
+        for name in ("dc-0", "dc-late"):
+            assert bc.escape_witness(*_search_targets()[name])[1] is not None, name

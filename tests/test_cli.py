@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcausal
-from qcausal import cli, qmath
+from qcausal import basis_change, cli, qmath
 from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
@@ -82,12 +87,10 @@ class TestDocuments:
         rng = SamplerConfig(seed=100).rng()
         for idx in range(20):
             doc = cli.document_from_array("density", sample_density(rng))
-            cli.run_classify(cli.load_document(write_doc(tmp_path, f"d{idx}.json", doc)),
-                             max_tries=5)
+            cli.run_classify(cli.load_document(write_doc(tmp_path, f"d{idx}.json", doc)))
         for idx in range(20):
             doc = cli.document_from_array("unitary", sample_unitary(rng))
-            cli.run_classify(cli.load_document(write_doc(tmp_path, f"u{idx}.json", doc)),
-                             max_tries=5)
+            cli.run_classify(cli.load_document(write_doc(tmp_path, f"u{idx}.json", doc)))
 
 
 class TestReports:
@@ -129,27 +132,50 @@ class TestClassifyCommand:
     def test_ambiguous_density_reports_escape(self):
         rho = 0.5 * qmath.projector(qmath.bell(1)) + 0.5 * qmath.projector(qmath.bell(3))
         doc = cli.document_from_array("density", rho)
-        report = cli.run_classify(doc, seed=5, max_tries=300)
+        report = cli.run_classify(doc, seed=5)
         assert report.results["label"] == "AMBIGUOUS"
         assert report.results["escape"]["applicable"] is True
+        # T = diag(1, 0, 0): on the overlap's face, and no rotation takes it further.
+        assert report.results["escape"]["margin"] == pytest.approx(0.0, abs=1e-12)
+        assert report.results["escape"]["found"] is False
+        assert report.parameters == {"kind": "density", "tol": 1e-9}
 
     @pytest.mark.parametrize("seed", [3, 4])
     @pytest.mark.parametrize(
         "name, escapes", [("stuck-density", False), ("density", True), ("unitary", True)]
     )
-    def test_escape_report_matches_oracle(self, monkeypatch, seed, name, escapes):
+    def test_escape_report_matches_oracle(self, seed, name, escapes):
         if name == "stuck-density":
-            doc = cli.document_from_array("density", np.eye(4, dtype=complex) / 4)
+            kind, target = "CC", np.eye(4, dtype=complex) / 4
         elif name == "density":
             cfg = SamplerConfig(seed=601, density_rank=1)
-            doc = cli.document_from_array("density", sample_in_region_batch(cfg, "CC", "O", 1)[0])
+            kind, target = "CC", sample_in_region_batch(cfg, "CC", "O", 1)[0]
         else:
-            u = sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 1)[0]
-            doc = cli.document_from_array("unitary", u)
-        report = cli.run_classify(doc, seed=seed, max_tries=300).to_json()
-        monkeypatch.setattr(cli.basis_change, "search_escape_v", _search_escape_oracle)
-        assert report == cli.run_classify(doc, seed=seed, max_tries=300).to_json()
-        assert json.loads(report)["results"]["escape"]["found"] is escapes
+            kind, target = "DC", sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 1)[0]
+        doc = cli.document_from_array("density" if kind == "CC" else "unitary", target)
+        escape = cli.run_classify(doc, seed=seed).results["escape"]
+        found = _search_escape_oracle(kind, target, 300, SamplerConfig(seed=seed))
+        assert escape["found"] is escapes is (found is not None)
+        assert (escape["margin"] > 1e-9) is escapes
+        if escapes:
+            v = np.array([complex(re, im) for re, im in escape["v"]]).reshape(2, 2)
+            assert v.tobytes() == basis_change.escape_witness(kind, target)[1].tobytes()
+
+    def test_classify_draws_nothing(self, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify drew a random number")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        monkeypatch.setattr(SamplerConfig, "rng", refuse)
+        for kind, target in (("unitary", np.diag([1, 1j])), ("unitary", qmath.pauli(0)),
+                             ("density", np.eye(4) / 4)):
+            path = write_doc(tmp_path, "doc.json", cli.document_from_array(kind, target))
+            assert cli.main(["classify", path, "--seed", "9", "--out", str(tmp_path / "r")]) == 0
+
+    def test_max_tries_flag_is_gone(self, tmp_path):
+        path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", qmath.pauli(1)))
+        with pytest.raises(SystemExit):
+            cli.main(["classify", path, "--max-tries", "5"])
 
     def test_ambiguous_pvector_escape_not_applicable(self):
         doc = cli.document_from_array("pvector", np.array([0.1, 0.1, 0.1]))
@@ -411,7 +437,94 @@ class TestMalformedDocuments:
         assert len(lines) == 1
         assert lines[0].startswith("validation error:")
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "pvector", "dim": 3, "entries": [1%s, 0, 0]}' % ("1" * 400),
+            '{"kind": "unitary", "dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [1%s, 0]]}'
+            % ("1" * 400),
+            '{"kind": "pvector", "dim": 3, "entries": ["0.1", "0.1", "0.1"]}',
+            '{"kind": "pvector", "dim": 3, "entries": [true, 0, 0]}',
+            '{"kind": "unitary", "dim": 2, "entries": [[1, 0], [0, "0"], [0, 0], [1, 0]]}',
+            '{"kind": "unitary", "dim": 2, "entries": [[1, 0], [0, 0], [0, 0], [true, false]]}',
+            '{"kind": "unitary", "dim": true, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}',
+            json.dumps({"kind": "density", "dim": 4, "entries": [[1.7e308, -1.7e308]] * 16}),
+            json.dumps({"kind": "unitary", "dim": 2, "entries": [[1.7e308, 1.7e308]] * 4}),
+            "1" * 5000,
+            "[" * 100_000,
+        ],
+        ids=["huge-int-pvector", "huge-int-unitary", "string-pvector", "bool-pvector",
+             "string-pair", "bool-pair", "bool-dim", "huge-density", "huge-unitary",
+             "digit-limit", "nesting-depth"],
+    )
+    def test_unreadable_values_exit_one(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text, encoding="utf-8")
+        assert _classify_outcome(path) == (1, True)
+
+    def test_non_utf8_exit_one(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        assert _classify_outcome(path) == (1, True)
+
     def test_non_finite_report_refused(self):
         report = cli.RunReport(command="x", seed=0, results={"value": float("nan")})
         with pytest.raises(ConsistencyError):
             report.to_json()
+
+
+def _classify_outcome(path) -> tuple[int, bool]:
+    """Exit code of ``qcausal classify path``, and whether it wrote exactly one
+    ``validation error:`` line and nothing else. Warnings count as failures."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["classify", str(path), "--out", os.devnull])
+    lines = err.getvalue().splitlines()
+    return code, out.getvalue() == "" and len(lines) == 1 and lines[0].startswith(
+        "validation error:")
+
+
+_numbers = st.integers() | st.floats() | st.sampled_from([10**400, -(10**309), True, False, "0.1"])
+_json = st.recursive(
+    st.none() | _numbers | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["kind", "dim", "entries", "x"]), children, max_size=4),
+    max_leaves=8,
+)
+_documents = st.fixed_dictionaries({
+    "kind": st.sampled_from(["density", "unitary", "pvector"]) | _json,
+    "dim": st.sampled_from([2, 3, 4]) | _json,
+    "entries": st.lists(_numbers, min_size=3, max_size=3) | _json,
+})
+
+
+def _one_entry_fuzzed(kind, base, entry):
+    """A valid document of ``kind`` whose ``base`` entries have one replaced by ``entry``."""
+    return st.tuples(st.integers(0, len(base) - 1), entry).map(lambda swap: {
+        "kind": kind,
+        "dim": 3 if kind == "pvector" else int(len(base) ** 0.5),
+        "entries": [swap[1] if i == swap[0] else e for i, e in enumerate(base)],
+    })
+
+
+_pair = st.lists(_numbers, min_size=2, max_size=2) | _json
+_near_valid = (
+    _one_entry_fuzzed("pvector", [0.1, 0.1, 0.1], _numbers | _json)
+    | _one_entry_fuzzed("unitary", [[1, 0], [0, 0], [0, 0], [1, 0]], _pair)
+    | _one_entry_fuzzed("density", [[0.25 * (i % 5 == 0), 0] for i in range(16)], _pair)
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(value=_near_valid | _documents | _json)
+def test_fuzzed_documents_fail_only_with_one_validation_line(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    try:
+        cli.load_document(str(path))
+    except ValidationError:
+        assert _classify_outcome(path) == (1, True)
+    else:
+        assert _classify_outcome(path)[0] == 0

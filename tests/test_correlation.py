@@ -188,6 +188,17 @@ class TestMixture:
         with pytest.raises(ValidationError):
             corr.mixture_pvector(s)
 
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(require):
+            return lambda m, *args: calls.append(require) or require(m, *args)
+
+        monkeypatch.setattr(corr, "require_density", counting(qmath.require_density))
+        monkeypatch.setattr(corr, "require_unitary", counting(qmath.require_unitary))
+        corr.mixture_pvector(corr.MixtureScenario(bell_projector(1), HADAMARD, 0.3))
+        assert calls == [qmath.require_density, qmath.require_unitary]
+
 
 class TestConvexityIdentities:
     def test_real_state_convexity(self):

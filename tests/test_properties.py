@@ -1,7 +1,7 @@
 """Property tests: conjugation invariants of the batch transforms, the
-stacked predicates against their one-object calls, and the correlation
+stacked predicates against their one-object calls, the correlation
 kernels giving a row the same bits alone, in any stack and through the
-scalar API."""
+scalar API, and the exact escape test against the random search."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from qcausal import basis_change as bc
 from qcausal import correlation as corr
 from qcausal import qmath
-from qcausal.samplers import sample_density, sample_unitary
+from qcausal.samplers import SamplerConfig, sample_density, sample_in_region_batch, sample_unitary
+from test_basis_change import _search_escape_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 ranks = st.sampled_from([1, 2, 3, 4])
@@ -127,3 +128,74 @@ def test_point_bits_do_not_depend_on_the_stack(seed, rank, size, data):
         assert corr.dc_pvector(us[k]).as_array().tobytes() == dc[k].tobytes()
         assert corr.cc_corr_index(rhos[k], axis) == cc[k, axis - 1]
         assert corr.dc_corr_index(us[k], axis) == dc[k, axis - 1]
+
+
+# -- the exact escape test ------------------------------------------------------
+
+objects = st.sampled_from([("CC", 1), ("CC", 2), ("CC", 3), ("CC", 4), ("DC", 4)])
+TOL = 1e-9
+
+
+def overlap_object(seed, kind, rank):
+    return sample_in_region_batch(SamplerConfig(seed=seed, density_rank=rank), kind, "O", 1)[0]
+
+
+def moved_points(kind, target, vs):
+    if kind == "CC":
+        return corr.cc_pvector_batch(bc._transform_density_batch(target, vs))
+    return corr.dc_pvector_batch(bc._transform_unitary_batch(target, vs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, obj=objects)
+def test_no_oracle_rotation_passes_the_margin(seed, obj):
+    kind, rank = obj
+    target = overlap_object(seed, kind, rank)
+    margin, _ = bc.escape_witness(kind, target)
+    rng = SamplerConfig(seed=seed).rng()
+    vs = np.stack([sample_unitary(rng) for _ in range(256)])
+    assert np.abs(moved_points(kind, target, vs)).sum(axis=1).max() <= 1.0 + margin + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, obj=objects)
+def test_witness_reaches_the_margin(seed, obj):
+    kind, rank = obj
+    target = overlap_object(seed, kind, rank)
+    margin, v = bc.escape_witness(kind, target)
+    assert (v is not None) or margin <= TOL
+    if v is not None:
+        assert abs(np.abs(moved_points(kind, target, v[None])).sum() - (1.0 + margin)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, obj=objects)
+def test_oracle_never_escapes_below_the_margin(seed, obj):
+    kind, rank = obj
+    target = overlap_object(seed, kind, rank)
+    if bc.escape_witness(kind, target)[0] <= -TOL:
+        assert _search_escape_oracle(kind, target, 100, SamplerConfig(seed=seed)) is None
+
+
+def qubit_state(rng, radius):
+    r = rng.standard_normal(3)
+    r *= radius / np.linalg.norm(r)
+    return (np.eye(2) + sum(c * qmath.pauli(i) for i, c in enumerate(r, start=1))) / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, radii=st.tuples(*[st.one_of(st.just(1.0), st.floats(0.0, 1.0))] * 2))
+def test_product_states_never_escape(seed, radii):
+    rng = np.random.default_rng(seed)
+    rho = np.kron(qubit_state(rng, radii[0]), qubit_state(rng, radii[1]))
+    margin, v = bc.escape_witness("CC", rho)
+    assert margin <= 1e-12
+    assert v is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds)
+def test_unitary_margin_is_twice_the_distance_to_the_cut(seed):
+    u = overlap_object(seed, "DC", 4)
+    w = abs(np.trace(u)) ** 2 / 4
+    assert abs(bc.escape_witness("DC", u)[0] - 2.0 * abs(2.0 * w - 1.0)) <= 1e-12
