@@ -289,7 +289,9 @@ def _moved_point(kind, target, v):
     return corr.dc_pvector(bc.transform_unitary(target, v)).as_array()
 
 
-class TestEscapeWitness:
+class TestSearchEscape:
+    """The escape decision, made exactly by escape_witness."""
+
     def test_maximally_mixed_never_escapes(self):
         margin, v = bc.escape_witness("CC", np.eye(4, dtype=complex) / 4)
         assert margin == -1.0
@@ -340,7 +342,9 @@ class TestEscapeWitness:
             np.testing.assert_allclose(_adjoint(lifted), q, atol=1e-12)
 
 
-class TestWitnessChecks:
+class TestSearchChecks:
+    """The checks made on the witness rotation and its image."""
+
     def _corrupt(self, monkeypatch, name, damage):
         kernel = getattr(bc, name)
         monkeypatch.setattr(bc, name, lambda *args: damage(kernel(*args)))
@@ -377,7 +381,9 @@ class TestWitnessChecks:
             bc.escape_witness(kind, target)
 
 
-class TestWitnessMatchesOracle:
+class TestSearchMatchesOracle:
+    """escape_witness against the random search kept as _search_escape_oracle."""
+
     @pytest.mark.parametrize("tries", [4, 256])
     @pytest.mark.parametrize("name", _TARGET_NAMES)
     def test_decision_matches_oracle(self, tries, name):
