@@ -24,6 +24,7 @@ CASES = {
     "table1": ["table1"],
     "bounds-starts20": ["bounds", "--starts", "20"],
     "table2-n2000": ["table2", "--n", "2000"],
+    "table2-n4097": ["table2", "--n", "4097", "--seed", "5"],
     "sample-cc-rank1": ["sample", "CC", "--n", "5000", "--rank", "1", "--csv", CSV],
     "sample-cc-rank4": ["sample", "CC", "--n", "5000", "--rank", "4", "--csv", CSV],
     "sample-dc": ["sample", "DC", "--n", "5000", "--csv", CSV],
