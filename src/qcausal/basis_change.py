@@ -2,9 +2,12 @@
 
 Rotating all measurement bases by a single-qubit unitary v maps the
 correlation point of a preparation rho to that of (v (x) v)^dag rho
-(v (x) v), and the point of an evolution u to that of v^dag u v. Both
-identities are computed here through two independent routes (rotated
-projectors vs. transformed object) and asserted equal in the tests.
+(v (x) v), and the point of an evolution u to that of v^dag u v. The
+escape experiment rotates the three measurement axes instead, once per
+call, and runs the point kernels over the whole sample: projectors
+P'_i = (v (x) v) P_i (v (x) v)^dag, or +1 eigenvectors m'_i = v m0_i. The
+transformed objects and the ``pprime_*_oracle`` functions are the tests'
+independent routes to the same points.
 
 A point in the octahedral overlap is ambiguous. :func:`escape_witness`
 decides exactly whether a rotation moves one object's point out of it;
@@ -26,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlation import (
+    _EQUAL_PROJ,
+    _PLUS_EIGVEC,
     PPoint,
     _cc_pvector_residue_batch,
     _check_residue,
@@ -64,8 +69,6 @@ __all__ = [
 ]
 
 _MEMBERSHIP_TOL = 1e-9
-# Most objects per block of the escape experiment's transform.
-_ESCAPE_BLOCK = 4096
 # sigma_1, sigma_2, sigma_3 as one (3, 2, 2) stack.
 _SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
 
@@ -172,8 +175,8 @@ def pprime_dc_oracle(u: np.ndarray, v: np.ndarray) -> PPoint:
     return PPoint(*out)
 
 
-# The batch transforms broadcast over leading axes: a stack of objects under one
-# rotation (the escape experiment), or one object under one rotation (the witness).
+# The batch transforms broadcast over leading axes; the witness checks itself with
+# them, and the tests use them as the oracle of the escape experiment's axes.
 
 
 def _transform_density_batch(rhos: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -183,6 +186,14 @@ def _transform_density_batch(rhos: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 def _transform_unitary_batch(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.einsum("...ji,...jk,...kl->...il", vs.conj(), us, vs)
+
+
+def _rotated_points(kind: str, objs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Points of ``objs`` measured along the axes rotated by ``v`` (see module docstring)."""
+    if kind == "CC":
+        vv = np.kron(v, v)
+        return cc_pvector_batch(objs, [vv @ proj @ vv.conj().T for proj in _EQUAL_PROJ])
+    return dc_pvector_batch(objs, [v @ m0 for m0 in _PLUS_EIGVEC])
 
 
 def escape_experiment(
@@ -195,10 +206,10 @@ def escape_experiment(
     """Count overlap-conditioned samples rotated into the decidable region.
 
     Draws ``n`` objects of ``kind`` with correlation point in the overlap,
-    applies the basis rotation ``v``, and counts transformed points landing
-    in the corner-cut tetrahedron minus the overlap. ``image_in_target``
-    reports whether every transformed point stayed inside the corner-cut
-    tetrahedron (it must, by the conjugation invariants; a transformed
+    measures them along the axes rotated by ``v``, and counts rotated points
+    landing in the corner-cut tetrahedron minus the overlap.
+    ``image_in_target`` reports whether every rotated point stayed inside the
+    corner-cut tetrahedron (it must, by the conjugation invariants; a rotated
     point outside its full tetrahedron would be an internal error).
     """
     if n < 1:
@@ -208,16 +219,10 @@ def escape_experiment(
     v = require_unitary(v)
     cfg = SamplerConfig(density_rank=1) if cfg is None else cfg
     objs = sample_in_region_batch(cfg, kind, "O", n, rng=rng)
-    if kind == "CC":
-        transform, pvec, full, cut = _transform_density_batch, cc_pvector_batch, tcc(), in_otc
-    else:
-        transform, pvec, full, cut = _transform_unitary_batch, dc_pvector_batch, tdc(), in_otd
-    # In blocks, so the transformed objects never hold a second copy of ``objs``.
-    # The transforms and kernels give a row the same bits in any block.
-    blocks = np.array_split(objs, -(-n // _ESCAPE_BLOCK))
-    pts = np.concatenate([pvec(transform(block, v)) for block in blocks])
+    full, cut = (tcc(), in_otc) if kind == "CC" else (tdc(), in_otd)
+    pts = _rotated_points(kind, objs, v)
     if not contains(full, pts, _MEMBERSHIP_TOL).all():
-        raise ConsistencyError("a transformed point left its tetrahedron")
+        raise ConsistencyError("a rotated point left its tetrahedron")
     in_target = cut(pts, _MEMBERSHIP_TOL)
     escaped = int((in_target & ~in_overlap(pts, _MEMBERSHIP_TOL)).sum())
     return EscapeResult(
@@ -245,7 +250,9 @@ def _lift(q: np.ndarray) -> np.ndarray:
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
-def escape_witness(kind: str, target) -> tuple[float, np.ndarray | None]:
+def escape_witness(
+    kind: str, target, tol: float = _MEMBERSHIP_TOL
+) -> tuple[float, np.ndarray | None]:
     """Decide exactly whether a rotation moves one ambiguous object out of the overlap.
 
     The point of ``target`` (a density operator for 'CC', a unitary for 'DC')
@@ -255,9 +262,9 @@ def escape_witness(kind: str, target) -> tuple[float, np.ndarray | None]:
     |c11| + |c22| + |c33| reached is sum |lambda(S)|, S = (M + M^T)/2, at the
     Q that diagonalises S. Returns (margin = sum |lambda(S)| - 1, v): v lifts
     that Q if it moves the point into its tetrahedron and out of the overlap
-    at ``_MEMBERSHIP_TOL``, else None. ``ConsistencyError`` if a check of the
-    scalar API fails on v or the moved object, or a margin past the
-    tolerance does not escape.
+    at ``tol``, else None. The target's point must lie in the overlap at
+    ``tol``. ``ConsistencyError`` if a check of the scalar API fails on v or
+    the moved object, or a margin past ``tol`` does not escape.
     """
     if kind == "CC":
         target = require_density(target)
@@ -267,7 +274,7 @@ def escape_witness(kind: str, target) -> tuple[float, np.ndarray | None]:
         m = np.einsum("iab,bc,jcd,ad->ij", _SIGMA, target, _SIGMA, target.conj()).real / 2.0
     else:
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    if not in_overlap(np.diag(m), _MEMBERSHIP_TOL):
+    if not in_overlap(np.diag(m), tol):
         raise ValidationError("target's correlation point is already outside the overlap")
     lam, q = np.linalg.eigh((m + m.T) / 2.0)
     q[:, 0] *= np.sign(np.linalg.det(q))
@@ -284,8 +291,8 @@ def escape_witness(kind: str, target) -> tuple[float, np.ndarray | None]:
     if not (is_unitary(v) and ok):
         raise ConsistencyError("escape witness: the rotation or moved object failed a predicate")
     _check_residue(residue)
-    if contains(tetra, point[0], _MEMBERSHIP_TOL) and not in_overlap(point[0], _MEMBERSHIP_TOL):
+    if contains(tetra, point[0], tol) and not in_overlap(point[0], tol):
         return margin, v
-    if margin > _MEMBERSHIP_TOL + 1e-12:  # the witness reaches 1 + margin up to rounding
+    if margin > tol + 1e-12:  # the witness reaches 1 + margin up to rounding
         raise ConsistencyError(f"escape witness: margin {margin:.3e}, but no escape")
     return margin, None

@@ -50,7 +50,6 @@ __all__ = [
     "multistart_state_extremum",
     "multistart_unitary_extremum",
     "TARGET_VALUES",
-    "GRID_LIPSCHITZ",
 ]
 
 # Certified extrema for each target.
@@ -60,9 +59,6 @@ TARGET_VALUES = {
     "DC_MAX": 1.0,
     "DC_MIN": -1.0 / 27.0,
 }
-
-# Max gradient norm of the trilinear product over the simplex-to-cube map.
-GRID_LIPSCHITZ = 3.0 * np.sqrt(3.0)
 
 _POLISH_MAX_ITER = 10_000
 
@@ -181,10 +177,7 @@ def polish_extremum(report: BoundReport, tol: float = 1e-10) -> BoundReport:
     Never worsens the objective; returns ``converged=False`` when the
     iteration cap is hit before the step threshold.
     """
-    if report.target.startswith("CC"):
-        t = tcc()
-    else:
-        t = tdc()
+    t = tcc() if report.target.startswith("CC") else tdc()
     direction = report.target.split("_")[1]
     w, converged = _simplex_compass(t, direction, np.asarray(report.witness, float), tol)
     value = float((w @ t.vertices).prod())

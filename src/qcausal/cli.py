@@ -229,7 +229,7 @@ def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunR
             }
         else:
             kind = "CC" if doc.kind == "density" else "DC"
-            margin, v = basis_change.escape_witness(kind, doc.payload())
+            margin, v = basis_change.escape_witness(kind, doc.payload(), tol=tol)
             results["escape"] = {
                 "applicable": True,
                 "found": v is not None,

@@ -97,14 +97,14 @@ class MixtureScenario:
         return self
 
 
-def _equal_outcome_projector(i: int) -> np.ndarray:
-    m0, m1 = pauli_eigenbasis(i)
-    return projector(tensor_product(m0, m0)) + projector(tensor_product(m1, m1))
-
-
-# |m0 m0><m0 m0| + |m1 m1><m1 m1| for each measurement axis, index 1..3.
-_EQUAL_PROJ = {i: _equal_outcome_projector(i) for i in (1, 2, 3)}
-for _m in _EQUAL_PROJ.values():
+# The fixed measurement axes 1..3: the equal-outcome projectors
+# |m0 m0><m0 m0| + |m1 m1><m1 m1|, and the +1 eigenvectors m0.
+_EQUAL_PROJ = tuple(
+    projector(tensor_product(m0, m0)) + projector(tensor_product(m1, m1))
+    for m0, m1 in map(pauli_eigenbasis, (1, 2, 3))
+)
+_PLUS_EIGVEC = tuple(m0 for m0, _ in map(pauli_eigenbasis, (1, 2, 3)))
+for _m in _EQUAL_PROJ:
     _m.setflags(write=False)
 
 
@@ -131,7 +131,7 @@ def cc_equal_prob(rho: np.ndarray, i: int) -> float:
     """
     rho = require_density(rho)
     _check_axis(i)
-    value = complex(np.trace(rho @ _EQUAL_PROJ[i]))
+    value = complex(np.trace(rho @ _EQUAL_PROJ[i - 1]))
     _check_residue(value.imag)
     return float(value.real)
 
@@ -238,18 +238,21 @@ def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:
 # the size of the stack, which the tests check.
 
 
-def _cc_pvector_residue_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Correlation points of a stack of density operators, shape (n, 3), and the
-    imaginary residues of their traces tr(rho P_i), which :func:`cc_pvector`
-    checks against ``IMAG_TOL``."""
+def _cc_pvector_residue_batch(
+    rhos: np.ndarray, projectors=_EQUAL_PROJ
+) -> tuple[np.ndarray, np.ndarray]:
+    """Points of a stack of density operators measured with the equal-outcome
+    projectors P_i, shape (n, 3), and the imaginary residues of the traces
+    tr(rho P_i), which :func:`cc_pvector` checks against ``IMAG_TOL``."""
     rhos = np.asarray(rhos, dtype=complex)
-    traces = np.stack([np.einsum("nij,ji->n", rhos, _EQUAL_PROJ[i]) for i in (1, 2, 3)], axis=1)
+    traces = np.stack([np.einsum("nij,ji->n", rhos, proj) for proj in projectors], axis=1)
     return 2.0 * traces.real - 1.0, traces.imag
 
 
-def cc_pvector_batch(rhos: np.ndarray) -> np.ndarray:
-    """Correlation points of a stack of density operators, shape (n, 3)."""
-    return _cc_pvector_residue_batch(rhos)[0]
+def cc_pvector_batch(rhos: np.ndarray, projectors=_EQUAL_PROJ) -> np.ndarray:
+    """Correlation points of a stack of density operators, shape (n, 3), measured
+    with the equal-outcome projectors ``projectors`` (default: the fixed axes)."""
+    return _cc_pvector_residue_batch(rhos, projectors)[0]
 
 
 def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
@@ -269,8 +272,9 @@ def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
     )
 
 
-def dc_pvector_batch(us: np.ndarray) -> np.ndarray:
-    """Correlation points of a stack of 2x2 unitaries, shape (n, 3).
+def dc_pvector_batch(us: np.ndarray, eigenvectors=_PLUS_EIGVEC) -> np.ndarray:
+    """Correlation points of a stack of 2x2 unitaries, shape (n, 3), measured
+    along the axes with +1 eigenvectors m0 ``eigenvectors`` (default: the fixed axes).
 
     Each amplitude <m0| u |m0> is summed elementwise in row-major (i, j)
     order, so a one-row stack gives the bits of the same row in any stack.
@@ -278,8 +282,7 @@ def dc_pvector_batch(us: np.ndarray) -> np.ndarray:
     us = np.asarray(us, dtype=complex)
     u00, u01, u10, u11 = us[:, 0, 0], us[:, 0, 1], us[:, 1, 0], us[:, 1, 1]
     cols = []
-    for i in (1, 2, 3):
-        b = pauli_eigenbasis(i)[0]
+    for b in eigenvectors:
         a = b.conj()
         amp = a[0] * u00 * b[0] + a[0] * u01 * b[1] + a[1] * u10 * b[0] + a[1] * u11 * b[1]
         cols.append(2.0 * np.abs(amp) ** 2 - 1.0)

@@ -232,23 +232,19 @@ def classify_batch(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
 
 
 def barycentric(t: Tetrahedron, p, tol: float = 1e-9) -> np.ndarray:
-    """Barycentric weights of ``p`` in ``t`` (point must lie inside).
+    """Barycentric weights of ``p`` in ``t`` = ``tcc()`` or ``tdc()`` (point must lie inside).
 
-    For the canonical tetrahedra the weights have the closed form
-    ``w_j = (vertex_j . p + 1) / 4``; the general case solves the 4x4
-    linear system.
+    The weights have the closed form ``w_j = (vertex_j . p + 1) / 4``.
     """
+    if t is not _TCC and t is not _TDC:
+        raise ValidationError("barycentric weights are defined for tcc() and tdc() only")
     arr = _points(p)
     if arr.ndim != 1:
         raise ValidationError("barycentric expects a single point")
     if not contains(t, arr, tol):
         raise ValidationError(f"point {arr} lies outside the tetrahedron")
-    if t is _TCC or t is _TDC:
-        w = (t.vertices @ arr + 1.0) / 4.0
-    else:
-        system = np.vstack([t.vertices.T, np.ones(4)])
-        w = np.linalg.lstsq(system, np.append(arr, 1.0), rcond=None)[0]
-    return np.clip(w, 0.0, None) / np.clip(w, 0.0, None).sum()
+    w = np.clip((t.vertices @ arr + 1.0) / 4.0, 0.0, None)
+    return w / w.sum()
 
 
 def _check_weights(w) -> np.ndarray:

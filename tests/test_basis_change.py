@@ -260,19 +260,22 @@ class TestEscapeExperiment:
         with pytest.raises(ValidationError):
             bc.escape_experiment("XX", bc.ESCAPE_V1, 10, SamplerConfig(seed=94))
 
-    @pytest.mark.parametrize("kind", ["CC", "DC"])
-    def test_points_do_not_depend_on_blocking(self, kind):
-        # escape_experiment transforms in blocks; its counts match a one-pass
-        # run only if the blocks give every row's point the same bits.
-        objs = sample_in_region_batch(SamplerConfig(seed=98, density_rank=1), kind, "O", 9_001)
+    @pytest.mark.parametrize("v", range(5))
+    @pytest.mark.parametrize("kind, rank", [("CC", 1), ("CC", 4), ("DC", 1)])
+    def test_rotated_axes_match_transformed_objects(self, kind, rank, v):
+        # The experiment rotates the measurement axes; the oracle rotates the objects.
+        v = bc.ESCAPE_V_SET[v] if v < 4 else sample_unitary(np.random.default_rng(97))
+        cfg = SamplerConfig(seed=98, density_rank=rank)
+        objs = sample_in_region_batch(cfg, kind, "O", 3_000)
         if kind == "CC":
-            transform, pvec = bc._transform_density_batch, corr.cc_pvector_batch
+            oracle = corr.cc_pvector_batch(bc._transform_density_batch(objs, v))
+            cut = geo.in_otc
         else:
-            transform, pvec = bc._transform_unitary_batch, corr.dc_pvector_batch
-        whole = pvec(transform(objs, bc.ESCAPE_V2))
-        for parts in (3, 9_001 // 2, -(-9_001 // bc._ESCAPE_BLOCK)):
-            blocked = [pvec(transform(block, bc.ESCAPE_V2)) for block in np.array_split(objs, parts)]
-            assert np.concatenate(blocked).tobytes() == whole.tobytes(), parts
+            oracle = corr.dc_pvector_batch(bc._transform_unitary_batch(objs, v))
+            cut = geo.in_otd
+        np.testing.assert_allclose(bc._rotated_points(kind, objs, v), oracle, rtol=0, atol=1e-14)
+        escaped = int((cut(oracle, 1e-9) & ~geo.in_overlap(oracle, 1e-9)).sum())
+        assert bc.escape_experiment(kind, v, 3_000, cfg).escaped == escaped
 
 
 def _adjoint(v):

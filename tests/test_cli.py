@@ -172,6 +172,18 @@ class TestClassifyCommand:
             path = write_doc(tmp_path, "doc.json", cli.document_from_array(kind, target))
             assert cli.main(["classify", path, "--seed", "9", "--out", str(tmp_path / "r")]) == 0
 
+    def test_loose_tol_reaches_the_escape_test(self, tmp_path, capsys):
+        # |c11|+|c22|+|c33| = 1.005: ambiguous at --tol 0.01, so the escape test
+        # must judge the overlap at that tol too, and margin 2 cos(theta) stays below it.
+        cos = 0.0025
+        u = np.diag([1.0, complex(cos, np.sqrt(1.0 - cos**2))])
+        path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", u))
+        assert cli.main(["classify", path, "--tol", "0.01"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["label"] == "AMBIGUOUS"
+        assert results["escape"]["found"] is False
+        assert results["escape"]["margin"] == pytest.approx(2 * cos, abs=1e-12)
+
     def test_max_tries_flag_is_gone(self, tmp_path):
         path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", qmath.pauli(1)))
         with pytest.raises(SystemExit):

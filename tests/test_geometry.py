@@ -185,6 +185,11 @@ class TestBarycentric:
         with pytest.raises(ValidationError):
             geo.barycentric(geo.tcc(), np.array([1.0, 1.0, 1.0]))
 
+    def test_other_tetrahedron_rejected(self):
+        for t in (geo.dug_tcc(), geo.Tetrahedron(geo.tcc().vertices)):
+            with pytest.raises(ValidationError, match="tcc"):
+                geo.barycentric(t, np.array([-0.5, -0.5, -0.5]))
+
     def test_weights_recombine(self):
         rng = np.random.default_rng(34)
         for _ in range(500):

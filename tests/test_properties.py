@@ -1,5 +1,6 @@
 """Property tests: conjugation invariants of the batch transforms, the
-stacked predicates against their one-object calls, the correlation
+rotated measurement axes against the transformed objects, the stacked
+predicates against their one-object calls, the correlation
 kernels giving a row the same bits alone, in any stack and through the
 scalar API, and the exact escape test against the random search."""
 
@@ -92,6 +93,27 @@ def perturbed_unitaries(rng, tol):
     us += [nan, scaled, generic, infinite]
     expected += [False] * 4
     return np.stack(us), expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, rank=ranks)
+def test_rotated_axes_equal_transformed_objects(seed, rank):
+    rng = np.random.default_rng(seed)
+    rhos = sample_density(rng, rank=rank, size=16)
+    us = sample_unitary(rng, size=16)
+    v = sample_unitary(rng)
+    np.testing.assert_allclose(
+        bc._rotated_points("CC", rhos, v),
+        corr.cc_pvector_batch(bc._transform_density_batch(rhos, v)),
+        rtol=0,
+        atol=1e-12,
+    )
+    np.testing.assert_allclose(
+        bc._rotated_points("DC", us, v),
+        corr.dc_pvector_batch(bc._transform_unitary_batch(us, v)),
+        rtol=0,
+        atol=1e-12,
+    )
 
 
 @settings(max_examples=60, deadline=None)
