@@ -103,7 +103,7 @@ _EQUAL_PROJ = tuple(
     projector(tensor_product(m0, m0)) + projector(tensor_product(m1, m1))
     for m0, m1 in map(pauli_eigenbasis, (1, 2, 3))
 )
-_PLUS_EIGVEC = tuple(m0 for m0, _ in map(pauli_eigenbasis, (1, 2, 3)))
+_PLUS_EIGVEC = tuple(pauli_eigenbasis(i)[0] for i in (1, 2, 3))
 for _m in _EQUAL_PROJ:
     _m.setflags(write=False)
 

@@ -260,11 +260,14 @@ class TestEscapeExperiment:
         with pytest.raises(ValidationError):
             bc.escape_experiment("XX", bc.ESCAPE_V1, 10, SamplerConfig(seed=94))
 
-    @pytest.mark.parametrize("v", range(5))
+    @pytest.mark.parametrize("which", ["v1", "v2", "v3", "v4", "sampled"])
     @pytest.mark.parametrize("kind, rank", [("CC", 1), ("CC", 4), ("DC", 1)])
-    def test_rotated_axes_match_transformed_objects(self, kind, rank, v):
+    def test_rotated_axes_match_transformed_objects(self, kind, rank, which):
         # The experiment rotates the measurement axes; the oracle rotates the objects.
-        v = bc.ESCAPE_V_SET[v] if v < 4 else sample_unitary(np.random.default_rng(97))
+        if which == "sampled":
+            v = sample_unitary(np.random.default_rng(97))
+        else:
+            v = bc.ESCAPE_V_SET[int(which[1]) - 1]
         cfg = SamplerConfig(seed=98, density_rank=rank)
         objs = sample_in_region_batch(cfg, kind, "O", 3_000)
         if kind == "CC":
