@@ -19,7 +19,10 @@ violation (e.g. a bound violated by a sample), 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -304,6 +307,84 @@ def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> str:
     return "\n".join(map(",".join, zip(*columns, labels)))
 
 
+def _sample_chunk(kind: str, draw, span: tuple[int, int]) -> tuple[int, float, float, str]:
+    """Bound violations, min and max of C, and the encoded CSV rows of rows
+    ``lo:hi`` of the draw: density operators (CC) or unitary parameter columns (DC)."""
+    lo, hi = span
+    if kind == "CC":
+        pts = correlation.cc_pvector_batch(draw[lo:hi])
+    else:
+        pts = correlation.dc_pvector_batch(
+            samplers.unitaries_from_params(*(p[lo:hi] for p in draw))
+        )
+    cvals = pts.prod(axis=1)
+    if kind == "CC":
+        violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
+    else:
+        violations = int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
+    codes = geometry._classify_codes(pts, tol=1e-9)
+    return violations, cvals.min(), cvals.max(), _encode_rows(pts, cvals, codes) + "\n"
+
+
+# A pool worker's (kind, draw), set by _init_worker. A forked worker receives the
+# initializer's arguments as the parent's own arrays: nothing is pickled or copied.
+_WORKER_DRAW: tuple = ()
+
+
+def _init_worker(kind: str, draw, parent: int) -> None:
+    import threading
+
+    global _WORKER_DRAW
+    _WORKER_DRAW = (kind, draw)
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """End this worker once ``parent`` is gone (killed, say). Left alone, it would
+    block for good on a pipe that no process reads."""
+    import time
+
+    while os.getppid() == parent:
+        time.sleep(0.2)
+    os._exit(1)
+
+
+def _worker_chunk(span: tuple[int, int]) -> tuple[int, float, float, str]:
+    return _sample_chunk(*_WORKER_DRAW, span)
+
+
+@contextlib.contextmanager
+def _sampled_chunks(kind: str, draw, spans: list[tuple[int, int]]):
+    """``_sample_chunk`` over ``spans``, in order: computed by a fork pool of
+    ``min(usable CPUs, len(spans))`` workers, or in this process when that is one
+    worker or the platform has no fork.
+
+    A worker's exception, and ``BrokenProcessPool`` if a worker dies, is raised
+    where its chunk is read. Leaving the block cancels the chunks not yet
+    started and waits for the workers to exit. Forking is safe here: the pool
+    forks every worker before it starts a thread, and the CLI starts none.
+    """
+    import multiprocessing  # here, not at the top: it adds about 20 ms to importing the CLI
+
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(spans))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield map(functools.partial(_sample_chunk, kind, draw), spans)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(kind, draw, os.getpid()),
+    )
+    try:
+        yield pool.map(_worker_chunk, spans)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sample(
     kind: str, n: int, seed: int, out_path: str, rank: int = 4
 ) -> RunReport:
@@ -311,10 +392,11 @@ def run_sample(
 
     The random draw covers all ``n`` rows at once, so it alone fixes the
     stream. Points, labels and CSV rows then follow in chunks of
-    ``_CHUNK_ROWS`` rows, each written as soon as it is encoded; a tail
-    shorter than ``_TAIL_ROWS`` joins the chunk before it, so every chunk
-    computes the same bits as the whole array would, and the CSV does not
-    depend on the chunking.
+    ``_CHUNK_ROWS`` rows; a tail shorter than ``_TAIL_ROWS`` joins the chunk
+    before it, so every chunk computes the same bits as the whole array
+    would, and the CSV does not depend on the chunking. The chunks are
+    computed on every usable CPU (see ``_sampled_chunks``), and this process
+    writes each one, in order, as soon as it arrives.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -322,31 +404,20 @@ def run_sample(
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     rng = samplers.SamplerConfig(seed=seed, density_rank=rank).rng()
     if kind == "CC":
-        rhos = samplers.sample_density(rng, rank=rank, size=n)
-
-        def points(lo: int, hi: int) -> np.ndarray:
-            return correlation.cc_pvector_batch(rhos[lo:hi])
+        draw = samplers.sample_density(rng, rank=rank, size=n)
     else:
-        params = samplers.sample_unitary_params(rng, n)
-
-        def points(lo: int, hi: int) -> np.ndarray:
-            us = samplers.unitaries_from_params(*(p[lo:hi] for p in params))
-            return correlation.dc_pvector_batch(us)
+        draw = samplers.sample_unitary_params(rng, n)
 
     n_violations = 0
     min_c, max_c = np.inf, -np.inf
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
+    with open(out_path, "w", encoding="utf-8", newline="\n") as handle, _sampled_chunks(
+        kind, draw, _chunk_bounds(n)
+    ) as chunks:
         handle.write(_CSV_HEADER + "\n")
-        for lo, hi in _chunk_bounds(n):
-            pts = points(lo, hi)
-            cvals = pts.prod(axis=1)
-            if kind == "CC":
-                n_violations += int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
-            else:
-                n_violations += int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
-            min_c, max_c = min(min_c, cvals.min()), max(max_c, cvals.max())
-            codes = geometry._classify_codes(pts, tol=1e-9)
-            handle.write(_encode_rows(pts, cvals, codes) + "\n")
+        for violations, lo_c, hi_c, rows in chunks:
+            n_violations += violations
+            min_c, max_c = min(min_c, lo_c), max(max_c, hi_c)
+            handle.write(rows)
     violations = []
     if n_violations:
         violations.append({"bound_violations": n_violations, "kind": kind})

@@ -245,7 +245,9 @@ def _cc_pvector_residue_batch(
     projectors P_i, shape (n, 3), and the imaginary residues of the traces
     tr(rho P_i), which :func:`cc_pvector` checks against ``IMAG_TOL``."""
     rhos = np.asarray(rhos, dtype=complex)
-    traces = np.stack([np.einsum("nij,ji->n", rhos, proj) for proj in projectors], axis=1)
+    traces = np.empty((len(rhos), 3), dtype=complex)
+    for k, proj in enumerate(projectors):
+        np.einsum("nij,ji->n", rhos, proj, out=traces[:, k])
     return 2.0 * traces.real - 1.0, traces.imag
 
 

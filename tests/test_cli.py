@@ -1,10 +1,13 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -18,8 +21,22 @@ from qcausal import basis_change, cli, qmath
 from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
-from qcausal.samplers import SamplerConfig, sample_density, sample_in_region_batch, sample_unitary
+from qcausal.samplers import (
+    SamplerConfig,
+    sample_density,
+    sample_in_region_batch,
+    sample_unitary,
+    sample_unitary_params,
+)
 from test_basis_change import _search_escape_oracle
+from test_geometry import near_face_points
+
+
+def src_env():
+    """The environment for a child Python that imports this checkout's package."""
+    src = str(Path(qcausal.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def write_doc(tmp_path, name, doc):
@@ -233,6 +250,13 @@ class TestSampleCommand:
         assert first == path.read_bytes()
         assert rep_a.to_json() == rep_b.to_json()
 
+    def test_cli_import_leaves_multiprocessing_out(self):
+        code = "import sys, qcausal.cli; print('multiprocessing' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
 
 def whole_array_csv_oracle(kind, n, seed, rank=4):
     """CSV text and c column of an unchunked sample: every row held, one f-string each."""
@@ -293,19 +317,7 @@ class TestSampleStreaming:
         assert [geo.classify(p, tol).value for p in pts] == names.tolist()
 
     def test_codes_match_scalar_classify_near_faces(self):
-        rng = np.random.default_rng(35)
-        signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
-        face = signs[rng.integers(0, 8, size=20_000)]
-        pts = rng.uniform(-1, 1, size=(20_000, 3))
-        # project onto the plane face . p = 1, then step off it by at most 1e-12
-        pts += ((1.0 - (face * pts).sum(axis=1)) / 3.0)[:, None] * face
-        pts += rng.uniform(-1e-12, 1e-12, size=(20_000, 1)) * face / np.sqrt(3.0)
-        # and 1000 random points with one coordinate within 1e-12 of a cube face
-        pts[:1000] = rng.uniform(-1, 1, size=(1000, 3))
-        pts[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice(
-            [-1.0, 1.0], size=1000
-        ) + rng.uniform(-1e-12, 1e-12, size=1000)
-        pts = pts[np.abs(pts).max(axis=1) <= 1.0 + 1e-12]
+        pts = near_face_points()
         assert len(pts) > 5000
         names = geo._LABEL_NAMES[geo._classify_codes(pts)]
         assert [geo.classify(p).value for p in pts] == names.tolist()
@@ -315,29 +327,146 @@ class TestSampleStreaming:
         not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
     )
     def test_million_rows_peak_memory(self, tmp_path):
-        src = str(Path(qcausal.__file__).resolve().parents[1])
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
         code = textwrap.dedent(
             """
+            import resource
             import sys
             from qcausal.cli import main
             status = main(["sample", "DC", "--n", "1000000", "--seed", "1",
                            "--csv", sys.argv[1], "--out", sys.argv[2]])
             with open("/proc/self/status") as handle:
                 kib = next(int(line.split()[1]) for line in handle if line.startswith("VmHWM:"))
-            print(status, kib)
+            print(status, kib, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
             """
         )
         out = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "s.csv"), str(tmp_path / "r.json")],
-            env=env, capture_output=True, text=True, check=True,
+            env=src_env(), capture_output=True, text=True, check=True,
         )
-        status, kib = map(int, out.stdout.split())
+        status, kib, worker_kib = map(int, out.stdout.split())
         assert status == 0
         assert kib / 1024 < 150, f"peak RSS {kib / 1024:.1f} MB"
+        # the largest peak of any encoding worker, so memory cannot hide in the pool
+        assert worker_kib / 1024 < 150, f"worker peak RSS {worker_kib / 1024:.1f} MB"
         with open(tmp_path / "s.csv", "rb") as handle:
             assert sum(1 for _ in handle) == 10**6 + 1
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie (Linux /proc)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+class TestSamplePool:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("kind, n, rank", [("DC", 3 * 2**16 + 7, 4), ("CC", 2 * 2**16 + 5, 4)])
+    def test_in_process_matches_pool(self, tmp_path, monkeypatch, kind, n, rank):
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m)
+        )
+        path = tmp_path / "s.csv"
+        outputs = []
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            report = cli.run_sample(kind, n, seed=9, out_path=str(path), rank=rank)
+            outputs.append((path.read_bytes(), report.to_json()))
+        assert contexts == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_chunk_validation_error_exits_one(self, tmp_path, monkeypatch, capfd, cpus):
+        n, kernel = 3 * 2**16 + 7, corr.dc_pvector_batch
+        second_a1 = sample_unitary_params(SamplerConfig(seed=3).rng(), n)[0][2**16]
+
+        def nan_in_second_chunk(us, *args):
+            pts = kernel(us, *args)
+            if us[0, 0, 0].real == second_a1:
+                pts[7] = np.nan
+            return pts
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(corr, "dc_pvector_batch", nan_in_second_chunk)
+        status = cli.main(["sample", "DC", "--n", str(n), "--seed", "3",
+                           "--csv", str(tmp_path / "s.csv"), "--out", str(tmp_path / "r.json")])
+        err = capfd.readouterr().err
+        assert status == 1
+        assert err.startswith("validation error: ") and err.count("\n") == 1, err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
+        code = textwrap.dedent(
+            """
+            import multiprocessing, os, sys
+            from concurrent.futures.process import BrokenProcessPool
+            from qcausal import cli
+            from qcausal import correlation as corr
+
+            parent, kernel = os.getpid(), corr.dc_pvector_batch
+
+            def dies_in_a_worker(us, *args):
+                if os.getpid() != parent:
+                    os._exit(1)
+                return kernel(us, *args)
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            corr.dc_pvector_batch = dies_in_a_worker
+            try:
+                cli.run_sample("DC", 3 * 2**16 + 7, seed=3, out_path=sys.argv[1])
+            except BrokenProcessPool:
+                print("broken", len(multiprocessing.active_children()))
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "s.csv")],
+            env=src_env(), capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["broken", "0"]
+
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task"), reason="reads /proc")
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        code = textwrap.dedent(
+            """
+            import os, sys
+            from qcausal import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            cli.run_sample("DC", 10**6, seed=3, out_path=sys.argv[1])
+            """
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, str(tmp_path / "s.csv")], env=src_env()
+        )
+        children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                workers = children.read_text().split()
+                time.sleep(0.01)
+            assert len(workers) == 2, "the pool did not start"
+            proc.kill()
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)):
+                assert time.monotonic() < deadline, "a worker outlived its parent"
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            for pid in workers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid), signal.SIGKILL)
 
 
 class TestTable2Command:

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,39 @@ from qcausal.errors import ValidationError
 
 TCC_VERTICES = [(1, -1, 1), (-1, 1, 1), (1, 1, -1), (-1, -1, -1)]
 TDC_VERTICES = [(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)]
+
+
+def near_face_points(seed=35, n=20_000):
+    """Cube points within 1e-12 of a face plane +-c11 +-c22 +-c33 = 1 (the faces of
+    both tetrahedra and both cut planes), and 1000 within 1e-12 of a cube face."""
+    rng = np.random.default_rng(seed)
+    signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    face = signs[rng.integers(0, 8, size=n)]
+    pts = rng.uniform(-1, 1, size=(n, 3))
+    # project onto the plane face . p = 1, then step off it by at most 1e-12
+    pts += ((1.0 - (face * pts).sum(axis=1)) / 3.0)[:, None] * face
+    pts += rng.uniform(-1e-12, 1e-12, size=(n, 1)) * face / np.sqrt(3.0)
+    pts[:1000] = rng.uniform(-1, 1, size=(1000, 3))
+    pts[np.arange(1000), rng.integers(0, 3, size=1000)] = rng.choice(
+        [-1.0, 1.0], size=1000
+    ) + rng.uniform(-1e-12, 1e-12, size=1000)
+    return pts[np.abs(pts).max(axis=1) <= 1.0 + 1e-12]
+
+
+def on_face_points(bound, seed=36, n=20_000):
+    """Cube points projected onto a plane +-c11 +-c22 +-c33 = bound, with no step off
+    it: rounding alone decides which side of the bound their face sum lands on."""
+    rng = np.random.default_rng(seed)
+    signs = np.array([[a, b, c] for a in (1, -1) for b in (1, -1) for c in (1, -1)])
+    face = signs[rng.integers(0, 8, size=n)]
+    pts = rng.uniform(-1, 1, size=(n, 3))
+    pts += ((bound - (face * pts).sum(axis=1)) / 3.0)[:, None] * face
+    return pts[np.abs(pts).max(axis=1) <= 1.0]
+
+
+def contains_matmul_oracle(t, pts, tol):
+    """Containment as one matmul against the face table, the form ``contains`` had."""
+    return np.all(pts @ t.halfspaces.T <= t.offsets + tol, axis=-1)
 
 
 class TestCanonicalTetrahedra:
@@ -57,6 +92,24 @@ class TestContains:
         np.testing.assert_array_equal(
             geo.contains(geo.tcc(), pts, tol=1e-12), [True, False, True]
         )
+
+
+class TestContainsMatchesMatmulOracle:
+    @pytest.mark.parametrize("tol", [0.0, 1e-9])
+    def test_near_faces_bit_for_bit(self, tol):
+        pts = np.vstack([near_face_points(), on_face_points(1.0 + tol)])
+        cases = [
+            (functools.partial(geo.contains, t), contains_matmul_oracle(t, pts, tol))
+            for t in (geo.tcc(), geo.tdc(), geo.dug_tcc(), geo.dug_tdc())
+        ]
+        for region, t, cut in ((geo.in_otc, geo.tcc(), -1.0), (geo.in_otd, geo.tdc(), 1.0)):
+            cut_side = pts @ np.full(3, cut) <= 1.0 + tol
+            cases.append((region, contains_matmul_oracle(t, pts, tol) & cut_side))
+        for region, expected in cases:
+            assert 0 < expected.sum() < len(pts)
+            assert np.array_equal(region(pts, tol), expected)
+            # one point at a time, which takes the Python-float path
+            assert [region(p, tol) for p in pts[::10]] == expected[::10].tolist()
 
 
 class TestOverlap:
