@@ -326,16 +326,17 @@ def _sample_chunk(kind: str, draw, span: tuple[int, int]) -> tuple[int, float, f
     return violations, cvals.min(), cvals.max(), _encode_rows(pts, cvals, codes) + "\n"
 
 
-# A pool worker's (kind, draw), set by _init_worker. A forked worker receives the
-# initializer's arguments as the parent's own arrays: nothing is pickled or copied.
-_WORKER_DRAW: tuple = ()
+# A pool worker's task with its shared arguments bound, set by _init_worker. A
+# forked worker receives the initializer's arguments as the parent's own
+# objects: nothing is pickled or copied.
+_WORKER_TASK = None
 
 
-def _init_worker(kind: str, draw, parent: int) -> None:
+def _init_worker(task, shared: tuple, parent: int) -> None:
     import threading
 
-    global _WORKER_DRAW
-    _WORKER_DRAW = (kind, draw)
+    global _WORKER_TASK
+    _WORKER_TASK = functools.partial(task, *shared)
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
 
 
@@ -349,27 +350,29 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _worker_chunk(span: tuple[int, int]) -> tuple[int, float, float, str]:
-    return _sample_chunk(*_WORKER_DRAW, span)
+def _worker_call(item):
+    return _WORKER_TASK(item)
 
 
 @contextlib.contextmanager
-def _sampled_chunks(kind: str, draw, spans: list[tuple[int, int]]):
-    """``_sample_chunk`` over ``spans``, in order: computed by a fork pool of
-    ``min(usable CPUs, len(spans))`` workers, or in this process when that is one
-    worker or the platform has no fork.
+def _ordered_map(task, shared: tuple, items: list):
+    """``task(*shared, item)`` for each of ``items``, in order: computed by a fork
+    pool of ``min(usable CPUs, len(items))`` workers, or in this process when
+    that is one worker or the platform has no fork.
 
-    A worker's exception, and ``BrokenProcessPool`` if a worker dies, is raised
-    where its chunk is read. Leaving the block cancels the chunks not yet
-    started and waits for the workers to exit. Forking is safe here: the pool
-    forks every worker before it starts a thread, and the CLI starts none.
+    ``task`` and ``shared`` reach the workers through fork, never pickled; each
+    item and each result is pickled. A worker's exception, and
+    ``BrokenProcessPool`` if a worker dies, is raised where its result is read.
+    Leaving the block cancels the items not yet started and waits for the
+    workers to exit. Forking is safe here: the pool forks every worker before it
+    starts a thread, and the CLI starts none.
     """
     import multiprocessing  # here, not at the top: it adds about 20 ms to importing the CLI
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(spans))
+    workers = min(cpus, len(items))
     if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        yield map(functools.partial(_sample_chunk, kind, draw), spans)
+        yield map(functools.partial(task, *shared), items)
         return
     from concurrent.futures import ProcessPoolExecutor
 
@@ -377,10 +380,10 @@ def _sampled_chunks(kind: str, draw, spans: list[tuple[int, int]]):
         workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_init_worker,
-        initargs=(kind, draw, os.getpid()),
+        initargs=(task, shared, os.getpid()),
     )
     try:
-        yield pool.map(_worker_chunk, spans)
+        yield pool.map(_worker_call, items)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -395,7 +398,7 @@ def run_sample(
     ``_CHUNK_ROWS`` rows; a tail shorter than ``_TAIL_ROWS`` joins the chunk
     before it, so every chunk computes the same bits as the whole array
     would, and the CSV does not depend on the chunking. The chunks are
-    computed on every usable CPU (see ``_sampled_chunks``), and this process
+    computed on every usable CPU (see ``_ordered_map``), and this process
     writes each one, in order, as soon as it arrives.
     """
     if n < 1:
@@ -410,8 +413,8 @@ def run_sample(
 
     n_violations = 0
     min_c, max_c = np.inf, -np.inf
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle, _sampled_chunks(
-        kind, draw, _chunk_bounds(n)
+    with open(out_path, "w", encoding="utf-8", newline="\n") as handle, _ordered_map(
+        _sample_chunk, (kind, draw), _chunk_bounds(n)
     ) as chunks:
         handle.write(_CSV_HEADER + "\n")
         for violations, lo_c, hi_c, rows in chunks:
@@ -483,6 +486,17 @@ def run_table1(tol: float = 1e-12) -> RunReport:
     )
 
 
+def _table2_cell(seed: int, n: int, rotations: list, cell: int) -> basis_change.EscapeResult:
+    """The escape experiment of ``table2`` cell ``cell``: rotation ``cell // 2``
+    (from 0) on CC objects for an even ``cell``, on DC objects for an odd one,
+    drawn from ``worker_rng(cell)`` of ``SamplerConfig(seed)``."""
+    cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
+    kind = "DC" if cell % 2 else "CC"
+    return basis_change.escape_experiment(
+        kind, rotations[cell // 2], n, cfg, rng=cfg.worker_rng(cell)
+    )
+
+
 def run_table2(
     n: int = 20000, seed: int = 42, v_docs: list[str] | None = None
 ) -> RunReport:
@@ -494,6 +508,8 @@ def run_table2(
     published figures depend on the sampling distribution. Rotation ``idx``
     (from 1) draws its CC cell from ``worker_rng(2 * (idx - 1))`` and its DC
     cell from ``worker_rng(2 * (idx - 1) + 1)`` of ``SamplerConfig(seed)``.
+    The cells are independent, so they run on every usable CPU (see
+    ``_ordered_map``); the report is assembled from them in cell order.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -507,13 +523,13 @@ def run_table2(
     else:
         rotations = list(basis_change.ESCAPE_V_SET)
         references = list(basis_change.REFERENCE_PROPORTIONS)
+    with _ordered_map(_table2_cell, (seed, n, rotations), list(range(2 * len(rotations)))) as cells:
+        cells = list(cells)
     results = {}
-    for idx, (v, ref) in enumerate(zip(rotations, references), start=1):
+    for idx, ref in enumerate(references, start=1):
         row = {}
-        for column, kind in (("cc", "CC"), ("dc", "DC")):
-            cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
-            stream = 2 * (idx - 1) + (0 if kind == "CC" else 1)
-            res = basis_change.escape_experiment(kind, v, n, cfg, rng=cfg.worker_rng(stream))
+        for k, column in enumerate(("cc", "dc")):
+            res = cells[2 * (idx - 1) + k]
             percent = 100.0 * res.proportion
             halfwidth = 100.0 * 1.96 * np.sqrt(
                 max(res.proportion * (1 - res.proportion), 0.0) / n
@@ -526,7 +542,7 @@ def run_table2(
                 "image_in_target": res.image_in_target,
             }
             if ref is not None:
-                printed = ref[0 if kind == "CC" else 1]
+                printed = ref[k]
                 entry["printed_percent"] = printed
                 entry["in_band"] = bool(abs(percent - printed) <= 5.0)
             row[column] = entry

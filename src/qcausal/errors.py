@@ -22,6 +22,10 @@ class SamplingExhaustedError(ConsistencyError):
         self.accepted = accepted
         self.attempts = attempts
 
+    def __reduce__(self):
+        # The default rebuilds from the message alone, which __init__ refuses.
+        return type(self), (self.args[0], self.accepted, self.attempts)
+
     @property
     def acceptance_rate(self) -> float:
         if self.attempts == 0:

@@ -490,7 +490,9 @@ class TestTable2Command:
 
     def test_seed_streams_do_not_collide(self, monkeypatch):
         # under additive per-cell seeds (seed + 1000 * idx + 500 * kind) seed
-        # 42's v1-DC stream and seed 542's v1-CC stream coincide
+        # 42's v1-DC stream and seed 542's v1-CC stream coincide. One usable
+        # CPU keeps the cells in this process, where the recorder can see them.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         real = cli.basis_change.escape_experiment
         starts = []
 
@@ -510,6 +512,75 @@ class TestTable2Command:
         a = cli.run_table2(n=300, seed=23)
         b = cli.run_table2(n=300, seed=23)
         assert a.to_json() == b.to_json()
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
+)
+class TestTable2Pool:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    def _in_process_and_pooled(self, monkeypatch, **kwargs):
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m)
+        )
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            reports.append(cli.run_table2(**kwargs).to_json())
+        assert contexts == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        return reports
+
+    def test_in_process_matches_pool(self, monkeypatch):
+        in_process, pooled = self._in_process_and_pooled(monkeypatch, n=4097, seed=5)
+        assert in_process == pooled
+
+    def test_custom_rotation_in_process_matches_pool(self, tmp_path, monkeypatch):
+        v = sample_unitary(np.random.default_rng(13))
+        path = write_doc(tmp_path, "v.json", cli.document_from_array("unitary", v))
+        in_process, pooled = self._in_process_and_pooled(
+            monkeypatch, n=300, seed=6, v_docs=[path]
+        )
+        assert in_process == pooled
+        assert json.loads(pooled)["parameters"]["custom_v"] is True
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_third_cell_consistency_error_exits_two(self, tmp_path, monkeypatch, capfd, cpus):
+        real = cli.basis_change.escape_experiment
+
+        def fails_in_the_third_cell(kind, v, n, cfg=None, rng=None):
+            if kind == "CC" and np.array_equal(v, basis_change.ESCAPE_V_SET[1]):
+                raise ConsistencyError("a rotated point left its tetrahedron")
+            return real(kind, v, n, cfg, rng)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(cli.basis_change, "escape_experiment", fails_in_the_third_cell)
+        status = cli.main(["table2", "--n", "300", "--out", str(tmp_path / "r.json")])
+        err = capfd.readouterr().err
+        assert status == 2
+        assert err == "consistency violation: a rotated point left its tetrahedron\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_exhausted_budget_exits_two(self, tmp_path, monkeypatch, capfd, cpus):
+        # one chunk of budget cannot fill a chunk-sized sample of the overlap
+        budget = cli.samplers._CHUNK
+        config = cli.samplers.SamplerConfig
+        monkeypatch.setattr(
+            cli.samplers, "SamplerConfig", lambda **kw: config(max_rejections=budget, **kw)
+        )
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        status = cli.main(["table2", "--n", str(budget), "--out", str(tmp_path / "r.json")])
+        err = capfd.readouterr().err
+        assert status == 2
+        assert err.startswith("consistency violation: rejection budget ")
+        assert err.count("\n") == 1, err
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestMainEntry:

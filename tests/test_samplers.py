@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -161,6 +163,13 @@ class TestRegionConditioning:
         # one full chunk is drawn before the budget check stops the search
         assert info.value.attempts == samplers._CHUNK
         assert 0.0 <= info.value.acceptance_rate <= 1.0
+
+    def test_exhaustion_survives_pickling(self):
+        # a pool worker's exception reaches the parent pickled
+        error = SamplingExhaustedError("budget spent", accepted=1, attempts=2)
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is SamplingExhaustedError
+        assert (str(copy), copy.accepted, copy.attempts) == ("budget spent", 1, 2)
 
     def test_cc_overlap_acceptance_rate_regression(self):
         # measured once and frozen: ~85% of rank-4 mixtures land in the
