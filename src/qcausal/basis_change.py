@@ -24,6 +24,7 @@ to rank 1.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,7 @@ from .correlation import (
     dc_pvector_batch,
 )
 from .errors import ConsistencyError, ValidationError
-from .geometry import contains, in_otc, in_otd, in_overlap, tcc, tdc
+from .geometry import _ESCAPE_RUNS, _SIGNS, RegionLabel, _face_masks, classify
 from .qmath import (
     is_density,
     is_unitary,
@@ -219,12 +220,13 @@ def escape_experiment(
     v = require_unitary(v)
     cfg = SamplerConfig(density_rank=1) if cfg is None else cfg
     objs = sample_in_region_batch(cfg, kind, "O", n, rng=rng)
-    full, cut = (tcc(), in_otc) if kind == "CC" else (tdc(), in_otd)
     pts = _rotated_points(kind, objs, v)
-    if not contains(full, pts, _MEMBERSHIP_TOL).all():
+    full, in_target, rest = _face_masks(pts, _SIGNS, 1.0, _MEMBERSHIP_TOL, _ESCAPE_RUNS[kind])
+    if not full.all():
         raise ConsistencyError("a rotated point left its tetrahedron")
-    in_target = cut(pts, _MEMBERSHIP_TOL)
-    escaped = int((in_target & ~in_overlap(pts, _MEMBERSHIP_TOL)).sum())
+    # Inside the tetrahedron, the cut face alone decides the corner-cut region,
+    # and the overlap is that region inside the other three mirror faces.
+    escaped = int((in_target & ~rest).sum())
     return EscapeResult(
         kind=kind,
         v=v,
@@ -250,6 +252,15 @@ def _lift(q: np.ndarray) -> np.ndarray:
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
+def _point(kind: str, obj: np.ndarray) -> np.ndarray:
+    """The batch kernel's point of one trusted object, its residue checked."""
+    if kind == "DC":
+        return dc_pvector_batch(obj[None])[0]
+    point, residue = _cc_pvector_residue_batch(obj[None])
+    _check_residue(residue)
+    return point[0]
+
+
 def escape_witness(
     kind: str, target, tol: float = _MEMBERSHIP_TOL
 ) -> tuple[float, np.ndarray | None]:
@@ -261,10 +272,11 @@ def escape_witness(
     Q^T M Q, Q the transfer matrix of v, so by Schur-Horn the largest
     |c11| + |c22| + |c33| reached is sum |lambda(S)|, S = (M + M^T)/2, at the
     Q that diagonalises S. Returns (margin = sum |lambda(S)| - 1, v): v lifts
-    that Q if it moves the point into its tetrahedron and out of the overlap
-    at ``tol``, else None. The target's point must lie in the overlap at
-    ``tol``. ``ConsistencyError`` if a check of the scalar API fails on v or
-    the moved object, or a margin past ``tol`` does not escape.
+    that Q if :func:`classify` labels the moved object's point CC_ONLY (for
+    'CC') or DC_ONLY (for 'DC') at ``tol``, else None. The points are the
+    batch kernel's, and the target's must be labelled AMBIGUOUS at ``tol``.
+    ``ConsistencyError`` if a check of the scalar API fails on v or the moved
+    object, or a margin past ``tol`` does not escape.
     """
     if kind == "CC":
         target = require_density(target)
@@ -274,7 +286,7 @@ def escape_witness(
         m = np.einsum("iab,bc,jcd,ad->ij", _SIGMA, target, _SIGMA, target.conj()).real / 2.0
     else:
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    if not in_overlap(np.diag(m), tol):
+    if classify(_point(kind, target), tol) is not RegionLabel.AMBIGUOUS:
         raise ValidationError("target's correlation point is already outside the overlap")
     lam, q = np.linalg.eigh((m + m.T) / 2.0)
     q[:, 0] *= np.sign(np.linalg.det(q))
@@ -282,17 +294,15 @@ def escape_witness(
     v = _lift(q)
     if kind == "CC":
         moved = _transform_density_batch(target, v)
-        point, residue = _cc_pvector_residue_batch(moved[None])
-        ok, tetra = is_density(moved, 1e-9), tcc()
+        ok, own = is_density(moved, 1e-9), RegionLabel.CC_ONLY
     else:
         moved = _transform_unitary_batch(target, v)
-        point, residue = dc_pvector_batch(moved[None]), 0.0
-        ok, tetra = is_unitary(moved, 1e-10), tdc()
+        ok, own = is_unitary(moved, 1e-10), RegionLabel.DC_ONLY
     if not (is_unitary(v) and ok):
         raise ConsistencyError("escape witness: the rotation or moved object failed a predicate")
-    _check_residue(residue)
-    if contains(tetra, point[0], tol) and not in_overlap(point[0], tol):
-        return margin, v
+    with contextlib.suppress(ValidationError):  # rounded out of the cube (tol 0): no escape
+        if classify(_point(kind, moved), tol) is own:
+            return margin, v
     if margin > tol + 1e-12:  # the witness reaches 1 + margin up to rounding
         raise ConsistencyError(f"escape witness: margin {margin:.3e}, but no escape")
     return margin, None

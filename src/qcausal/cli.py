@@ -210,8 +210,14 @@ def _complex_entries(matrix: np.ndarray):
 # -- commands ----------------------------------------------------------------
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < float("inf"):  # NaN fails both comparisons
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunReport:
     """Classify one document and decide an ambiguous object's escape (``seed`` is only recorded)."""
+    _check_tol(tol)
     if doc.kind == "density":
         point = correlation.cc_pvector(doc.payload())
     elif doc.kind == "unitary":
@@ -248,6 +254,7 @@ def run_bounds(
     grid_step: float = 0.01, starts: int = 200, seed: int = 42, tol: float = 1e-6
 ) -> RunReport:
     """Certify the four extrema with both oracles and report their agreement."""
+    _check_tol(tol)
     cfg = samplers.SamplerConfig(seed=seed)
     results = {}
     violations = []
@@ -453,6 +460,7 @@ _TABLE1_ROWS = (
 
 def run_table1(tol: float = 1e-12) -> RunReport:
     """Recompute the eight signature rows and assert the exact sign patterns."""
+    _check_tol(tol)
     results = {}
     violations = []
     for kind, index, expected_pattern, expected_c in _TABLE1_ROWS:

@@ -1,25 +1,23 @@
 """Correlation-polytope geometry for the causal-discrimination picture.
 
-The reachable correlation points form two regular tetrahedra inscribed in
-the cube [-1, 1]^3, mirror images of each other: one traced by joint
-preparations (vertices at the four entangled-basis points) and one by
-causal evolutions (vertices at the four Pauli points). Their intersection
-is the octahedron |c11| + |c22| + |c33| <= 1 whose vertices are the six
-cube face centers; inside it the base statistic cannot discriminate.
+Every region is cut out of the cube [-1, 1]^3 by sign faces s . c <= 1,
+s in {-1, 1}^3, and the eight of them form one read-only table. The four
+with an even number of minus signs bound the tetrahedron of joint
+preparations (vertices at the four entangled-basis points); the four with
+an odd number bound its mirror image, the tetrahedron of causal evolutions
+(vertices at the four Pauli points). All eight bound their intersection,
+the octahedron whose vertices are the six cube face centers; inside it the
+base statistic cannot discriminate, and a point inside both tetrahedra is
+labelled ambiguous.
 
-Each tetrahedron also has a "reachable-after-rotation" variant with one
-corner removed. The removed corners are forced by conjugation invariants:
-
-* the fourth barycentric coordinate of a preparation's point equals its
-  singlet population, which collective single-qubit rotations preserve, so
-  points beyond the cut plane at the (-1, -1, -1) vertex stay unreachable
-  from the octahedron;
-* the first barycentric coordinate of an evolution's point equals
-  |tr u|^2 / 4, which conjugation preserves, so the corner at (1, 1, 1)
-  is likewise unreachable.
-
-Containment is closed (within tolerance); the dug-out corners are removed
-beyond their cut planes, so the cut planes themselves stay classifiable.
+Each tetrahedron also has a "reachable-after-rotation" variant: its four
+faces plus the mirror face across one corner (the sign row equal to that
+corner), which conjugation invariants make unreachable from the overlap.
+For a preparation it is (-1, -1, -1): the fourth barycentric coordinate is
+the singlet population, which collective single-qubit rotations preserve.
+For an evolution it is (1, 1, 1): the first barycentric coordinate is
+|tr u|^2 / 4, which conjugation preserves. Containment is closed (within
+tolerance), so the cut faces themselves stay classifiable.
 """
 
 from __future__ import annotations
@@ -51,17 +49,6 @@ __all__ = [
     "unitary_from_probs",
     "region_test",
 ]
-
-_TCC_VERTICES = np.array(
-    [[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]], dtype=float
-)
-_TDC_VERTICES = np.array(
-    [[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]], dtype=float
-)
-
-# Cut-plane normals of the dug-out corners (see module docstring).
-_OTC_CUT = np.array([-1.0, -1.0, -1.0])
-_OTD_CUT = np.array([1.0, 1.0, 1.0])
 
 WEIGHT_NEG_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
@@ -122,19 +109,23 @@ class Tetrahedron:
         return abs(np.linalg.det(edges)) / 6.0
 
 
-_TCC = Tetrahedron(_TCC_VERTICES)
-_TDC = Tetrahedron(_TDC_VERTICES)
-_DUG_TCC = Tetrahedron(
-    np.array([[-1, -1, -1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
-)
-_DUG_TDC = Tetrahedron(
-    np.array([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
-)
+_TCC = Tetrahedron([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
+_TDC = Tetrahedron([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+_DUG_TCC = Tetrahedron([[-1, -1, -1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+_DUG_TDC = Tetrahedron([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
-
-# Face tables (normals, offsets) of the corner-cut regions: four faces and the cut plane.
-_OTC_FACES = (np.vstack([_TCC.halfspaces, _OTC_CUT]), np.append(_TCC.offsets, 1.0))
-_OTD_FACES = (np.vstack([_TDC.halfspaces, _OTD_CUT]), np.append(_TDC.offsets, 1.0))
+# The eight sign faces s . c <= 1 (see module docstring): rows 0-3 bound tcc(),
+# rows 4-7 tdc(). Face j of a tetrahedron lies opposite vertex j, so the mirror
+# face across tcc()'s removed corner (-1, -1, -1) is row 4, and the one across
+# tdc()'s (1, 1, 1) is row 3. Every canonical region is a run of rows.
+_SIGNS = np.vstack([_TCC.halfspaces, _TDC.halfspaces])
+_SIGNS.setflags(write=False)
+_ROWS = {"O": slice(0, 8), "TCC": slice(0, 4), "TDC": slice(4, 8),
+         "OTC": slice(0, 5), "OTD": slice(3, 8)}
+# The escape experiment's one pass, by kind: the tetrahedron's rows, its cut face,
+# and the other three mirror rows.
+_ESCAPE_RUNS = {"CC": (slice(0, 4), slice(4, 5), slice(5, 8)),
+                "DC": (slice(4, 8), slice(3, 4), slice(0, 3))}
 
 
 def tcc() -> Tetrahedron:
@@ -164,59 +155,62 @@ def _points(p) -> np.ndarray:
     return arr
 
 
-def _below_all(arr: np.ndarray, normals: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """``normal . p <= bound`` for every face, over the last axis of ``arr``.
+def _face_masks(arr: np.ndarray, normals: np.ndarray, offsets, tol: float, runs=(slice(None),)):
+    """One mask per run of faces: ``normal . p <= offset + tol`` for every face in the run.
 
-    One 1-D expression per face over contiguous x, y, z columns, summed in that
-    order: for the +-1/0 normals used here it gives a matmul's bits, without
-    starting a BLAS thread pool in every forked worker. A single point takes
-    the same sums in Python floats, which costs a fifth of the array calls.
+    Each face sum is ``(a x + b y) + c z`` over contiguous columns, and each shared
+    partial sum is computed once: for the +-1/0 normals used here that gives a
+    matmul's bits, without a BLAS thread pool in every forked worker. A single
+    point takes the same sums in Python floats, a fifth of the array calls' cost.
     """
-    faces = zip(normals.tolist(), bounds.tolist())
+    if tol < 0:
+        raise ValidationError("tolerance must be >= 0")
+    faces = list(zip(normals.tolist(), np.full(len(normals), offsets + tol).tolist()))
     if arr.size == 3:
         x, y, z = arr.ravel().tolist()
-        inside = all(a * x + b * y + c * z <= bound for (a, b, c), bound in faces)
-        return np.full(arr.shape[:-1], inside)
+        inside = [all(a * x + b * y + c * z <= d for (a, b, c), d in faces[run]) for run in runs]
+        return [np.full(arr.shape[:-1], ok) for ok in inside]
     x, y, z = np.moveaxis(arr, -1, 0).copy()
-    result = np.ones(x.shape, dtype=bool)
-    for (a, b, c), bound in faces:
-        result &= a * x + b * y + c * z <= bound
-    return result
+    head, tail = functools.cache(lambda a, b: a * x + b * y), functools.cache(lambda c: c * z)
+    masks = [np.ones(x.shape, dtype=bool) for _ in runs]
+    for mask, run in zip(masks, runs):
+        for (a, b, c), bound in faces[run]:
+            mask &= head(a, b) + tail(c) <= bound
+    return masks
+
+
+def _member(normals: np.ndarray, offsets, p, tol: float = 0.0):
+    """Closed membership in the intersection of ``normal . p <= offset``, within ``tol``."""
+    arr = _points(p)
+    (result,) = _face_masks(arr, normals, offsets, tol)
+    return bool(result) if arr.ndim == 1 else result
 
 
 def contains(t: Tetrahedron, p, tol: float = 0.0):
     """Closed containment test; broadcasts over leading axes of ``p``."""
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
-    arr = _points(p)
-    result = _below_all(arr, t.halfspaces, t.offsets + tol)
-    return bool(result) if arr.ndim == 1 else result
+    return _member(t.halfspaces, t.offsets, p, tol)
+
+
+def region_test(name: str):
+    """Return the membership predicate ``(p, tol=0.0)`` for a named region."""
+    if name not in _ROWS:
+        raise ValidationError(f"unknown region {name!r}; expected one of {sorted(_ROWS)}")
+    return functools.partial(_member, _SIGNS[_ROWS[name]], 1.0)
 
 
 def in_overlap(p, tol: float = 0.0):
-    """Membership in the octahedral overlap |c11|+|c22|+|c33| <= 1."""
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
-    arr = _points(p)
-    result = np.abs(arr).sum(axis=-1) <= 1.0 + tol
-    return bool(result) if arr.ndim == 1 else result
-
-
-def _corner_cut(faces: tuple[np.ndarray, np.ndarray], p, tol: float):
-    arr = _points(p)
-    normals, offsets = faces
-    result = _below_all(arr, normals, offsets + tol)
-    return bool(result) if arr.ndim == 1 else result
+    """Membership in the octahedral overlap: all eight sign faces."""
+    return _member(_SIGNS, 1.0, p, tol)
 
 
 def in_otc(p, tol: float = 0.0):
-    """Preparation tetrahedron minus its unreachable corner (beyond the cut plane)."""
-    return _corner_cut(_OTC_FACES, p, tol)
+    """Preparation tetrahedron minus its unreachable corner (beyond the cut face)."""
+    return _member(_SIGNS[_ROWS["OTC"]], 1.0, p, tol)
 
 
 def in_otd(p, tol: float = 0.0):
-    """Evolution tetrahedron minus its unreachable corner (beyond the cut plane)."""
-    return _corner_cut(_OTD_FACES, p, tol)
+    """Evolution tetrahedron minus its unreachable corner (beyond the cut face)."""
+    return _member(_SIGNS[_ROWS["OTD"]], 1.0, p, tol)
 
 
 def classify(p, tol: float = 1e-9) -> RegionLabel:
@@ -239,16 +233,18 @@ _CODE = {label: code for code, label in enumerate(_LABELS)}
 
 
 def _classify_codes(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized :func:`classify` as uint8 codes into ``_LABEL_NAMES``."""
+    """Vectorized :func:`classify` as uint8 codes into ``_LABEL_NAMES``: one pass
+    over each tetrahedron's four faces, and the overlap is inside both."""
     arr = _points(pts)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("a correlation point has a non-finite component")
-    if np.max(np.abs(arr)) > 1.0 + tol:
+    if np.abs(arr).max() > 1.0 + tol:
         raise ValidationError("a correlation point lies outside the correlation cube")
+    in_tcc, in_tdc = _face_masks(arr, _SIGNS, 1.0, tol, (_ROWS["TCC"], _ROWS["TDC"]))
     codes = np.full(arr.shape[0], _CODE[RegionLabel.MIXTURE_REQUIRED], dtype=np.uint8)
-    codes[contains(_TCC, arr, tol)] = _CODE[RegionLabel.CC_ONLY]
-    codes[contains(_TDC, arr, tol)] = _CODE[RegionLabel.DC_ONLY]
-    codes[in_overlap(arr, tol)] = _CODE[RegionLabel.AMBIGUOUS]
+    codes[in_tcc] = _CODE[RegionLabel.CC_ONLY]
+    codes[in_tdc] = _CODE[RegionLabel.DC_ONLY]
+    codes[in_tcc & in_tdc] = _CODE[RegionLabel.AMBIGUOUS]
     return codes
 
 
@@ -304,19 +300,3 @@ def unitary_from_probs(w) -> np.ndarray:
     return np.array(
         [[a1 + 1j * a2, b1 + 1j * b2], [-(b1 - 1j * b2), a1 - 1j * a2]], dtype=complex
     )
-
-
-_REGIONS = {
-    "O": in_overlap,
-    "TCC": functools.partial(contains, _TCC),
-    "TDC": functools.partial(contains, _TDC),
-    "OTC": in_otc,
-    "OTD": in_otd,
-}
-
-
-def region_test(name: str):
-    """Return the membership predicate ``(p, tol=0.0)`` for a named region."""
-    if name not in _REGIONS:
-        raise ValidationError(f"unknown region {name!r}; expected one of {sorted(_REGIONS)}")
-    return _REGIONS[name]

@@ -200,7 +200,7 @@ def test_criterion_08_geometry_oracles():
     start = time.perf_counter()
     rng = SamplerConfig(seed=SEED + 5).rng()
     pts = rng.uniform(-1, 1, size=(100_000, 3))
-    via_formula = geo.in_overlap(pts, 1e-12)
+    via_formula = np.abs(pts).sum(axis=-1) <= 1.0 + 1e-12
     via_halfspaces = geo.contains(geo.tcc(), pts, 1e-12) & geo.contains(geo.tdc(), pts, 1e-12)
     disagreements = int((via_formula != via_halfspaces).sum())
     assert disagreements == 0

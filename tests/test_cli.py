@@ -201,6 +201,41 @@ class TestClassifyCommand:
         assert results["escape"]["found"] is False
         assert results["escape"]["margin"] == pytest.approx(2 * cos, abs=1e-12)
 
+    def test_point_on_the_overlap_face_gets_a_report(self, tmp_path, capsys):
+        # |c11|+|c22|+|c33| lands on 1 + tol: the label and the escape test must read
+        # the same point, or the document is labelled AMBIGUOUS and then refused.
+        p = 0.33333333366666684
+        rho = p * qmath.projector(qmath.bell(1)) + (1 - p) * np.eye(4) / 4
+        path = write_doc(tmp_path, "rho.json", cli.document_from_array("density", rho))
+        assert cli.main(["classify", path]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["label"] == "AMBIGUOUS"
+        assert results["escape"]["applicable"] is True
+
+    @pytest.mark.parametrize("bell", [1, 2, 3, 4])
+    def test_bell_diagonal_sweep_across_the_overlap_face(self, bell):
+        labels = set()
+        for k in range(-200, 201):
+            p = (1 + 1e-9) / 3 + k * 1e-17
+            rho = p * qmath.projector(qmath.bell(bell)) + (1 - p) * np.eye(4) / 4
+            results = cli.run_classify(cli.document_from_array("density", rho)).results
+            assert ("escape" in results) is (results["label"] == "AMBIGUOUS")
+            labels.add(results["label"])
+        assert labels == {"AMBIGUOUS", "CC_ONLY"}
+
+    def test_witness_rounded_out_of_the_cube_is_not_an_input_error(self, tmp_path, capsys):
+        # An evolution's witness point lies on an edge of its tetrahedron, so on a cube
+        # face; at --tol 0 rounding can put it outside the cube. That is no escape, and
+        # not a fault of the document.
+        entries = [[0.7420243887566955, 0.19626664381281084],
+                   [-0.38529577378203245, 0.5122756852734791],
+                   [-0.5964980434455326, 0.23466847931147297],
+                   [-0.008801622110046117, 0.7674915767821328]]
+        path = tmp_path / "u.json"
+        path.write_text(json.dumps({"kind": "unitary", "dim": 2, "entries": entries}))
+        assert cli.main(["classify", str(path), "--tol", "0"]) != 1
+        assert "validation error" not in capsys.readouterr().err
+
     def test_max_tries_flag_is_gone(self, tmp_path):
         path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", qmath.pauli(1)))
         with pytest.raises(SystemExit):
@@ -596,6 +631,20 @@ class TestMainEntry:
         path.write_text("{not json", encoding="utf-8")
         assert cli.main(["classify", str(path)]) == 1
         assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["classify", "bounds", "table1"])
+    def test_bad_tol_exit_one(self, tmp_path, capsys, command, tol):
+        args = [command, "--tol", tol]
+        if command == "classify":
+            doc = cli.document_from_array("unitary", np.diag([1, 1j]))
+            args.insert(1, write_doc(tmp_path, "u.json", doc))
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("validation error:")
 
     def test_io_exit_three(self, tmp_path, capsys):
         doc = cli.document_from_array("unitary", qmath.pauli(1))

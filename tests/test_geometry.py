@@ -45,6 +45,21 @@ def contains_matmul_oracle(t, pts, tol):
     return np.all(pts @ t.halfspaces.T <= t.offsets + tol, axis=-1)
 
 
+def overlap_formula_oracle(pts, tol):
+    """The octahedron as |c11| + |c22| + |c33| <= 1, the form ``in_overlap`` had."""
+    return np.abs(pts).sum(axis=-1) <= 1.0 + tol
+
+
+def three_pass_codes_oracle(pts, tol):
+    """Label codes by three passes, the form ``_classify_codes`` had: both
+    tetrahedra, then the overlap formula over the top."""
+    codes = np.full(len(pts), geo._CODE[geo.RegionLabel.MIXTURE_REQUIRED], dtype=np.uint8)
+    codes[contains_matmul_oracle(geo.tcc(), pts, tol)] = geo._CODE[geo.RegionLabel.CC_ONLY]
+    codes[contains_matmul_oracle(geo.tdc(), pts, tol)] = geo._CODE[geo.RegionLabel.DC_ONLY]
+    codes[overlap_formula_oracle(pts, tol)] = geo._CODE[geo.RegionLabel.AMBIGUOUS]
+    return codes
+
+
 class TestCanonicalTetrahedra:
     def test_tcc_vertices(self):
         np.testing.assert_array_equal(geo.tcc().vertices, TCC_VERTICES)
@@ -55,6 +70,23 @@ class TestCanonicalTetrahedra:
     def test_centroids_at_origin(self):
         np.testing.assert_allclose(geo.tcc().vertices.mean(axis=0), 0.0, atol=1e-15)
         np.testing.assert_allclose(geo.tdc().vertices.mean(axis=0), 0.0, atol=1e-15)
+
+    def test_sign_table(self):
+        # all eight sign vectors, tcc()'s faces first; the cut faces sit next to them
+        signs = geo._SIGNS
+        assert not signs.flags.writeable
+        assert sorted(map(tuple, signs.tolist())) == sorted(
+            (a, b, c) for a in (1.0, -1.0) for b in (1.0, -1.0) for c in (1.0, -1.0)
+        )
+        np.testing.assert_array_equal(signs[:4], geo.tcc().halfspaces)
+        np.testing.assert_array_equal(signs[4:], geo.tdc().halfspaces)
+        np.testing.assert_array_equal(signs[4], [-1.0, -1.0, -1.0])  # OTC's cut face
+        np.testing.assert_array_equal(signs[3], [1.0, 1.0, 1.0])  # OTD's cut face
+        rows = list(range(8))
+        for kind, region in (("CC", "OTC"), ("DC", "OTD")):
+            own, cut, rest = (rows[run] for run in geo._ESCAPE_RUNS[kind])
+            assert sorted(own + cut + rest) == rows
+            assert sorted(own + cut) == rows[geo._ROWS[region]]
 
     def test_halfspace_sign_structure(self):
         # preparation tetrahedron: even number of minus signs; evolution: odd
@@ -105,11 +137,24 @@ class TestContainsMatchesMatmulOracle:
         for region, t, cut in ((geo.in_otc, geo.tcc(), -1.0), (geo.in_otd, geo.tdc(), 1.0)):
             cut_side = pts @ np.full(3, cut) <= 1.0 + tol
             cases.append((region, contains_matmul_oracle(t, pts, tol) & cut_side))
+        cases.append((geo.in_overlap, overlap_formula_oracle(pts, tol)))
         for region, expected in cases:
             assert 0 < expected.sum() < len(pts)
             assert np.array_equal(region(pts, tol), expected)
             # one point at a time, which takes the Python-float path
             assert [region(p, tol) for p in pts[::10]] == expected[::10].tolist()
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9, 0.01])
+    def test_codes_match_three_pass_rule(self, tol):
+        uniform = np.random.default_rng(37).uniform(-1, 1, size=(100_000, 3))
+        faces = [near_face_points(), on_face_points(1.0 + tol), on_face_points(1.0)]
+        pts = np.vstack([*faces, uniform])
+        pts = pts[np.abs(pts).max(axis=1) <= 1.0 + tol]
+        expected = three_pass_codes_oracle(pts, tol)
+        assert set(expected.tolist()) == set(geo._CODE.values())
+        assert np.array_equal(geo._classify_codes(pts, tol), expected)
+        # one point at a time, which takes the Python-float path
+        assert [geo._classify_codes(p[None], tol)[0] for p in pts[::50]] == expected[::50].tolist()
 
 
 class TestOverlap:
@@ -126,7 +171,7 @@ class TestOverlap:
         # octahedron formula == brute-force intersection of both tetrahedra
         rng = np.random.default_rng(30)
         pts = rng.uniform(-1, 1, size=(100_000, 3))
-        via_formula = geo.in_overlap(pts, tol=1e-12)
+        via_formula = overlap_formula_oracle(pts, 1e-12)
         via_halfspaces = geo.contains(geo.tcc(), pts, 1e-12) & geo.contains(
             geo.tdc(), pts, 1e-12
         )
