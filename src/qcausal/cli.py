@@ -218,6 +218,7 @@ def _check_tol(tol: float) -> None:
 def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunReport:
     """Classify one document and decide an ambiguous object's escape (``seed`` is only recorded)."""
     _check_tol(tol)
+    samplers.SamplerConfig(seed=seed)  # refuses a seed that no other command would take
     if doc.kind == "density":
         point = correlation.cc_pvector(doc.payload())
     elif doc.kind == "unitary":
@@ -307,30 +308,36 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> str:
-    """CSV rows ``c11,c22,c33,c,label``, floats as their shortest round-trip repr."""
+def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
+    """ASCII CSV rows ``c11,c22,c33,c,label``, each ended by a newline, floats
+    as their shortest round-trip repr."""
     columns = [map(repr, col) for col in (*pts.T.tolist(), cvals.tolist())]
     labels = geometry._LABEL_NAMES[codes].tolist()
-    return "\n".join(map(",".join, zip(*columns, labels)))
+    return ("\n".join(map(",".join, zip(*columns, labels))) + "\n").encode("ascii")
 
 
-def _sample_chunk(kind: str, draw, span: tuple[int, int]) -> tuple[int, float, float, str]:
-    """Bound violations, min and max of C, and the encoded CSV rows of rows
-    ``lo:hi`` of the draw: density operators (CC) or unitary parameter columns (DC)."""
-    lo, hi = span
+def _sample_chunk(
+    kind: str, stream: samplers.DrawStream, item: tuple[tuple[int, int], list[dict]]
+) -> tuple[int, float, float, bytes]:
+    """Bound violations, min and max of C, and the encoded CSV rows of one chunk.
+
+    ``item`` is the chunk's span of rows and the generator states that
+    ``stream.record`` kept for it; the chunk's density operators (CC) or
+    unitary parameter columns (DC) are redrawn from them here."""
+    (lo, hi), states = item
+    draw = stream.replay(states, hi - lo)
     if kind == "CC":
-        pts = correlation.cc_pvector_batch(draw[lo:hi])
+        pts = correlation.cc_pvector_batch(draw)
     else:
-        pts = correlation.dc_pvector_batch(
-            samplers.unitaries_from_params(*(p[lo:hi] for p in draw))
-        )
+        pts = correlation.dc_pvector_batch(samplers.unitaries_from_params(*draw))
+    del draw  # frees the chunk's objects (16 MB at rank 4) before the encoding
     cvals = pts.prod(axis=1)
     if kind == "CC":
         violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
     else:
         violations = int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
     codes = geometry._classify_codes(pts, tol=1e-9)
-    return violations, cvals.min(), cvals.max(), _encode_rows(pts, cvals, codes) + "\n"
+    return violations, cvals.min(), cvals.max(), _encode_rows(pts, cvals, codes)
 
 
 # A pool worker's task with its shared arguments bound, set by _init_worker. A
@@ -400,30 +407,33 @@ def run_sample(
 ) -> RunReport:
     """Write a CSV scatter of sampled correlation points and check the bounds.
 
-    The random draw covers all ``n`` rows at once, so it alone fixes the
-    stream. Points, labels and CSV rows then follow in chunks of
-    ``_CHUNK_ROWS`` rows; a tail shorter than ``_TAIL_ROWS`` joins the chunk
-    before it, so every chunk computes the same bits as the whole array
-    would, and the CSV does not depend on the chunking. The chunks are
-    computed on every usable CPU (see ``_ordered_map``), and this process
-    writes each one, in order, as soon as it arrives.
+    The rows come in chunks of ``_CHUNK_ROWS``; a tail shorter than
+    ``_TAIL_ROWS`` joins the chunk before it, so every chunk computes the
+    same bits as the whole array would. The random draw is the stream of
+    ``sample_density`` (CC) or ``sample_unitary_params`` (DC) for all ``n``
+    rows, but no process holds it: this one passes over it once, a chunk at
+    a time, and keeps only the generator states at each chunk's rows
+    (``DrawStream.record``); each chunk then redraws its own rows from them
+    (``DrawStream.replay``). The CSV is therefore byte for byte the one a
+    whole-array pass would write, and memory does not grow with ``n``. The
+    chunks are computed on every usable CPU (see ``_ordered_map``), and this
+    process writes each one, in order, as soon as it arrives.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    rng = samplers.SamplerConfig(seed=seed, density_rank=rank).rng()
-    if kind == "CC":
-        draw = samplers.sample_density(rng, rank=rank, size=n)
-    else:
-        draw = samplers.sample_unitary_params(rng, n)
+    cfg = samplers.SamplerConfig(seed=seed, density_rank=rank)
+    stream = samplers.density_stream(rank) if kind == "CC" else samplers.UNITARY_PARAMS
+    spans = _chunk_bounds(n)
+    states = stream.record(cfg.rng(), [hi - lo for lo, hi in spans])
 
     n_violations = 0
     min_c, max_c = np.inf, -np.inf
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle, _ordered_map(
-        _sample_chunk, (kind, draw), _chunk_bounds(n)
+    with open(out_path, "wb") as handle, _ordered_map(
+        _sample_chunk, (kind, stream), list(zip(spans, states))
     ) as chunks:
-        handle.write(_CSV_HEADER + "\n")
+        handle.write(_CSV_HEADER.encode("ascii") + b"\n")
         for violations, lo_c, hi_c, rows in chunks:
             n_violations += violations
             min_c, max_c = min(min_c, lo_c), max(max_c, hi_c)
@@ -494,11 +504,12 @@ def run_table1(tol: float = 1e-12) -> RunReport:
     )
 
 
-def _table2_cell(seed: int, n: int, rotations: list, cell: int) -> basis_change.EscapeResult:
+def _table2_cell(
+    cfg: samplers.SamplerConfig, n: int, rotations: list, cell: int
+) -> basis_change.EscapeResult:
     """The escape experiment of ``table2`` cell ``cell``: rotation ``cell // 2``
     (from 0) on CC objects for an even ``cell``, on DC objects for an odd one,
-    drawn from ``worker_rng(cell)`` of ``SamplerConfig(seed)``."""
-    cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
+    drawn from ``cfg.worker_rng(cell)``."""
     kind = "DC" if cell % 2 else "CC"
     return basis_change.escape_experiment(
         kind, rotations[cell // 2], n, cfg, rng=cfg.worker_rng(cell)
@@ -521,6 +532,7 @@ def run_table2(
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
     if v_docs:
         v_set = [load_document(path) for path in v_docs]
         for doc in v_set:
@@ -531,7 +543,7 @@ def run_table2(
     else:
         rotations = list(basis_change.ESCAPE_V_SET)
         references = list(basis_change.REFERENCE_PROPORTIONS)
-    with _ordered_map(_table2_cell, (seed, n, rotations), list(range(2 * len(rotations)))) as cells:
+    with _ordered_map(_table2_cell, (cfg, n, rotations), list(range(2 * len(rotations)))) as cells:
         cells = list(cells)
     results = {}
     for idx, ref in enumerate(references, start=1):

@@ -10,10 +10,16 @@ Samplers accept an optional ``size``: ``None`` returns a single object,
 an integer returns a stacked batch (leading axis). Rejection sampling for
 region-conditioned draws works on fixed-size chunks, which keeps the
 stream deterministic for a given seed.
+
+The density and unitary-parameter draws are each defined once, as a
+:class:`DrawStream`. The whole-n samplers draw it in one go; ``record`` and
+``replay`` rebuild any span of its rows, with the same bits, from a few
+generator states, so a process need not hold the rest.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +30,9 @@ from .geometry import region_test
 
 __all__ = [
     "SamplerConfig",
+    "DrawStream",
+    "density_stream",
+    "UNITARY_PARAMS",
     "sample_real_pure",
     "sample_complex_pure",
     "sample_density",
@@ -54,6 +63,9 @@ class SamplerConfig:
     max_rejections: int = 10_000_000
 
     def __post_init__(self):
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
         if not 1 <= self.density_rank <= 4:
             raise ValidationError(f"density_rank must be in 1..4, got {self.density_rank}")
         if self.max_rejections < 1:
@@ -87,19 +99,92 @@ def sample_complex_pure(rng: np.random.Generator, size=None) -> np.ndarray:
     return _squeeze(v, size)
 
 
-def sample_density(rng: np.random.Generator, rank: int = 4, size=None) -> np.ndarray:
-    """Mixtures of ``rank`` unitarily-invariant pure states with flat simplex weights."""
+@dataclass(frozen=True)
+class DrawStream:
+    """A random draw of n rows: ``blocks`` drawn one after another, each for
+    all n rows (``block(rng, n)``), and combined row by row by ``assemble``.
+
+    ``assemble`` takes an iterator over the blocks and must take all of them,
+    in order; each block is drawn only when taken, so a block that is used
+    up can be freed before the next one is drawn. A block fills its rows in
+    order, so rows ``lo:hi`` of a block are what the generator yields from
+    its state at row ``lo`` of that block: ``record`` keeps those states and
+    ``replay`` redraws any span from them.
+    """
+
+    blocks: tuple
+    assemble: Callable
+
+    def draw(self, rng: np.random.Generator, n: int):
+        return self.assemble(block(rng, n) for block in self.blocks)
+
+    def record(self, rng: np.random.Generator, sizes: list[int]) -> list[list[dict]]:
+        """For consecutive spans of ``sizes`` rows, each span's generator state
+        at its first row of every block. Draws the whole stream from ``rng``,
+        one span at a time, and keeps none of it."""
+        states: list[list[dict]] = [[] for _ in sizes]
+        for block in self.blocks:
+            for span_states, rows in zip(states, sizes):
+                span_states.append(rng.bit_generator.state)
+                block(rng, rows)
+        return states
+
+    def replay(self, states: list[dict], rows: int):
+        """The ``rows`` assembled rows of the span whose recorded (PCG64)
+        states are ``states``: the same bits as those rows of ``draw``."""
+
+        def at(state: dict) -> np.random.Generator:
+            bitgen = np.random.PCG64(0)
+            bitgen.state = state
+            return np.random.Generator(bitgen)
+
+        return self.assemble(block(at(state), rows) for block, state in zip(self.blocks, states))
+
+
+def _density_from_blocks(blocks) -> np.ndarray:
+    states = next(blocks) + 1j * next(blocks)
+    states /= np.linalg.norm(states, axis=2, keepdims=True)
+    lam = next(blocks, None)
+    if lam is None:
+        lam = np.ones((len(states), 1))
+    return np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
+
+
+def density_stream(rank: int = 4) -> DrawStream:
+    """The draw of :func:`sample_density`: real then imaginary normals of the
+    ``rank`` pure components, then (above rank 1) their Dirichlet weights."""
     if not 1 <= rank <= 4:
         raise ValidationError(f"rank must be in 1..4, got {rank}")
-    n = 1 if size is None else int(size)
-    states = rng.standard_normal((n, rank, 4)) + 1j * rng.standard_normal((n, rank, 4))
-    states /= np.linalg.norm(states, axis=2, keepdims=True)
-    if rank == 1:
-        lam = np.ones((n, 1))
-    else:
-        lam = rng.dirichlet(np.ones(rank), size=n)
-    rhos = np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
-    return _squeeze(rhos, size)
+
+    def normals(rng, n):
+        return rng.standard_normal((n, rank, 4))
+
+    def weights(rng, n):
+        return rng.dirichlet(np.ones(rank), size=n)
+
+    return DrawStream((normals, normals) + ((weights,) if rank > 1 else ()), _density_from_blocks)
+
+
+def _unitary_params_from_blocks(blocks):
+    v = next(blocks)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v[:, 0], v[:, 1], v[:, 2], v[:, 3], next(blocks)
+
+
+# The draw of sample_unitary_params: sphere normals, then phases.
+UNITARY_PARAMS = DrawStream(
+    (
+        lambda rng, n: rng.standard_normal((n, 4)),
+        lambda rng, n: rng.uniform(0.0, 2.0 * np.pi, size=n),
+    ),
+    _unitary_params_from_blocks,
+)
+
+
+def sample_density(rng: np.random.Generator, rank: int = 4, size=None) -> np.ndarray:
+    """Mixtures of ``rank`` unitarily-invariant pure states with flat simplex weights."""
+    stream = density_stream(rank)
+    return _squeeze(stream.draw(rng, 1 if size is None else int(size)), size)
 
 
 def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -110,10 +195,7 @@ def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
 
 def sample_unitary_params(rng: np.random.Generator, n: int):
     """Raw parameters (a1, a2, b1, b2, alpha): uniform sphere and uniform phase."""
-    v = rng.standard_normal((n, 4))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    alpha = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return v[:, 0], v[:, 1], v[:, 2], v[:, 3], alpha
+    return UNITARY_PARAMS.draw(rng, n)
 
 
 def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:

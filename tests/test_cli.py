@@ -324,6 +324,17 @@ class TestSampleStreaming:
             ("DC", 3 * 2**16 + 7, 4),
             ("CC", 2 * 2**16 + 5, 1),
             ("CC", 2 * 2**16 + 5, 4),
+            # ranks 2 and 3 draw the Dirichlet weights as a third block
+            ("CC", 2 * 2**16 + 5, 2),
+            ("CC", 2 * 2**16 + 5, 3),
+            ("DC", 2**15, 4),
+            ("CC", 2**15, 3),
+            # a 2^14-row tail joins the chunk before it
+            ("DC", 2**17 + 2**14, 4),
+            ("CC", 2**17 + 2**14, 2),
+            # a 2^15-row tail is a chunk of its own
+            ("DC", 2**17 + 2**15, 4),
+            ("CC", 2**17 + 2**15, 3),
         ],
     )
     def test_csv_matches_whole_array_oracle(self, tmp_path, kind, n, rank):
@@ -385,6 +396,33 @@ class TestSampleStreaming:
         assert worker_kib / 1024 < 150, f"worker peak RSS {worker_kib / 1024:.1f} MB"
         with open(tmp_path / "s.csv", "rb") as handle:
             assert sum(1 for _ in handle) == 10**6 + 1
+
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_rank4_density_peak_memory(self, tmp_path):
+        # a whole-n draw of 250,000 rank-4 density operators peaks at about 237 MB
+        code = textwrap.dedent(
+            """
+            import resource
+            import sys
+            from qcausal.cli import main
+            status = main(["sample", "CC", "--rank", "4", "--n", "250000", "--seed", "1",
+                           "--csv", sys.argv[1], "--out", sys.argv[2]])
+            with open("/proc/self/status") as handle:
+                kib = next(int(line.split()[1]) for line in handle if line.startswith("VmHWM:"))
+            print(status, kib, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "s.csv"), str(tmp_path / "r.json")],
+            env=src_env(), capture_output=True, text=True, check=True,
+        )
+        status, kib, worker_kib = map(int, out.stdout.split())
+        assert status == 0
+        assert kib / 1024 < 130, f"peak RSS {kib / 1024:.1f} MB"
+        assert worker_kib / 1024 < 130, f"worker peak RSS {worker_kib / 1024:.1f} MB"
 
 
 def _running(pid):
@@ -645,6 +683,21 @@ class TestMainEntry:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("validation error:")
+
+    @pytest.mark.parametrize("command", ["classify", "bounds", "sample", "table2"])
+    def test_negative_seed_exit_one(self, tmp_path, capfd, command):
+        args = {
+            "classify": [write_doc(tmp_path, "u.json", cli.document_from_array(
+                "unitary", qmath.pauli(1)))],
+            "bounds": ["--starts", "2", "--grid-step", "0.1"],
+            "sample": ["DC", "--n", "10", "--csv", str(tmp_path / "s.csv")],
+            "table2": ["--n", "10"],
+        }[command]
+        assert cli.main([command, *args, "--seed", "-1", "--out", str(tmp_path / "r.json")]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: seed must be an integer >= 0, got -1\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_io_exit_three(self, tmp_path, capsys):
         doc = cli.document_from_array("unitary", qmath.pauli(1))

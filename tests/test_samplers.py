@@ -213,3 +213,86 @@ class TestConfigValidation:
     def test_bad_budget(self):
         with pytest.raises(ValidationError):
             samplers.SamplerConfig(max_rejections=0)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1, None])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValidationError, match="seed must be an integer >= 0"):
+            samplers.SamplerConfig(seed=seed)
+
+    def test_numpy_integer_seed(self):
+        assert samplers.SamplerConfig(seed=np.int64(7)).rng().random() == (
+            samplers.SamplerConfig(seed=7).rng().random()
+        )
+
+
+def direct_density_oracle(rng, rank, n):
+    """sample_density written out as one expression per step, without DrawStream."""
+    states = rng.standard_normal((n, rank, 4)) + 1j * rng.standard_normal((n, rank, 4))
+    states /= np.linalg.norm(states, axis=2, keepdims=True)
+    lam = np.ones((n, 1)) if rank == 1 else rng.dirichlet(np.ones(rank), size=n)
+    return np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
+
+
+def generator_at(state):
+    bitgen = np.random.PCG64(0)
+    bitgen.state = state
+    return np.random.Generator(bitgen)
+
+
+STREAMS = [
+    pytest.param(samplers.density_stream(rank), id=f"density-rank{rank}") for rank in (1, 2, 3, 4)
+] + [pytest.param(samplers.UNITARY_PARAMS, id="unitary-params")]
+
+
+class TestDrawStream:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, samplers._CHUNK, 70_000])
+    def test_density_matches_the_direct_formula(self, rank, n):
+        cfg = samplers.SamplerConfig(seed=17)
+        rng, oracle_rng = cfg.rng(), cfg.rng()
+        got = samplers.sample_density(rng, rank=rank, size=n)
+        assert got.tobytes() == direct_density_oracle(oracle_rng, rank, n).tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_unitary_params_match_the_direct_formula(self):
+        cfg = samplers.SamplerConfig(seed=18)
+        rng, oracle_rng = cfg.rng(), cfg.rng()
+        v = oracle_rng.standard_normal((5000, 4))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        alpha = oracle_rng.uniform(0.0, 2.0 * np.pi, size=5000)
+        got = samplers.sample_unitary_params(rng, 5000)
+        for a, b in zip(got, (*v.T, alpha)):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_replayed_blocks_concatenate_to_the_whole_block(self, stream):
+        sizes = [1, 4095, 2**15, 3, 2**16 + 7]
+        states = stream.record(samplers.SamplerConfig(seed=19).rng(), sizes)
+        rng = samplers.SamplerConfig(seed=19).rng()
+        for k, block in enumerate(stream.blocks):
+            whole = block(rng, sum(sizes))
+            parts = [block(generator_at(s[k]), rows) for s, rows in zip(states, sizes)]
+            assert np.concatenate(parts).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_replayed_spans_are_rows_of_the_whole_draw(self, stream):
+        sizes = [7, 4096, 2**15 + 1]
+        rng = samplers.SamplerConfig(seed=20).rng()
+        states = stream.record(rng, sizes)
+        whole_rng = samplers.SamplerConfig(seed=20).rng()
+        whole = stream.draw(whole_rng, sum(sizes))
+        # the pass over the stream leaves the generator where the whole draw does
+        assert rng.bit_generator.state == whole_rng.bit_generator.state
+        columns = whole if isinstance(whole, tuple) else (whole,)
+        lo = 0
+        for span_states, rows in zip(states, sizes):
+            part = stream.replay(span_states, rows)
+            part = part if isinstance(part, tuple) else (part,)
+            for got, col in zip(part, columns):
+                assert got.tobytes() == col[lo:lo + rows].tobytes()
+            lo += rows
+
+    def test_record_keeps_one_state_per_span_and_block(self):
+        states = samplers.density_stream(3).record(samplers.SamplerConfig().rng(), [2, 3])
+        assert [len(s) for s in states] == [3, 3]
+        assert all(state["bit_generator"] == "PCG64" for s in states for state in s)
