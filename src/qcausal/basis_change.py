@@ -70,6 +70,9 @@ __all__ = [
 ]
 
 _MEMBERSHIP_TOL = 1e-9
+# The rounding slack of the escape witness, whose point reaches 1 + margin only
+# up to a few ulps of 1: at a smaller tol, rounding alone would decide its exit.
+_WITNESS_SLACK = 1e-12
 # sigma_1, sigma_2, sigma_3 as one (3, 2, 2) stack.
 _SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
 
@@ -273,8 +276,9 @@ def escape_witness(
     |c11| + |c22| + |c33| reached is sum |lambda(S)|, S = (M + M^T)/2, at the
     Q that diagonalises S. Returns (margin = sum |lambda(S)| - 1, v): v lifts
     that Q if :func:`classify` labels the moved object's point CC_ONLY (for
-    'CC') or DC_ONLY (for 'DC') at ``tol``, else None. The points are the
-    batch kernel's, and the target's must be labelled AMBIGUOUS at ``tol``.
+    'CC') or DC_ONLY (for 'DC') at ``tol``, or at the rounding slack 1e-12
+    if ``tol`` is smaller, else None. The points are the batch kernel's, and
+    the target's must be labelled AMBIGUOUS at ``tol``.
     ``ConsistencyError`` if a check of the scalar API fails on v or the moved
     object, or a margin past ``tol`` does not escape.
     """
@@ -300,9 +304,9 @@ def escape_witness(
         ok, own = is_unitary(moved, 1e-10), RegionLabel.DC_ONLY
     if not (is_unitary(v) and ok):
         raise ConsistencyError("escape witness: the rotation or moved object failed a predicate")
-    with contextlib.suppress(ValidationError):  # rounded out of the cube (tol 0): no escape
-        if classify(_point(kind, moved), tol) is own:
+    with contextlib.suppress(ValidationError):  # rounded out of the cube: no escape
+        if classify(_point(kind, moved), max(tol, _WITNESS_SLACK)) is own:
             return margin, v
-    if margin > tol + 1e-12:  # the witness reaches 1 + margin up to rounding
+    if margin > tol + _WITNESS_SLACK:
         raise ConsistencyError(f"escape witness: margin {margin:.3e}, but no escape")
     return margin, None

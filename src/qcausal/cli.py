@@ -296,16 +296,10 @@ _CSV_HEADER = "c11,c22,c33,c,label"
 
 
 _CHUNK_ROWS = 1 << 16
-# A shorter tail joins the chunk before it: numpy elides temporaries only from 256 KiB
-# (2^15 float64 rows) on, and elision changes the bits of unitaries_from_params.
-_TAIL_ROWS = 1 << 15
 
 
 def _chunk_bounds(n: int) -> list[tuple[int, int]]:
-    starts = list(range(0, n, _CHUNK_ROWS))
-    if len(starts) > 1 and n - starts[-1] < _TAIL_ROWS:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [n]))
+    return [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
 
 
 def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
@@ -407,12 +401,11 @@ def run_sample(
 ) -> RunReport:
     """Write a CSV scatter of sampled correlation points and check the bounds.
 
-    The rows come in chunks of ``_CHUNK_ROWS``; a tail shorter than
-    ``_TAIL_ROWS`` joins the chunk before it, so every chunk computes the
-    same bits as the whole array would. The random draw is the stream of
-    ``sample_density`` (CC) or ``sample_unitary_params`` (DC) for all ``n``
-    rows, but no process holds it: this one passes over it once, a chunk at
-    a time, and keeps only the generator states at each chunk's rows
+    The rows come in chunks of ``_CHUNK_ROWS``, the last one shorter. The
+    random draw is the stream of ``sample_density`` (CC) or
+    ``sample_unitary_params`` (DC) for all ``n`` rows, but no process holds
+    it: this one passes over it once, a chunk at a time, and keeps only the
+    generator states at each chunk's rows
     (``DrawStream.record``); each chunk then redraws its own rows from them
     (``DrawStream.replay``). The CSV is therefore byte for byte the one a
     whole-array pass would write, and memory does not grow with ``n``. The

@@ -201,17 +201,16 @@ def sample_unitary_params(rng: np.random.Generator, n: int):
 def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
     """Assemble [[a1+i a2, b1+i b2], [-e^{i a}(b1-i b2), e^{i a}(a1-i a2)]].
 
-    From 2^14 rows on, numpy reuses the complex temporaries in place, which
-    changes the last bits of the products; a row's bits therefore depend on
-    whether its batch is above or below that size.
+    The products are ``np.multiply`` calls, which numpy never computes in
+    place, so a row has the same bits at any batch size.
     """
     a1, a2, b1, b2, alpha = np.broadcast_arrays(a1, a2, b1, b2, alpha)
     phase = np.exp(1j * alpha)
     u = np.empty(a1.shape + (2, 2), dtype=complex)
     u[..., 0, 0] = a1 + 1j * a2
     u[..., 0, 1] = b1 + 1j * b2
-    u[..., 1, 0] = -phase * (b1 - 1j * b2)
-    u[..., 1, 1] = phase * (a1 - 1j * a2)
+    u[..., 1, 0] = np.multiply(-phase, b1 - 1j * b2)
+    u[..., 1, 1] = np.multiply(phase, a1 - 1j * a2)
     return u
 
 

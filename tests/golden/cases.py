@@ -28,6 +28,8 @@ CASES = {
     "sample-cc-rank1": ["sample", "CC", "--n", "5000", "--rank", "1", "--csv", CSV],
     "sample-cc-rank4": ["sample", "CC", "--n", "5000", "--rank", "4", "--csv", CSV],
     "sample-dc": ["sample", "DC", "--n", "5000", "--csv", CSV],
+    # a 65,536-row chunk and a 4,464-row tail
+    "sample-dc-n70000": ["sample", "DC", "--n", "70000", "--seed", "3", "--csv", CSV],
     **{
         f"classify-{name}": ["classify", str(INPUTS / f"{name}.json")]
         for name in (

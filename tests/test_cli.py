@@ -225,16 +225,30 @@ class TestClassifyCommand:
 
     def test_witness_rounded_out_of_the_cube_is_not_an_input_error(self, tmp_path, capsys):
         # An evolution's witness point lies on an edge of its tetrahedron, so on a cube
-        # face; at --tol 0 rounding can put it outside the cube. That is no escape, and
-        # not a fault of the document.
+        # face; at --tol 0 rounding can put it outside the cube. The exit check allows
+        # 1e-12 of rounding, so the witness escapes.
         entries = [[0.7420243887566955, 0.19626664381281084],
                    [-0.38529577378203245, 0.5122756852734791],
                    [-0.5964980434455326, 0.23466847931147297],
                    [-0.008801622110046117, 0.7674915767821328]]
         path = tmp_path / "u.json"
         path.write_text(json.dumps({"kind": "unitary", "dim": 2, "entries": entries}))
-        assert cli.main(["classify", str(path), "--tol", "0"]) != 1
-        assert "validation error" not in capsys.readouterr().err
+        assert cli.main(["classify", str(path), "--tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["escape"]["found"] is True
+
+    def test_tol_zero_phase_gate_probe(self):
+        # v diag(1, e^{i theta}) v^dag: 15 of the 56 are ambiguous at --tol 0, and each
+        # witness point sits on an edge of the evolution tetrahedron, where rounding
+        # alone would decide an exit check without slack.
+        ambiguous = 0
+        for v in basis_change.ESCAPE_V_SET:
+            for theta in np.linspace(0.3, 2.8, 14):
+                u = v @ np.diag([1, np.exp(1j * theta)]) @ v.conj().T
+                results = cli.run_classify(cli.document_from_array("unitary", u), tol=0.0).results
+                if results["label"] == "AMBIGUOUS":
+                    ambiguous += 1
+                    assert results["escape"]["found"] is (results["escape"]["margin"] > 0)
+        assert ambiguous == 15
 
     def test_max_tries_flag_is_gone(self, tmp_path):
         path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", qmath.pauli(1)))
@@ -317,7 +331,8 @@ class TestSampleStreaming:
             ("DC", 1, 4),
             ("DC", 2**16 - 1, 4),
             ("DC", 2**16 + 1, 4),
-            # run alone, this 16383-row tail would change rows in their last digits
+            # tails around 2^14 and 2^15 rows, where numpy starts to reuse complex and
+            # float temporaries in place (256 KiB); each tail runs as a chunk of its own
             ("DC", 2**16 + 2**14 - 1, 4),
             ("DC", 2**16 + 2**15 - 1, 4),
             ("DC", 2**16 + 2**15, 4),
@@ -329,10 +344,9 @@ class TestSampleStreaming:
             ("CC", 2 * 2**16 + 5, 3),
             ("DC", 2**15, 4),
             ("CC", 2**15, 3),
-            # a 2^14-row tail joins the chunk before it
+            # a 2^14-row and a 2^15-row tail after two full chunks
             ("DC", 2**17 + 2**14, 4),
             ("CC", 2**17 + 2**14, 2),
-            # a 2^15-row tail is a chunk of its own
             ("DC", 2**17 + 2**15, 4),
             ("CC", 2**17 + 2**15, 3),
         ],
@@ -346,15 +360,17 @@ class TestSampleStreaming:
         assert report.results["max_c"]["value"] == float(cvals.max())
 
     def test_chunk_plan(self):
-        chunk, tail = cli._CHUNK_ROWS, cli._TAIL_ROWS
+        chunk = cli._CHUNK_ROWS
         assert cli._chunk_bounds(1) == [(0, 1)]
-        assert cli._chunk_bounds(chunk + tail - 1) == [(0, chunk + tail - 1)]
-        assert cli._chunk_bounds(chunk + tail) == [(0, chunk), (chunk, chunk + tail)]
-        for n in (tail, chunk, 2 * chunk, 3 * chunk + 7, 10**6):
+        assert cli._chunk_bounds(chunk) == [(0, chunk)]
+        assert cli._chunk_bounds(chunk + 1) == [(0, chunk), (chunk, chunk + 1)]
+        for n in (1, 2**15, chunk - 1, chunk, 2 * chunk, 3 * chunk + 7, 70_000, 10**6):
             bounds = cli._chunk_bounds(n)
             assert bounds[0][0] == 0 and bounds[-1][1] == n
             assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
-            assert all(tail <= hi - lo < chunk + tail for lo, hi in bounds)
+            assert all(hi - lo == chunk for lo, hi in bounds[:-1])
+            assert 1 <= bounds[-1][1] - bounds[-1][0] <= chunk
+        assert len(cli._chunk_bounds(10**6)) == 16
 
     @pytest.mark.parametrize("tol", [1e-9, 0.0])
     def test_codes_match_scalar_classify_random(self, tol):

@@ -1,8 +1,9 @@
 """Property tests: conjugation invariants of the batch transforms, the
 rotated measurement axes against the transformed objects, the stacked
 predicates against their one-object calls, the correlation
-kernels giving a row the same bits alone, in any stack and through the
-scalar API, and the exact escape test against the random search."""
+kernels and the unitary assembly giving a row the same bits alone, in any
+stack and through the scalar API, and the exact escape test against the
+random search."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 from qcausal import basis_change as bc
 from qcausal import correlation as corr
 from qcausal import qmath
-from qcausal.samplers import SamplerConfig, sample_density, sample_in_region_batch, sample_unitary
+from qcausal.samplers import (
+    SamplerConfig,
+    sample_density,
+    sample_in_region_batch,
+    sample_unitary,
+    sample_unitary_params,
+    unitaries_from_params,
+)
 from test_basis_change import _search_escape_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -140,10 +148,14 @@ def test_stacked_is_unitary_agrees_with_scalar(seed):
 def test_point_bits_do_not_depend_on_the_stack(seed, rank, size, data):
     rng = np.random.default_rng(seed)
     rhos = sample_density(rng, rank=rank, size=size)
-    us = sample_unitary(rng, size=size)
+    params = sample_unitary_params(rng, size)  # the draw of sample_unitary(rng, size)
+    us = unitaries_from_params(*params)
     cc, dc = corr.cc_pvector_batch(rhos), corr.dc_pvector_batch(us)
     axis = data.draw(st.sampled_from([1, 2, 3]))
     for k in {0, size - 1, data.draw(st.integers(0, size - 1))}:
+        assert unitaries_from_params(*(p[k] for p in params)).tobytes() == us[k].tobytes()
+        one_row = unitaries_from_params(*(p[k : k + 1] for p in params))
+        assert one_row.shape == (1, 2, 2) and one_row[0].tobytes() == us[k].tobytes()
         assert corr.cc_pvector_batch(rhos[k : k + 1])[0].tobytes() == cc[k].tobytes()
         assert corr.dc_pvector_batch(us[k : k + 1])[0].tobytes() == dc[k].tobytes()
         assert corr.cc_pvector(rhos[k]).as_array().tobytes() == cc[k].tobytes()
