@@ -302,12 +302,30 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
 
 
+# Each label name and a newline as NUL-padded ASCII, one row per code of
+# geometry._classify_codes.
+_LABEL_LINES = np.array([f"{name}\n" for name in geometry._LABEL_NAMES], dtype="S")
+_LABEL_LINES = _LABEL_LINES.view(np.uint8).reshape(len(_LABEL_LINES), -1)
+
+
 def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
-    """ASCII CSV rows ``c11,c22,c33,c,label``, each ended by a newline, floats
-    as their shortest round-trip repr."""
-    columns = [map(repr, col) for col in (*pts.T.tolist(), cvals.tolist())]
-    labels = geometry._LABEL_NAMES[codes].tolist()
-    return ("\n".join(map(",".join, zip(*columns, labels))) + "\n").encode("ascii")
+    """ASCII CSV rows ``c11,c22,c33,c,label``, each ended by a newline, each
+    float as Python's ``repr`` writes it, the shortest round-trip form.
+
+    Each row is first laid out in a fixed-width byte row: for each float, its
+    field from ``_reprfloat.repr_fields`` and the comma just past its last
+    byte, then the label and the newline. The NUL bytes that pad them are
+    dropped at the end."""
+    from . import _reprfloat  # here, not at the top: its tables take about 5 ms to build
+
+    n = len(cvals)
+    slot = _reprfloat.FIELD + 1
+    buf = np.zeros((n, 4 * slot + _LABEL_LINES.shape[1]), dtype=np.uint8)
+    floats = buf[:, : 4 * slot].reshape(n, 4, slot)
+    floats[:, :, :-1], ends = _reprfloat.repr_fields(np.column_stack((pts, cvals)))
+    np.put_along_axis(floats, ends[:, :, None], ord(","), axis=2)
+    buf[:, 4 * slot :] = _LABEL_LINES[codes]
+    return buf[buf != 0].tobytes()
 
 
 def _sample_chunk(
@@ -408,9 +426,11 @@ def run_sample(
     generator states at each chunk's rows
     (``DrawStream.record``); each chunk then redraws its own rows from them
     (``DrawStream.replay``). The CSV is therefore byte for byte the one a
-    whole-array pass would write, and memory does not grow with ``n``. The
-    chunks are computed on every usable CPU (see ``_ordered_map``), and this
-    process writes each one, in order, as soon as it arrives.
+    whole-array pass would write, and memory does not grow with ``n``. Each
+    float is written as Python's ``repr`` writes it, the shortest round-trip
+    form (see ``_encode_rows``). The chunks are computed and encoded on every
+    usable CPU (see ``_ordered_map``), and this process writes each one, in
+    order, as soon as it arrives.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")

@@ -30,6 +30,9 @@ CASES = {
     "sample-dc": ["sample", "DC", "--n", "5000", "--csv", CSV],
     # a 65,536-row chunk and a 4,464-row tail
     "sample-dc-n70000": ["sample", "DC", "--n", "70000", "--seed", "3", "--csv", CSV],
+    # CC rank 4 over the same two chunks: about 1% of its floats, most of them
+    # C values below 1e-4, take repr's exponent form
+    "sample-cc-rank4-n70000": ["sample", "CC", "--n", "70000", "--seed", "3", "--csv", CSV],
     **{
         f"classify-{name}": ["classify", str(INPUTS / f"{name}.json")]
         for name in (

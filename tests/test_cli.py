@@ -307,21 +307,24 @@ class TestSampleCommand:
         assert out.stdout.strip() == "False"
 
 
+def repr_rows_oracle(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
+    """CSV rows ``c11,c22,c33,c,label`` with one ``repr`` call per float: the
+    encoder ``cli._encode_rows`` replaced, kept as the oracle for its bytes."""
+    columns = [map(repr, col) for col in (*pts.T.tolist(), cvals.tolist())]
+    labels = geo._LABEL_NAMES[codes].tolist()
+    return ("\n".join(map(",".join, zip(*columns, labels))) + "\n").encode("ascii")
+
+
 def whole_array_csv_oracle(kind, n, seed, rank=4):
-    """CSV text and c column of an unchunked sample: every row held, one f-string each."""
+    """CSV bytes and c column of an unchunked sample: every row held, one repr per float."""
     rng = SamplerConfig(seed=seed, density_rank=rank).rng()
     if kind == "CC":
         pts = corr.cc_pvector_batch(sample_density(rng, rank=rank, size=n))
     else:
         pts = corr.dc_pvector_batch(sample_unitary(rng, size=n))
     cvals = pts.prod(axis=1)
-    labels = geo.classify_batch(pts, tol=1e-9)
-    lines = ["c11,c22,c33,c,label"]
-    for row, c, label in zip(pts, cvals, labels):
-        lines.append(
-            f"{float(row[0])!r},{float(row[1])!r},{float(row[2])!r},{float(c)!r},{label}"
-        )
-    return "\n".join(lines) + "\n", cvals
+    rows = repr_rows_oracle(pts, cvals, geo._classify_codes(pts, tol=1e-9))
+    return b"c11,c22,c33,c,label\n" + rows, cvals
 
 
 class TestSampleStreaming:
@@ -354,8 +357,8 @@ class TestSampleStreaming:
     def test_csv_matches_whole_array_oracle(self, tmp_path, kind, n, rank):
         path = tmp_path / "s.csv"
         report = cli.run_sample(kind, n, seed=3, out_path=str(path), rank=rank)
-        text, cvals = whole_array_csv_oracle(kind, n, seed=3, rank=rank)
-        assert path.read_bytes() == text.encode("utf-8")
+        csv, cvals = whole_array_csv_oracle(kind, n, seed=3, rank=rank)
+        assert path.read_bytes() == csv
         assert report.results["min_c"]["value"] == float(cvals.min())
         assert report.results["max_c"]["value"] == float(cvals.max())
 

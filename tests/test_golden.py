@@ -19,13 +19,14 @@ def test_golden(name, tmp_path):
         assert data == (GOLDEN_DIR / filename).read_bytes(), f"{filename} changed"
 
 
-def _dispatches_x86_v4() -> bool:
-    """Whether numpy has X86_V4 (AVX-512) loops and this CPU runs them."""
+def numpy_dispatches(level: str) -> bool:
+    """Whether numpy has loops for the CPU ``level`` (``"X86_V4"`` is AVX-512) and
+    this CPU runs them."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:
         return False
-    return "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
+    return level in __cpu_dispatch__ and bool(__cpu_features__.get(level))
 
 
 # Runs every golden case and writes the files it yields into the directory argv[2].
@@ -49,7 +50,7 @@ _GOLDEN_CHILD = textwrap.dedent(
 )
 
 
-@pytest.mark.skipif(not _dispatches_x86_v4(), reason="numpy runs no X86_V4 loops here")
+@pytest.mark.skipif(not numpy_dispatches("X86_V4"), reason="numpy runs no X86_V4 loops here")
 def test_goldens_without_avx512_loops(tmp_path):
     # numpy picks its SIMD loops at import; without the AVX-512 ones every golden
     # must keep its bytes
