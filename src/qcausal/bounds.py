@@ -4,10 +4,11 @@ The product statistic over each tetrahedron reaches -1 and +1/27 on the
 preparation side and -1/27 and +1 on the evolution side. Two independent
 oracles certify these numbers and must agree:
 
-* an exhaustive barycentric grid over the weight simplex (the statistic is
-  a trilinear polynomial of an affine image of the weights, so the mesh
-  error is bounded by L * step with L <= 3 * sqrt(3)), refined by an
-  in-repo derivative-free compass polish on the simplex;
+* an exhaustive barycentric grid over the weight simplex, one slice of the
+  first weight at a time (the statistic is a trilinear polynomial of an
+  affine image of the weights, so the mesh error is bounded by L * step
+  with L <= 3 * sqrt(3)), refined by an in-repo derivative-free compass
+  polish on the simplex;
 * multi-start Nelder-Mead over raw quantum parameters (real state
   coefficients, or sphere-plus-phase unitary parameters), re-evaluated
   through the correlation module. All starts advance in lockstep as one
@@ -17,6 +18,10 @@ oracles certify these numbers and must agree:
   after every iteration; this changes no objective value, and it keeps a
   start from drifting outward until the iteration cap. Each start's path
   is the same bits whether it runs alone or in a batch.
+
+The grid, the polish and the state objective share one evaluator of the
+statistic at barycentric weights, elementwise like every sum here, so this
+module makes no BLAS call and its values do not depend on the BLAS kernel.
 
 Reported witnesses always reproduce the reported value through the
 correlation layer; that closure is part of the contract and is asserted
@@ -30,7 +35,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import cc_pvector, dc_pvector, dc_pvector_params_batch, statistic_c
+from .correlation import cc_pvector, dc_pvector, dc_pvector_params_batch
+from .correlation import statistic_c, statistic_c_batch
 from .errors import ValidationError
 from .geometry import (
     Tetrahedron,
@@ -76,7 +82,6 @@ class BoundReport:
     value: float
     witness: np.ndarray
     witness_object: np.ndarray
-    grid_step: float | None = None
     starts: int | None = None
     converged: bool = True
     evaluations: int | None = None
@@ -100,53 +105,59 @@ def _witness_object(target: str, weights: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_witness(target: str, obj: np.ndarray) -> float:
-    if target.startswith("CC"):
-        return statistic_c(cc_pvector(projector(obj)))
-    return statistic_c(dc_pvector(obj))
+    return statistic_c(cc_pvector(projector(obj)) if target.startswith("CC") else dc_pvector(obj))
 
 
-def _simplex_grid(n: int) -> np.ndarray:
-    """All weight vectors (i, j, k, n-i-j-k)/n with non-negative parts."""
-    idx = np.arange(n + 1, dtype=np.int32)
-    i, j, k = np.meshgrid(idx, idx, idx, indexing="ij")
-    mask = (i + j + k) <= n
-    i, j, k = i[mask], j[mask], k[mask]
-    grid = np.stack([i, j, k, n - i - j - k], axis=1).astype(float)
-    return grid / n
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 in a fixed order, so each row's sum is independent
+    of the batch it is in."""
+    total = a[:, 0]
+    for j in range(1, a.shape[1]):
+        total = total + a[:, j]
+    return total
+
+
+def _statistic_at(t: Tetrahedron, weights: np.ndarray) -> np.ndarray:
+    """C at each row of barycentric ``weights`` over ``t``, shape (n,); each
+    coordinate is summed over the vertices in order, with no (n, 4, 3) temporary."""
+    point = weights[:, :1] * t.vertices[0]
+    for k in range(1, 4):
+        point = point + weights[:, k : k + 1] * t.vertices[k]
+    return statistic_c_batch(point)
 
 
 def grid_extremum(t: Tetrahedron, direction: str, step: float) -> BoundReport:
-    """Exhaustive simplex-grid search for the statistic's extremum over ``t``."""
-    if not 0.0 < step <= 0.1:
-        raise ValidationError(f"grid step must be in (0, 0.1], got {step}")
+    """Extremum over the weights (i, j, k, n-i-j-k)/n, n = 1/step, one slice of i
+    at a time; the first in lexicographic (i, j, k) order wins a tie."""
+    if not 0.001 <= step <= 0.1:
+        raise ValidationError(f"grid step must be in [0.001, 0.1], got {step}")
     target = _target_for(t, direction)
-    n = max(int(round(1.0 / step)), 10)
-    weights = _simplex_grid(n)
-    values = (weights @ t.vertices).prod(axis=1)
-    best = int(values.argmax() if direction == "MAX" else values.argmin())
-    w = weights[best]
-    return BoundReport(
-        target=target,
-        value=float(values[best]),
-        witness=w,
-        witness_object=_witness_object(target, w),
-        grid_step=1.0 / n,
-    )
+    n = round(1.0 / step)
+    sign = 1.0 if direction == "MAX" else -1.0
+    best_score = -np.inf
+    for i in range(n + 1):
+        j, jk = np.triu_indices(n - i + 1)  # jk = j + k, in lexicographic (j, k) order
+        weights = np.column_stack([np.full(j.size, i), j, jk - j, n - i - jk]) / n
+        scores = sign * _statistic_at(t, weights)
+        best = int(np.argmax(scores))
+        if scores[best] > best_score:
+            best_score, w = scores[best], weights[best]
+    return BoundReport(target, float(sign * best_score), w, _witness_object(target, w))
 
 
 def _simplex_compass(
-    t: Tetrahedron, direction: str, w0: np.ndarray, tol: float
-) -> tuple[np.ndarray, bool]:
-    """Pairwise weight-transfer descent along the simplex, halving the step.
+    t: Tetrahedron, sign: float, w0: np.ndarray, tol: float
+) -> tuple[np.ndarray, float, bool]:
+    """Pairwise weight-transfer ascent of ``sign`` * C along the simplex, halving
+    the step; returns the end point, C there, and whether the step fell below tol.
 
     The transfer directions e_i - e_j positively span the feasible cone at
     every face of the simplex, so stalling at step < tol certifies a
     stationary point up to tol.
     """
-    sign = 1.0 if direction == "MAX" else -1.0
 
     def score(w):
-        return sign * float((w @ t.vertices).prod())
+        return sign * float(_statistic_at(t, w[None])[0])
 
     w = w0.copy()
     best = score(w)
@@ -168,23 +179,19 @@ def _simplex_compass(
                     improved = True
         if not improved:
             delta /= 2.0
-    return w, delta < tol
+    return w, sign * best, delta < tol
 
 
 def polish_extremum(report: BoundReport, tol: float = 1e-10) -> BoundReport:
     """Refine a grid report by simplex-constrained compass search.
 
-    Never worsens the objective; returns ``converged=False`` when the
-    iteration cap is hit before the step threshold.
+    Never worsens the objective: the search only takes improvements on its
+    start, whose value the grid took from the same evaluator. Returns
+    ``converged=False`` when the iteration cap is hit before the step threshold.
     """
     t = tcc() if report.target.startswith("CC") else tdc()
-    direction = report.target.split("_")[1]
-    w, converged = _simplex_compass(t, direction, np.asarray(report.witness, float), tol)
-    value = float((w @ t.vertices).prod())
-    if (direction == "MAX" and value < report.value) or (
-        direction == "MIN" and value > report.value
-    ):
-        w, value = report.witness, report.value  # keep the better point
+    sign = 1.0 if report.target.endswith("MAX") else -1.0
+    w, value, converged = _simplex_compass(t, sign, np.asarray(report.witness, float), tol)
     return replace(
         report,
         value=value,
@@ -216,15 +223,6 @@ class _SimplexResult:
     fun: np.ndarray
     evaluations: np.ndarray
     converged: np.ndarray
-
-
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 in a fixed order, so each start's sum is independent
-    of the batch it runs in."""
-    total = a[:, 0]
-    for j in range(1, a.shape[1]):
-        total = total + a[:, j]
-    return total
 
 
 def _rescale_block(sim: np.ndarray, block: int) -> None:
@@ -331,14 +329,11 @@ def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _Simpl
 
 def _state_objective(sign: float):
     """Signed statistic of the real state with entangled-basis coefficients z."""
-    vertices = tcc().vertices
 
     def objective(z):
         n2 = _sum_rows(z * z)
         tiny = n2 < _TINY_NORM2
-        w = z * z / np.where(tiny, 1.0, n2)[:, None]
-        point = _sum_rows(w[:, :, None] * vertices)
-        value = sign * (point[:, 0] * point[:, 1] * point[:, 2])
+        value = sign * _statistic_at(tcc(), z * z / np.where(tiny, 1.0, n2)[:, None])
         return np.where(tiny, 1.0, value)
 
     return objective
@@ -353,8 +348,7 @@ def _unitary_objective(sign: float):
         tiny = n2 < _TINY_NORM2
         params = x.copy()
         params[:, :4] = v / np.sqrt(np.where(tiny, 1.0, n2))[:, None]
-        point = dc_pvector_params_batch(params)
-        value = sign * (point[:, 0] * point[:, 1] * point[:, 2])
+        value = sign * statistic_c_batch(dc_pvector_params_batch(params))
         return np.where(tiny, 1.0, value)
 
     return objective
@@ -387,7 +381,7 @@ def multistart_state_extremum(
     sign = -1.0 if direction == "MAX" else 1.0
     x0 = cfg.rng().standard_normal((starts, 4))
     best_z, counts = _best_start(_state_objective(sign), x0)
-    z = best_z / np.linalg.norm(best_z)
+    z = best_z / np.sqrt(_sum_rows(best_z[None] ** 2))
     weights = z * z
     state = sum(zj * bell(j) for j, zj in enumerate(z, start=1))
     value = _evaluate_witness(target, state)
@@ -411,7 +405,7 @@ def multistart_unitary_extremum(
         for _ in range(starts)
     ])
     best_x, counts = _best_start(_unitary_objective(sign), x0)
-    v = best_x[:4] / np.linalg.norm(best_x[:4])
+    v = best_x[:4] / np.sqrt(_sum_rows(best_x[None, :4] ** 2))
     u = unitaries_from_params(v[0], v[1], v[2], v[3], best_x[4])
     value = _evaluate_witness(target, u)
     weights = barycentric(tdc(), dc_pvector(u).as_array(), tol=1e-6)

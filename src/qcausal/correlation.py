@@ -43,6 +43,7 @@ __all__ = [
     "cc_corr_index",
     "cc_pvector",
     "statistic_c",
+    "statistic_c_batch",
     "dc_cond_prob",
     "dc_corr_index",
     "dc_pvector",
@@ -153,7 +154,7 @@ def statistic_c(p) -> float:
     arr = np.asarray(p, dtype=float)
     if arr.shape != (3,):
         raise ValidationError(f"statistic needs a 3-component point, got shape {arr.shape}")
-    return float(arr.prod())
+    return float(statistic_c_batch(arr[None])[0])
 
 
 def dc_cond_prob(u: np.ndarray, i: int, k: int) -> float:
@@ -255,6 +256,11 @@ def cc_pvector_batch(rhos: np.ndarray, projectors=_EQUAL_PROJ) -> np.ndarray:
     """Correlation points of a stack of density operators, shape (n, 3), measured
     with the equal-outcome projectors ``projectors`` (default: the fixed axes)."""
     return _cc_pvector_residue_batch(rhos, projectors)[0]
+
+
+def statistic_c_batch(points: np.ndarray) -> np.ndarray:
+    """The statistic C = (c11 * c22) * c33 of each row of ``points``, shape (n,)."""
+    return points[:, 0] * points[:, 1] * points[:, 2]
 
 
 def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:

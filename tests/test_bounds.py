@@ -2,16 +2,16 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
+import textwrap
 
 import numpy as np
 import pytest
 
-import qcausal
 from qcausal import bounds, cli, geometry as geo, qmath
 from qcausal import correlation as corr
 from qcausal.errors import ValidationError
 from qcausal.samplers import SamplerConfig
+from test_cli import src_env
 
 CC_MAX = 1 / 27
 DC_MIN = -1 / 27
@@ -23,7 +23,29 @@ def witness_value(report):
     return corr.statistic_c(corr.dc_pvector(report.witness_object))
 
 
+def simplex_grid_oracle(n):
+    """Every weight vector (i, j, k, n-i-j-k)/n, masked out of the whole (n+1)^3 cube."""
+    idx = np.arange(n + 1, dtype=np.int32)
+    i, j, k = np.meshgrid(idx, idx, idx, indexing="ij")
+    mask = (i + j + k) <= n
+    i, j, k = i[mask], j[mask], k[mask]
+    return np.stack([i, j, k, n - i - j - k], axis=1).astype(float) / n
+
+
 class TestGrid:
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.03, 0.02, 0.01])
+    @pytest.mark.parametrize("target", sorted(bounds.TARGET_VALUES))
+    def test_matches_cube_grid_oracle(self, step, target):
+        tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
+        direction = target.split("_")[1]
+        weights = simplex_grid_oracle(round(1 / step))
+        values = (weights @ tetra.vertices).prod(axis=1)
+        best = int(values.argmax() if direction == "MAX" else values.argmin())
+        report = bounds.grid_extremum(tetra, direction, step)
+        assert report.target == target
+        assert np.float64(report.value).tobytes() == values[best].tobytes()
+        assert report.witness.tobytes() == weights[best].tobytes()
+
     def test_dc_min(self):
         report = bounds.grid_extremum(geo.tdc(), "MIN", 0.01)
         assert abs(report.value - DC_MIN) <= 1e-3
@@ -43,10 +65,44 @@ class TestGrid:
         assert report.value == 1.0
 
     def test_step_validation(self):
-        with pytest.raises(ValidationError):
-            bounds.grid_extremum(geo.tcc(), "MAX", 0.5)
+        for step in [0.5, 0.11, 0.0009, 0.0, -0.01, math.nan, math.inf]:
+            with pytest.raises(ValidationError, match=r"grid step must be in \[0.001, 0.1\]"):
+                bounds.grid_extremum(geo.tcc(), "MAX", step)
         with pytest.raises(ValidationError):
             bounds.grid_extremum(geo.tcc(), "UP", 0.01)
+
+    @pytest.mark.parametrize("step", ["1e-300", "0.0005", "nan"])
+    def test_bad_step_exit_one(self, capfd, step):
+        assert cli.main(["bounds", "--grid-step", step, "--starts", "1"]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: grid step must be in [0.001, 0.1], got {float(step)}\n"
+        )
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="needs /proc/self/status"
+    )
+    def test_fine_grid_peak_memory(self, tmp_path):
+        # a grid built over the whole (n+1)^3 cube peaks at about 213 MB at this step
+        code = textwrap.dedent(
+            """
+            import sys
+            from qcausal.cli import main
+            status = main(["bounds", "--grid-step", "0.005", "--starts", "1",
+                           "--out", sys.argv[1]])
+            with open("/proc/self/status") as handle:
+                kib = next(int(line.split()[1]) for line in handle if line.startswith("VmHWM:"))
+            print(status, kib)
+            """
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "r.json")],
+            env=src_env(), capture_output=True, text=True, check=True,
+        )
+        status, kib = map(int, out.stdout.split())
+        assert status == 0
+        assert kib / 1024 < 100, f"peak RSS {kib / 1024:.1f} MB"
 
     def test_witness_object_reproduces_value(self):
         for tetra, direction in [(geo.tcc(), "MAX"), (geo.tdc(), "MIN")]:
@@ -319,13 +375,10 @@ class TestMultistartCounts:
 
 
 def test_import_loads_no_scipy():
-    src = str(Path(qcausal.__file__).resolve().parents[1])
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     code = (
         "import sys, qcausal, qcausal.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"

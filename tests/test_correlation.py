@@ -81,6 +81,22 @@ class TestStatistic:
     def test_thirds(self):
         assert corr.statistic_c((1 / 3, 1 / 3, 1 / 3)) == pytest.approx(1 / 27, abs=1e-15)
 
+    def test_shape_validation(self):
+        with pytest.raises(ValidationError):
+            corr.statistic_c((1.0, 0.5))
+
+    def test_batch_bits(self):
+        rng = np.random.default_rng(5)
+        pts = np.vstack([
+            rng.uniform(-1, 1, (2000, 3)),
+            corr.dc_pvector_batch(sample_unitary(rng, 500)),
+            corr.cc_pvector_batch(sample_density(rng, rank=2, size=500)),
+        ])
+        cvals = corr.statistic_c_batch(pts)
+        assert cvals.shape == (len(pts),)
+        assert cvals.tobytes() == pts.prod(axis=1).tobytes()
+        assert [corr.statistic_c(p) for p in pts] == cvals.tolist()
+
 
 class TestDirectCause:
     def test_identity_repeats(self):

@@ -1,11 +1,12 @@
 """Every golden CLI run reproduces its committed report and CSV digest byte for byte,
-also with numpy's AVX-512 loops disabled."""
+also with numpy's AVX-512 loops disabled and under each OpenBLAS kernel the CPU runs."""
 
 import os
 import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 from golden.cases import CASES, GOLDEN_DIR, run_case
@@ -29,20 +30,23 @@ def numpy_dispatches(level: str) -> bool:
     return level in __cpu_dispatch__ and bool(__cpu_features__.get(level))
 
 
-# Runs every golden case and writes the files it yields into the directory argv[2].
+# Runs the golden cases named in argv[3:] and writes the files they yield into
+# the directory argv[2].
 _GOLDEN_CHILD = textwrap.dedent(
     """
+    import os
     import sys
     import tempfile
     from pathlib import Path
 
-    from numpy._core._multiarray_umath import __cpu_features__
+    if "X86_V4" in os.environ.get("NPY_DISABLE_CPU_FEATURES", ""):
+        from numpy._core._multiarray_umath import __cpu_features__
 
-    assert not __cpu_features__["X86_V4"], "NPY_DISABLE_CPU_FEATURES took no effect"
+        assert not __cpu_features__["X86_V4"], "NPY_DISABLE_CPU_FEATURES took no effect"
     sys.path.insert(0, sys.argv[1])
-    from golden.cases import CASES, run_case
+    from golden.cases import run_case
 
-    for name in CASES:
+    for name in sys.argv[3:]:
         with tempfile.TemporaryDirectory() as workdir:
             for filename, data in run_case(name, Path(workdir)).items():
                 (Path(sys.argv[2]) / filename).write_bytes(data)
@@ -50,17 +54,57 @@ _GOLDEN_CHILD = textwrap.dedent(
 )
 
 
+def changed_in_child(tmp_path, names, **env) -> list[str]:
+    """Run the golden cases ``names`` in one child Python with ``env`` added to its
+    environment; return the golden files whose bytes changed."""
+    child = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_CHILD, str(GOLDEN_DIR.parent), str(tmp_path), *names],
+        env=dict(src_env(), **env), capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    produced = sorted(os.listdir(tmp_path))
+    assert len(produced) == len(names) + sum("--csv" in CASES[name] for name in names)
+    return [f for f in produced if (tmp_path / f).read_bytes() != (GOLDEN_DIR / f).read_bytes()]
+
+
 @pytest.mark.skipif(not numpy_dispatches("X86_V4"), reason="numpy runs no X86_V4 loops here")
 def test_goldens_without_avx512_loops(tmp_path):
     # numpy picks its SIMD loops at import; without the AVX-512 ones every golden
     # must keep its bytes
-    env = dict(src_env(), NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
-    child = subprocess.run(
-        [sys.executable, "-c", _GOLDEN_CHILD, str(GOLDEN_DIR.parent), str(tmp_path)],
-        env=env, capture_output=True, text=True,
-    )
-    assert child.returncode == 0, child.stderr
-    produced = sorted(os.listdir(tmp_path))
-    assert len(produced) == len(CASES) + sum("--csv" in argv for argv in CASES.values())
-    changed = [f for f in produced if (tmp_path / f).read_bytes() != (GOLDEN_DIR / f).read_bytes()]
-    assert changed == []
+    disabled = "AVX512_SPR AVX512_ICL X86_V4"
+    assert changed_in_child(tmp_path, list(CASES), NPY_DISABLE_CPU_FEATURES=disabled) == []
+
+
+def openblas_dynamic_arch() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS that picks its kernel at run time."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def cpu_flags() -> set[str]:
+    """The flags of the first CPU in /proc/cpuinfo (empty where there is none)."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            line = next((line for line in handle if line.startswith("flags")), ":")
+    except OSError:
+        return set()
+    return set(line.split(":", 1)[1].split())
+
+
+# Each OpenBLAS kernel and the CPU flag it needs.
+OPENBLAS_KERNELS = {"Prescott": "pni", "Haswell": "avx2", "SkylakeX": "avx512f"}
+# These two take their witness from LAPACK's eigh of a degenerate matrix, so the
+# kernel still decides which eigenvectors come back.
+EIGH_CASES = {"classify-ambiguous-unitary", "classify-escapable-density"}
+
+
+@pytest.mark.skipif(not openblas_dynamic_arch(), reason="numpy's BLAS has no run-time kernels")
+@pytest.mark.parametrize("kernel", sorted(OPENBLAS_KERNELS))
+def test_goldens_under_openblas_kernel(tmp_path, kernel):
+    if OPENBLAS_KERNELS[kernel] not in cpu_flags():
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    names = sorted(set(CASES) - EIGH_CASES)
+    assert changed_in_child(tmp_path, names, OPENBLAS_CORETYPE=kernel) == []
