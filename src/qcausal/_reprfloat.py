@@ -1,8 +1,9 @@
-"""Python's ``repr`` of many floats at once, as NUL-padded ASCII fields.
+"""Python's ``repr`` of many floats at once, as fixed-width ASCII fields.
 
-``repr_fields(x)`` gives, for each float of ``x``, the bytes of
-``repr(float(v))`` as one run inside a 24-byte row of NUL bytes, and the
-index just past that run; 24 bytes hold the longest repr of any double.
+``repr_fields(x, out)`` writes, for each float of ``x``, the bytes of
+``repr(float(v))`` right-aligned in the first 24 bytes of a row of ``out``,
+NULs in front and a comma at byte 24, and gives each repr's length; 24 bytes
+hold the longest repr of any double.
 ``repr`` writes the shortest decimal that reads back as the same double and,
 of several such, the one nearest to it (Steele & White, PLDI 1990; Adams,
 PLDI 2018).
@@ -29,9 +30,10 @@ integer arithmetic), so its bytes depend on each float's bits alone:
 4. The shortest decimal is a multiple of ``10**j`` in [A, B] with ``j``
    greatest: of the multiples just below and just above ``P``, the one in
    [A, B] that is nearer to ``P``. Its 17 digits less the ``j`` trailing
-   zeros are the significant digits. ``10**17`` is never in [A, B]: only the
-   double nearest to 0.1, 0.01, 0.001 or 1 reads back from it, and that
-   double lies in the decade above.
+   zeros are the significant digits: the head ``[-]0.`` + zeros + first digit
+   and the 16 others fill three 8-byte words, shifted right by ``j`` bytes.
+   ``10**17`` is never in [A, B]: only the double nearest to 0.1, 0.01, 0.001
+   or 1 reads back from it, and that double lies in the decade above.
 
 Every other value is written by ``repr`` itself: 0, -0, magnitudes below 1e-4
 or from 1 up, NaN and inf, and the rare values whose step 4 ends in an exact
@@ -42,9 +44,9 @@ from __future__ import annotations
 
 import numpy as np
 
-FIELD = 24
+FIELD = 32  # bytes per row of repr_fields' output: the field, its comma and padding
 
-_BLOCK = 1 << 14  # values per pass, so that the temporaries stay in cache
+_BLOCK = 1 << 14  # values per repr_fields call, so that the temporaries stay in cache
 
 _POW10 = np.array([1e17, 1e18, 1e19, 1e20])  # 10**k for the decades 0.1, 0.01, 0.001, 1e-4
 _POW10_INT = 10 ** np.arange(17, dtype=np.int64)
@@ -74,15 +76,11 @@ _HEAD = np.frombuffer(
     ),
     dtype=np.uint64,
 )
-# Four digits for every number below 10**4, and from 10**4 on the same with
-# their trailing zeros left out, for a group after which every digit is zero.
-_DIGITS = np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10
-_TRAILING = np.logical_and.accumulate(_DIGITS[:, ::-1] == 0, axis=1)[:, ::-1]
-_GROUP = np.concatenate((_DIGITS + 48, (_DIGITS + 48) * ~_TRAILING)).astype(np.uint8)
-_GROUP = _GROUP.view(np.uint32).reshape(-1)
-# The group g (from 0) of 4 digits after the first ends the significant digits
-# or follows their end when j > _LAST_FULL[g].
-_LAST_FULL = (12, 8, 4, 0)
+# The four ASCII digits of every number below 10**4, in the lower and in the
+# upper half of a word.
+_GROUP = (np.arange(10**4)[:, None] // 10 ** np.arange(3, -1, -1) % 10 + 48).astype(np.uint8)
+_GROUP = _GROUP.view(np.uint32).reshape(-1).astype(np.uint64)
+_GROUP_HI = _GROUP << np.uint64(32)
 
 
 def _shortest(mag: np.ndarray):
@@ -114,15 +112,14 @@ def _shortest(mag: np.ndarray):
     below = pi - (pi - pi // 10 * 10) * tens
     wide = np.flatnonzero(b // 100 * 100 >= a)
     if wide.size:
-        aw, bw = a[wide], b[wide]
-        jw = np.full(wide.size, 2, dtype=np.uint8)
-        for tw in _POW10_INT[3:]:
-            more = bw // tw * tw >= aw
-            if not more.any():
+        j[wide] = 2
+        more = wide
+        for power in range(3, 17):
+            more = more[b[more] // _POW10_INT[power] * _POW10_INT[power] >= a[more]]
+            if not more.size:
                 break
-            jw += more
-        j[wide] = jw
-        tw = _POW10_INT.take(jw)
+            j[more] = power
+        tw = _POW10_INT.take(j[wide])
         t[wide] = tw
         below[wide] = pi[wide] // tw * tw
     # the nearer of the two multiples: 2 * (P - below) against t, as 2 * f
@@ -134,44 +131,49 @@ def _shortest(mag: np.ndarray):
     return zeros, digits, j, below_ok & above_ok & (twice == z)
 
 
-def _fast_fields(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Write steps 1-4's fields of ``x`` into ``out``, a (len(x), 3) uint64
-    view of 24-byte fields. Return the fields' ends and the indices of the
-    values left to ``repr``."""
+# Values outside [1e-4, 1) move here, for repr; 17 and 16 digits end j's search early.
+_ENDS = np.nextafter([1e-4, 1.0], 0.5)
+
+
+def repr_fields(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``repr(float(v))`` for the ``i``-th value ``v`` of ``x`` in C order
+    into row ``i`` of ``out``, a C-contiguous (x.size, 32) uint8 array: right-
+    aligned in bytes 0-23, NULs in front, and a comma at byte 24. Return the
+    length of each repr. Up to ``_BLOCK`` values at a time keep the
+    temporaries in cache."""
+    x = np.asarray(x, dtype=np.float64).reshape(-1)
     mag = np.abs(x)
-    fast = (mag >= 1e-4) & (mag < 1.0)
-    zeros, digits, j, fallback = _shortest(np.where(fast, mag, 0.5))
-    top = (digits // 10**8).astype(np.uint32)  # the first 9 digits
-    low = (digits - top.astype(np.int64) * 10**8).astype(np.uint32)
+    inside = np.fmin(np.fmax(mag, _ENDS[0]), _ENDS[1])
+    zeros, digits, j, slow = _shortest(inside)
+    slow = np.flatnonzero(slow | (inside != mag))
+    top = digits // 10**8  # the first 9 digits
+    digits -= top * 10**8
+    low, top = digits.astype(np.uint32), top.astype(np.uint32)
     first = top // 10**8
     top -= first * np.uint32(10**8)
-    head = first.astype(np.intp)
-    head += 10 * zeros
-    head += 40 * np.signbit(x)
-    out[:, 0] = _HEAD.take(head)
-    words = out.view(np.uint32)
-    for col, half in ((2, top), (4, low)):
+    sign = np.signbit(x)
+    lengths = 19 + zeros + sign - j  # the head's 3 + zeros + sign bytes, then 16 - j digits
+    words = [_HEAD.take(first + 10 * zeros + 40 * sign)]
+    for half in (top, low):
         left = half // 10**4
-        for word, group in ((col, left), (col + 1, half - left * np.uint32(10**4))):
-            group += (j > _LAST_FULL[word - 2]) * np.uint32(10**4)
-            words[:, word] = _GROUP.take(group)
-    return FIELD - j.astype(np.intp), np.flatnonzero(~fast | fallback)
-
-
-def repr_fields(x) -> tuple[np.ndarray, np.ndarray]:
-    """``repr(float(v))`` for each ``v`` of ``x`` as ASCII, in a uint8 array of
-    shape ``x.shape + (24,)`` whose other bytes are NUL, and the index in its
-    field just past each repr's last byte (an int array of ``x.shape``)."""
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    out = np.empty((flat.size, FIELD // 8), dtype=np.uint64)
-    ends = np.empty(flat.size, dtype=np.intp)
-    for lo in range(0, flat.size, _BLOCK):
-        hi = lo + _BLOCK
-        ends[lo:hi], slow = _fast_fields(flat[lo:hi], out[lo:hi])
-        if slow.size:
-            slow += lo
-            text = [repr(v) for v in flat[slow].tolist()]
-            out[slow] = np.array(text, dtype=f"S{FIELD}").view(np.uint64).reshape(-1, FIELD // 8)
-            ends[slow] = [len(s) for s in text]
-    return out.view(np.uint8).reshape(*x.shape, FIELD), ends.reshape(x.shape)
+        half -= left * np.uint32(10**4)
+        words.append(_GROUP_HI.take(half) | _GROUP.take(left))
+    # shift right by j bytes, whole words first
+    head, lo, hi = words
+    far = np.flatnonzero(j > 7)
+    if far.size:
+        hi[far], lo[far], head[far] = lo[far], head[far], 0
+        j[far] -= 8
+    shift = 8 * j.astype(np.uint64)
+    back = 64 - shift  # numpy shifts a uint64 by 64 to 0
+    words = out.view(np.uint64)
+    words[:, 0] = head << shift
+    words[:, 1] = lo << shift | head >> back
+    words[:, 2] = hi << shift | lo >> back
+    words[:, 3] = ord(",")
+    if slow.size:
+        text = [repr(v) for v in x[slow].tolist()]
+        fields = np.array([t.rjust(24, "\0") + "," for t in text], dtype=f"S{FIELD}")
+        out[slow] = fields[:, None].view(np.uint8)
+        lengths[slow] = [len(t) for t in text]
+    return lengths

@@ -215,6 +215,14 @@ def _check_tol(tol: float) -> None:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
+def _check_memory(count: int, each: int, what: str) -> None:
+    """Refuse ``count`` items of about ``each`` bytes (measured) beyond this machine's memory."""
+    sysconf = getattr(os, "sysconf", lambda name: 0)
+    memory = sysconf("SC_PAGE_SIZE") * sysconf("SC_PHYS_PAGES")
+    if memory and count * each > memory:
+        raise ValidationError(f"{what} needs about {count * each:.3g} bytes of {memory:.3g} here")
+
+
 def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunReport:
     """Classify one document and decide an ambiguous object's escape (``seed`` is only recorded)."""
     _check_tol(tol)
@@ -256,6 +264,7 @@ def run_bounds(
 ) -> RunReport:
     """Certify the four extrema with both oracles and report their agreement."""
     _check_tol(tol)
+    _check_memory(starts, 2048, f"--starts {starts}")
     cfg = samplers.SamplerConfig(seed=seed)
     results = {}
     violations = []
@@ -302,30 +311,43 @@ def _chunk_bounds(n: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
 
 
-# Each label name and a newline as NUL-padded ASCII, one row per code of
-# geometry._classify_codes.
-_LABEL_LINES = np.array([f"{name}\n" for name in geometry._LABEL_NAMES], dtype="S")
-_LABEL_LINES = _LABEL_LINES.view(np.uint8).reshape(len(_LABEL_LINES), -1)
+# Each label name and a newline, one per code of geometry._classify_codes.
+_LABEL_LINES = [f"{name}\n".encode("ascii") for name in geometry._LABEL_NAMES]
+_LABEL_LENGTHS = np.array([len(line) for line in _LABEL_LINES])
 
 
 def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
     """ASCII CSV rows ``c11,c22,c33,c,label``, each ended by a newline, each
     float as Python's ``repr`` writes it, the shortest round-trip form.
 
-    Each row is first laid out in a fixed-width byte row: for each float, its
-    field from ``_reprfloat.repr_fields`` and the comma just past its last
-    byte, then the label and the newline. The NUL bytes that pad them are
-    dropped at the end."""
+    ``_reprfloat.repr_fields`` writes each float into a 25-byte field that ends
+    with its repr and a comma, NULs in front. A cumulative sum of the reprs'
+    lengths places the fields, and one indexed assignment, which numpy makes in
+    index order, copies them there last first, so that each one's NULs land on
+    bytes written after it; the labels go last. 4,096 rows go at a time."""
     from . import _reprfloat  # here, not at the top: its tables take about 5 ms to build
 
-    n = len(cvals)
-    slot = _reprfloat.FIELD + 1
-    buf = np.zeros((n, 4 * slot + _LABEL_LINES.shape[1]), dtype=np.uint8)
-    floats = buf[:, : 4 * slot].reshape(n, 4, slot)
-    floats[:, :, :-1], ends = _reprfloat.repr_fields(np.column_stack((pts, cvals)))
-    np.put_along_axis(floats, ends[:, :, None], ord(","), axis=2)
-    buf[:, 4 * slot :] = _LABEL_LINES[codes]
-    return buf[buf != 0].tobytes()
+    def windows(buf, width):  # item i is buf[i:i + width]: writing one writes its neighbours
+        return np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
+
+    rows, width = _reprfloat._BLOCK // 4, 25
+    fields = np.empty((4 * rows, _reprfloat.FIELD), dtype=np.uint8)
+    items = np.ndarray((4 * rows,), dtype=f"V{width}", buffer=fields, strides=(_reprfloat.FIELD,))
+    x, text = np.column_stack((pts, cvals)), []
+    for lo in range(0, len(x), rows):
+        block, block_codes = x[lo : lo + rows], codes[lo : lo + rows]
+        size = _reprfloat.repr_fields(block, fields[: block.size]) + 1
+        labels = _LABEL_LENGTHS[block_codes]
+        size[3::4] += labels
+        stop = size.cumsum()
+        stop[3::4] -= labels  # where each row's fourth field ends and its label starts
+        out = np.empty(width - 1 + stop[-1] + labels[-1], dtype=np.uint8)  # room for NULs in front
+        windows(out, width)[stop[::-1] - 1] = items[: block.size][::-1]
+        for code, line in enumerate(_LABEL_LINES):
+            at = np.compress(block_codes == code, stop[3::4]) + width - 1
+            windows(out, len(line))[at] = np.void(line)
+        text.append(out[width - 1 :])
+    return b"".join(text)
 
 
 def _sample_chunk(
@@ -335,13 +357,14 @@ def _sample_chunk(
 
     ``item`` is the chunk's span of rows and the generator states that
     ``stream.record`` kept for it; the chunk's density operators (CC) or
-    unitary parameter columns (DC) are redrawn from them here."""
+    unitary parameter columns (DC) are redrawn from them here. DC points take the
+    closed form in real arithmetic, whose bits do not depend on numpy's SIMD loops."""
     (lo, hi), states = item
     draw = stream.replay(states, hi - lo)
     if kind == "CC":
         pts = correlation.cc_pvector_batch(draw)
     else:
-        pts = correlation.dc_pvector_batch(samplers.unitaries_from_params(*draw))
+        pts = correlation.dc_pvector_params_batch(np.column_stack(draw))
     del draw  # frees the chunk's objects (16 MB at rank 4) before the encoding
     cvals = correlation.statistic_c_batch(pts)
     if kind == "CC":
@@ -422,15 +445,14 @@ def run_sample(
     The rows come in chunks of ``_CHUNK_ROWS``, the last one shorter. The
     random draw is the stream of ``sample_density`` (CC) or
     ``sample_unitary_params`` (DC) for all ``n`` rows, but no process holds
-    it: this one passes over it once, a chunk at a time, and keeps only the
-    generator states at each chunk's rows
-    (``DrawStream.record``); each chunk then redraws its own rows from them
-    (``DrawStream.replay``). The CSV is therefore byte for byte the one a
-    whole-array pass would write, and memory does not grow with ``n``. Each
-    float is written as Python's ``repr`` writes it, the shortest round-trip
-    form (see ``_encode_rows``). The chunks are computed and encoded on every
-    usable CPU (see ``_ordered_map``), and this process writes each one, in
-    order, as soon as it arrives.
+    it: this one passes over it once and keeps only the generator states at
+    each chunk's rows (``DrawStream.record``), and each chunk redraws its own
+    rows from them (``DrawStream.replay``), so the CSV is byte for byte the one
+    a whole-array pass would write. DC points take the closed form on the
+    drawn parameters (``_sample_chunk``), and each float is written as
+    ``repr`` writes it (``_encode_rows``). The chunks are computed and encoded
+    on every usable CPU (``_ordered_map``), and this process writes each one,
+    in order, as soon as it arrives.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -438,6 +460,7 @@ def run_sample(
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     cfg = samplers.SamplerConfig(seed=seed, density_rank=rank)
     stream = samplers.density_stream(rank) if kind == "CC" else samplers.UNITARY_PARAMS
+    _check_memory(-(-n // _CHUNK_ROWS), 1024 * (1 + len(stream.blocks)), f"--n {n}")  # plan, states
     spans = _chunk_bounds(n)
     states = stream.record(cfg.rng(), [hi - lo for lo, hi in spans])
 
@@ -546,6 +569,8 @@ def run_table2(
     if n < 1:
         raise ValidationError("n must be >= 1")
     cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
+    if n > cfg.max_rejections:  # each object costs at least one draw of a cell's budget
+        raise ValidationError(f"n must be <= {cfg.max_rejections}, the rejection budget of a cell")
     if v_docs:
         v_set = [load_document(path) for path in v_docs]
         for doc in v_set:
@@ -608,14 +633,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bounds = sub.add_parser("bounds", parents=[seed, out], help="certify the statistic's extrema")
     p_bounds.add_argument("--grid-step", type=float, default=0.01, help="spacing in [0.001, 0.1]")
-    p_bounds.add_argument("--starts", type=int, default=200)
+    p_bounds.add_argument("--starts", type=int, default=200,
+                          help="starts per target, refused past this machine's memory at 2 kB each")
     p_bounds.add_argument("--tol", type=float, default=1e-6)
 
     p_sample = sub.add_parser(
         "sample", parents=[seed, out], help="Monte Carlo scatter of correlation points"
     )
     p_sample.add_argument("kind", choices=["CC", "DC"])
-    p_sample.add_argument("--n", type=int, default=20000)
+    p_sample.add_argument("--n", type=int, default=20000,
+                          help="rows, refused past this machine's memory at 3-4 kB per 65,536")
     p_sample.add_argument("--rank", type=int, default=4)
     p_sample.add_argument("--csv", required=True, help="output CSV path")
 
@@ -625,7 +652,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t2 = sub.add_parser(
         "table2", parents=[seed, out], help="escape proportions for the reference rotations"
     )
-    p_t2.add_argument("--n", type=int, default=20000)
+    p_t2.add_argument("--n", type=int, default=20000, help="objects per cell, at most 10,000,000")
     p_t2.add_argument("--v-doc", action="append", default=None,
                       help="path to a unitary document (repeatable; replaces embedded set)")
 

@@ -316,12 +316,13 @@ def repr_rows_oracle(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> b
 
 
 def whole_array_csv_oracle(kind, n, seed, rank=4):
-    """CSV bytes and c column of an unchunked sample: every row held, one repr per float."""
+    """CSV bytes and c column of an unchunked sample: every row held, one repr per float.
+    DC points come from the closed form on the drawn parameters, as in ``sample``."""
     rng = SamplerConfig(seed=seed, density_rank=rank).rng()
     if kind == "CC":
         pts = corr.cc_pvector_batch(sample_density(rng, rank=rank, size=n))
     else:
-        pts = corr.dc_pvector_batch(sample_unitary(rng, size=n))
+        pts = corr.dc_pvector_params_batch(np.column_stack(sample_unitary_params(rng, n)))
     cvals = pts.prod(axis=1)
     rows = repr_rows_oracle(pts, cvals, geo._classify_codes(pts, tol=1e-9))
     return b"c11,c22,c33,c,label\n" + rows, cvals
@@ -361,6 +362,17 @@ class TestSampleStreaming:
         assert path.read_bytes() == csv
         assert report.results["min_c"]["value"] == float(cvals.min())
         assert report.results["max_c"]["value"] == float(cvals.max())
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    def test_dc_points_match_complex_route(self, tmp_path, seed):
+        # the CSV's closed-form points against the amplitudes of the unitaries
+        # themselves, an independent route, over a full chunk and a tail
+        n = 2**16 + 1000
+        path = tmp_path / "s.csv"
+        cli.run_sample("DC", n, seed=seed, out_path=str(path))
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
+        oracle = corr.dc_pvector_batch(sample_unitary(SamplerConfig(seed=seed).rng(), size=n))
+        assert np.abs(rows - oracle).max() <= 1e-12
 
     def test_chunk_plan(self):
         chunk = cli._CHUNK_ROWS
@@ -480,17 +492,17 @@ class TestSamplePool:
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     def test_chunk_validation_error_exits_one(self, tmp_path, monkeypatch, capfd, cpus):
-        n, kernel = 3 * 2**16 + 7, corr.dc_pvector_batch
+        n, kernel = 3 * 2**16 + 7, corr.dc_pvector_params_batch
         second_a1 = sample_unitary_params(SamplerConfig(seed=3).rng(), n)[0][2**16]
 
-        def nan_in_second_chunk(us, *args):
-            pts = kernel(us, *args)
-            if us[0, 0, 0].real == second_a1:
+        def nan_in_second_chunk(params):
+            pts = kernel(params)
+            if params[0, 0] == second_a1:
                 pts[7] = np.nan
             return pts
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(corr, "dc_pvector_batch", nan_in_second_chunk)
+        monkeypatch.setattr(corr, "dc_pvector_params_batch", nan_in_second_chunk)
         status = cli.main(["sample", "DC", "--n", str(n), "--seed", "3",
                            "--csv", str(tmp_path / "s.csv"), "--out", str(tmp_path / "r.json")])
         err = capfd.readouterr().err
@@ -506,15 +518,15 @@ class TestSamplePool:
             from qcausal import cli
             from qcausal import correlation as corr
 
-            parent, kernel = os.getpid(), corr.dc_pvector_batch
+            parent, kernel = os.getpid(), corr.dc_pvector_params_batch
 
-            def dies_in_a_worker(us, *args):
+            def dies_in_a_worker(params):
                 if os.getpid() != parent:
                     os._exit(1)
-                return kernel(us, *args)
+                return kernel(params)
 
             os.sched_getaffinity = lambda pid: {0, 1}
-            corr.dc_pvector_batch = dies_in_a_worker
+            corr.dc_pvector_params_batch = dies_in_a_worker
             try:
                 cli.run_sample("DC", 3 * 2**16 + 7, seed=3, out_path=sys.argv[1])
             except BrokenProcessPool:
@@ -717,6 +729,42 @@ class TestMainEntry:
         assert captured.out == ""
         assert captured.err == "validation error: seed must be an integer >= 0, got -1\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS and sysconf memory")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--n", "10000001"],
+            ["bounds", "--starts", "100000000000"],
+            ["sample", "DC", "--n", "99999999999999999999"],
+            ["sample", "CC", "--rank", "1", "--n", "99999999999999999999"],
+        ],
+    )
+    def test_oversized_argument_refused_up_front(self, tmp_path, argv):
+        # each is refused before any draw or allocation: the child runs with a
+        # 3 GiB address space, so that an attempt would fail, not eat memory
+        def limit_address_space():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        csv = ["--csv", str(tmp_path / "s.csv")] if argv[0] == "sample" else []
+        child = subprocess.run(
+            [sys.executable, "-m", "qcausal", *argv, *csv, "--out", str(tmp_path / "r.json")],
+            env=dict(src_env(), OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+            timeout=120, preexec_fn=limit_address_space,
+        )
+        assert child.returncode == 1, child.stderr
+        assert child.stderr.startswith("validation error: ") and child.stderr.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, bound", [("table2", "10,000,000"), ("bounds", "2 kB"), ("sample", "4 kB")]
+    )
+    def test_help_states_size_bound(self, capsys, command, bound):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert bound in " ".join(capsys.readouterr().out.split())
 
     def test_io_exit_three(self, tmp_path, capsys):
         doc = cli.document_from_array("unitary", qmath.pauli(1))

@@ -109,6 +109,42 @@ def test_sampled_chunk_encodes_like_repr(kind, rank, seed):
     assert cli._encode_rows(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
 
 
+# Doubles whose repr takes 24 bytes, the longest of any double.
+LONGEST = [
+    -2.2250738585072014e-308, -1.7708425042926192e-100, -3.1312945593648976e-123,
+    -5.3114616832675065e-300, -2.0230481792926306e+150, -1.0134107515795256e+308,
+]
+
+
+def edge_rows(n: int = 2 * 4096 + 7) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``n`` rows (points, c column, label codes) at the encoder's edges: 24-byte
+    reprs in every column, 3-byte ones, fast and fallback fields mixed in each
+    column, and every label; the rows on both sides of each 4,096-row block
+    boundary are among them."""
+    fast = [0.5, -0.123456789, 0.00012345678901234567, -0.9999999999999999, 0.1]
+    slow = [1e-05, -1.0, 12.5, 5e-324, float(np.nextafter(1e-4, 0))]
+    patterns = [LONGEST[k : k + 4] for k in range(3)] + [[0.0] * 4, [1.0] * 4, [0.5, 0.0, 1.0, 0.5]]
+    for k in range(5):
+        mixed = [fast[k], slow[k], fast[k - 1], slow[k - 1]]
+        patterns += [mixed, mixed[1:] + mixed[:1], [-v for v in mixed]]
+    rows = np.array(patterns)[np.arange(n) % len(patterns)]
+    for boundary in range(4096, n, 4096):
+        rows[boundary - 1], rows[boundary] = LONGEST[-4:], [0.0, 0.0, 0.0, 0.0]
+    codes = (np.arange(n) % len(geo._LABEL_NAMES)).astype(np.uint8)
+    return rows[:, :3], rows[:, 3], codes
+
+
+def test_edge_rows_encode_like_repr():
+    pts, cvals, codes = edge_rows()
+    assert cli._encode_rows(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
+
+
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8192])
+def test_rows_at_block_boundaries_encode_like_repr(n):
+    pts, cvals, codes = edge_rows(n)
+    assert cli._encode_rows(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
+
+
 def test_empty_chunk_encodes_to_nothing():
     assert cli._encode_rows(np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.uint8)) == b""
 
@@ -122,10 +158,14 @@ _BASELINE_CHILD = textwrap.dedent(
 
     assert not __cpu_features__["X86_V3"], "NPY_DISABLE_CPU_FEATURES took no effect"
     sys.path.insert(0, sys.argv[1])
-    from test_csv_encoding import assert_encodes_like_repr, float_sets
+    from test_cli import repr_rows_oracle
+    from test_csv_encoding import assert_encodes_like_repr, edge_rows, float_sets
+
+    from qcausal import cli
 
     for values in float_sets().values():
         assert_encodes_like_repr(values)
+    assert cli._encode_rows(*edge_rows()) == repr_rows_oracle(*edge_rows())
     """
 )
 

@@ -1,5 +1,6 @@
 """Every golden CLI run reproduces its committed report and CSV digest byte for byte,
-also with numpy's AVX-512 loops disabled and under each OpenBLAS kernel the CPU runs."""
+also with numpy's AVX-512 loops disabled and under each OpenBLAS kernel the CPU runs;
+the sample DC goldens also with numpy's baseline X86_V2 loops alone."""
 
 import os
 import subprocess
@@ -39,10 +40,12 @@ _GOLDEN_CHILD = textwrap.dedent(
     import tempfile
     from pathlib import Path
 
-    if "X86_V4" in os.environ.get("NPY_DISABLE_CPU_FEATURES", ""):
+    disabled = os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split()
+    if disabled:
         from numpy._core._multiarray_umath import __cpu_features__
 
-        assert not __cpu_features__["X86_V4"], "NPY_DISABLE_CPU_FEATURES took no effect"
+        on = [f for f in disabled if __cpu_features__.get(f)]
+        assert not on, f"NPY_DISABLE_CPU_FEATURES left {on} on"
     sys.path.insert(0, sys.argv[1])
     from golden.cases import run_case
 
@@ -73,6 +76,18 @@ def test_goldens_without_avx512_loops(tmp_path):
     # must keep its bytes
     disabled = "AVX512_SPR AVX512_ICL X86_V4"
     assert changed_in_child(tmp_path, list(CASES), NPY_DISABLE_CPU_FEATURES=disabled) == []
+
+
+# The sample DC points come from real arithmetic alone (sin, cos, +, -, *), whose
+# bits numpy's X86_V2 loops share with its X86_V3 and X86_V4 ones.
+REAL_ARITHMETIC_CASES = ["sample-dc", "sample-dc-n70000"]
+
+
+@pytest.mark.skipif(not numpy_dispatches("X86_V3"), reason="numpy runs no X86_V3 loops here")
+def test_sample_dc_goldens_with_baseline_loops(tmp_path):
+    disabled = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
+    changed = changed_in_child(tmp_path, REAL_ARITHMETIC_CASES, NPY_DISABLE_CPU_FEATURES=disabled)
+    assert changed == []
 
 
 def openblas_dynamic_arch() -> bool:
