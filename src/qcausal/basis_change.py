@@ -2,12 +2,12 @@
 
 Rotating all measurement bases by a single-qubit unitary v maps the
 correlation point of a preparation rho to that of (v (x) v)^dag rho
-(v (x) v), and the point of an evolution u to that of v^dag u v. The
-escape experiment rotates the three measurement axes instead, once per
-call, and runs the point kernels over the whole sample: projectors
-P'_i = (v (x) v) P_i (v (x) v)^dag, or +1 eigenvectors m'_i = v m0_i. The
-transformed objects and the ``pprime_*_oracle`` functions are the tests'
-independent routes to the same points.
+(v (x) v), and the point of an evolution u to that of v^dag u v. Both map
+the correlation matrix M to Q^T M Q, Q the transfer matrix of v, so the
+escape experiment never builds an object: it takes M from the drawn
+components of the overlap sample and the points diag(Q^T M Q), with Q
+built once per call. The transformed objects are the tests' independent
+route to the same points.
 
 A point in the octahedral overlap is ambiguous. :func:`escape_witness`
 decides exactly whether a rotation moves one object's point out of it;
@@ -25,39 +25,28 @@ to rank 1.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .correlation import (
-    _EQUAL_PROJ,
-    _PLUS_EIGVEC,
-    PPoint,
     _cc_pvector_residue_batch,
     _check_residue,
-    cc_pvector_batch,
+    correlation_matrix_batch,
     dc_pvector_batch,
+    dc_transfer_matrix,
+    rotated_pvector_batch,
 )
 from .errors import ConsistencyError, ValidationError
 from .geometry import _ESCAPE_RUNS, _SIGNS, RegionLabel, _face_masks, classify
-from .qmath import (
-    is_density,
-    is_unitary,
-    pauli,
-    pauli_eigenbasis,
-    projector,
-    require_density,
-    require_unitary,
-    tensor_product,
-)
-from .samplers import SamplerConfig, sample_in_region_batch
+from .qmath import is_density, is_unitary, pauli, require_density, require_unitary
+from .samplers import SamplerConfig, sample_region_components
 
 __all__ = [
     "EscapeResult",
     "transform_density",
     "transform_unitary",
-    "pprime_cc_oracle",
-    "pprime_dc_oracle",
     "escape_experiment",
     "escape_witness",
     "ESCAPE_V1",
@@ -141,44 +130,6 @@ def transform_unitary(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def pprime_cc_oracle(rho: np.ndarray, v: np.ndarray) -> PPoint:
-    """Rotated-basis correlation point of a preparation, via rotated projectors.
-
-    Uses the projectors onto v|m_k> (x) v|m_k> directly; must equal
-    ``cc_pvector(transform_density(rho, v))`` to 1e-10 — the identity is
-    asserted in tests, not assumed.
-    """
-    rho = require_density(rho)
-    v = require_unitary(v)
-    out = []
-    for i in (1, 2, 3):
-        m0, m1 = pauli_eigenbasis(i)
-        q0 = v @ m0
-        q1 = v @ m1
-        proj = projector(tensor_product(q0, q0)) + projector(tensor_product(q1, q1))
-        value = np.trace(rho @ proj)
-        if abs(value.imag) > 1e-10:
-            raise ConsistencyError("rotated-projector trace has a large imaginary residue")
-        out.append(2.0 * float(value.real) - 1.0)
-    return PPoint(*out)
-
-
-def pprime_dc_oracle(u: np.ndarray, v: np.ndarray) -> PPoint:
-    """Rotated-basis correlation point of an evolution, via rotated eigenvectors.
-
-    Uses |(v|m_0>)^dag u (v|m_0>)|^2 directly; must equal
-    ``dc_pvector(transform_unitary(u, v))`` to 1e-10.
-    """
-    u = require_unitary(u)
-    v = require_unitary(v)
-    out = []
-    for i in (1, 2, 3):
-        w = v @ pauli_eigenbasis(i)[0]
-        amp = w.conj() @ u @ w
-        out.append(2.0 * float(abs(amp) ** 2) - 1.0)
-    return PPoint(*out)
-
-
 # The batch transforms broadcast over leading axes; the witness checks itself with
 # them, and the tests use them as the oracle of the escape experiment's axes.
 
@@ -192,12 +143,14 @@ def _transform_unitary_batch(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.einsum("...ji,...jk,...kl->...il", vs.conj(), us, vs)
 
 
-def _rotated_points(kind: str, objs: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Points of ``objs`` measured along the axes rotated by ``v`` (see module docstring)."""
-    if kind == "CC":
-        vv = np.kron(v, v)
-        return cc_pvector_batch(objs, [vv @ proj @ vv.conj().T for proj in _EQUAL_PROJ])
-    return dc_pvector_batch(objs, [v @ m0 for m0 in _PLUS_EIGVEC])
+def _transfer_matrix(v: np.ndarray) -> list[list[float]]:
+    """Q_ij = tr(sigma_i v sigma_j v^dag) / 2 of one unitary, in real arithmetic:
+    the first row of v and the phase of its determinant are its parameters."""
+    (p, q), (r, t) = np.asarray(v, dtype=complex).tolist()
+    det_re = (p.real * t.real - p.imag * t.imag) - (q.real * r.real - q.imag * r.imag)
+    det_im = (p.real * t.imag + p.imag * t.real) - (q.real * r.imag + q.imag * r.real)
+    modulus = math.hypot(det_re, det_im)
+    return dc_transfer_matrix(p.real, p.imag, q.real, q.imag, det_im / modulus, det_re / modulus)
 
 
 def escape_experiment(
@@ -209,8 +162,9 @@ def escape_experiment(
 ) -> EscapeResult:
     """Count overlap-conditioned samples rotated into the decidable region.
 
-    Draws ``n`` objects of ``kind`` with correlation point in the overlap,
-    measures them along the axes rotated by ``v``, and counts rotated points
+    Draws ``n`` objects of ``kind`` with correlation point in the overlap (their
+    components, see ``samplers.sample_region_components``), measures them along
+    the axes rotated by ``v``, and counts rotated points
     landing in the corner-cut tetrahedron minus the overlap.
     ``image_in_target`` reports whether every rotated point stayed inside the
     corner-cut tetrahedron (it must, by the conjugation invariants; a rotated
@@ -222,8 +176,8 @@ def escape_experiment(
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     v = require_unitary(v)
     cfg = SamplerConfig(density_rank=1) if cfg is None else cfg
-    objs = sample_in_region_batch(cfg, kind, "O", n, rng=rng)
-    pts = _rotated_points(kind, objs, v)
+    components = sample_region_components(cfg, kind, "O", n, rng=rng)
+    pts = rotated_pvector_batch(correlation_matrix_batch(kind, components), _transfer_matrix(v))
     full, in_target, rest = _face_masks(pts, _SIGNS, 1.0, _MEMBERSHIP_TOL, _ESCAPE_RUNS[kind])
     if not full.all():
         raise ConsistencyError("a rotated point left its tetrahedron")

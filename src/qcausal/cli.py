@@ -356,16 +356,15 @@ def _sample_chunk(
     """Bound violations, min and max of C, and the encoded CSV rows of one chunk.
 
     ``item`` is the chunk's span of rows and the generator states that
-    ``stream.record`` kept for it; the chunk's density operators (CC) or
-    unitary parameter columns (DC) are redrawn from them here. DC points take the
-    closed form in real arithmetic, whose bits do not depend on numpy's SIMD loops."""
+    ``stream.record`` kept for it; the chunk's pure components (CC) or unitary
+    parameter columns (DC) are redrawn from them here, and the points take them
+    in real arithmetic, whose bits do not depend on numpy's SIMD loops."""
     (lo, hi), states = item
-    draw = stream.replay(states, hi - lo)
     if kind == "CC":
-        pts = correlation.cc_pvector_batch(draw)
+        components = stream.replay(states, hi - lo, samplers.cc_components)
+        pts = np.stack(correlation.correlation_matrix_batch(kind, components, diagonal=True), 1)
     else:
-        pts = correlation.dc_pvector_params_batch(np.column_stack(draw))
-    del draw  # frees the chunk's objects (16 MB at rank 4) before the encoding
+        pts = correlation.dc_pvector_params_batch(np.column_stack(stream.replay(states, hi - lo)))
     cvals = correlation.statistic_c_batch(pts)
     if kind == "CC":
         violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
@@ -448,8 +447,9 @@ def run_sample(
     it: this one passes over it once and keeps only the generator states at
     each chunk's rows (``DrawStream.record``), and each chunk redraws its own
     rows from them (``DrawStream.replay``), so the CSV is byte for byte the one
-    a whole-array pass would write. DC points take the closed form on the
-    drawn parameters (``_sample_chunk``), and each float is written as
+    a whole-array pass would write. The points come from the drawn components
+    in real arithmetic, and no density operator or unitary is built
+    (``_sample_chunk``); each float is written as
     ``repr`` writes it (``_encode_rows``). The chunks are computed and encoded
     on every usable CPU (``_ordered_map``), and this process writes each one,
     in order, as soon as it arrives.

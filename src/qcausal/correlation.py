@@ -12,13 +12,17 @@ Three scenarios are covered:
   with a 2x2 unitary and measuring again;
 * a probabilistic mixture of the two.
 
-Probabilities are computed exactly from projectors, so every result is
-deterministic. Each correlation point has one implementation, a batch
-kernel over a stack of objects; the scalar functions validate their input
-once and take row 0 of that kernel, so a scalar call and a row of any
-stack give the same bits. ``cc_equal_prob``/``dc_cond_prob`` and the
-``*_oracle`` functions are second implementations, kept as the tests'
-independent cross-checks.
+Probabilities are computed exactly, so every result is deterministic. An
+object's point has one implementation, a batch kernel over a stack of
+objects; the scalar functions validate their input once and take row 0 of
+that kernel, so a scalar call and a row of any stack give the same bits.
+
+Sampled draws skip the objects: :func:`correlation_matrix_batch` takes the
+correlation matrix M (T_ij = tr(rho sigma_i (x) sigma_j), or the transfer
+matrix R_ij = tr(sigma_i u sigma_j u^dag) / 2) straight from the drawn
+components in real arithmetic, whose bits do not depend on numpy's SIMD
+loops. The point is diag(M); along axes rotated by v it is diag(Q^T M Q),
+Q the transfer matrix of v (:func:`rotated_pvector_batch`).
 """
 
 from __future__ import annotations
@@ -44,15 +48,15 @@ __all__ = [
     "cc_pvector",
     "statistic_c",
     "statistic_c_batch",
-    "dc_cond_prob",
     "dc_corr_index",
     "dc_pvector",
-    "dc_pvector_oracle",
     "mixture_pvector",
-    "mixture_pvector_oracle",
     "cc_pvector_batch",
     "dc_pvector_batch",
     "dc_pvector_params_batch",
+    "correlation_matrix_batch",
+    "dc_transfer_matrix",
+    "rotated_pvector_batch",
     "IMAG_TOL",
 ]
 
@@ -124,19 +128,6 @@ def _check_residue(imag) -> None:
         )
 
 
-def cc_equal_prob(rho: np.ndarray, i: int) -> float:
-    """p(k = m | ii) when both qubits of ``rho`` are measured along axis i.
-
-    A per-axis formula, independent of :func:`cc_pvector_batch`; it backs
-    :func:`mixture_pvector_oracle`.
-    """
-    rho = require_density(rho)
-    _check_axis(i)
-    value = complex(np.trace(rho @ _EQUAL_PROJ[i - 1]))
-    _check_residue(value.imag)
-    return float(value.real)
-
-
 def cc_corr_index(rho: np.ndarray, i: int) -> float:
     """Correlation index of the common-cause scenario along axis i."""
     return cc_pvector(rho)[_check_axis(i) - 1]
@@ -157,21 +148,6 @@ def statistic_c(p) -> float:
     return float(statistic_c_batch(arr[None])[0])
 
 
-def dc_cond_prob(u: np.ndarray, i: int, k: int) -> float:
-    """Probability that the evolved qubit repeats eigen-outcome ``k`` on axis i.
-
-    Equals |<m_k| u |m_k>|^2; by unitarity it is the same for k = 0 and
-    k = 1, which is what makes the direct-cause indices state-independent.
-    """
-    u = require_unitary(u)
-    _check_axis(i)
-    if k not in (0, 1):
-        raise ValidationError(f"eigenvector index must be 0 or 1, got {k!r}")
-    m = pauli_eigenbasis(i)[k]
-    amp = m.conj() @ u @ m
-    return float(abs(amp) ** 2)
-
-
 def dc_corr_index(u: np.ndarray, i: int) -> float:
     """Correlation index of the direct-cause scenario along axis i."""
     return dc_pvector(u)[_check_axis(i) - 1]
@@ -182,53 +158,12 @@ def dc_pvector(u: np.ndarray) -> PPoint:
     return PPoint(*dc_pvector_batch(require_unitary(u)[None])[0].tolist())
 
 
-def _unitary_params(u: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Recover (a1, a2, b1, b2, alpha) with u = [[a1+i a2, b1+i b2],
-    [-e^{i alpha}(b1-i b2), e^{i alpha}(a1-i a2)]].
-
-    Every 2x2 unitary has this form: the second row is the conjugate
-    first row rotated by the determinant phase. alpha is taken as the
-    phase of det(u); the remaining parameters read off the first row.
-    """
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    alpha = float(np.angle(det))
-    a1, a2 = float(u[0, 0].real), float(u[0, 0].imag)
-    b1, b2 = float(u[0, 1].real), float(u[0, 1].imag)
-    return a1, a2, b1, b2, alpha
-
-
-def dc_pvector_oracle(u: np.ndarray) -> PPoint:
-    """Correlation point of a unitary via its sphere-plus-phase parameters.
-
-    The closed form of :func:`dc_pvector_params_batch`, a route independent
-    of :func:`dc_pvector`; the tests require the two to agree to 1e-10.
-    """
-    u = require_unitary(u)
-    point = dc_pvector_params_batch(np.array([_unitary_params(u)]))[0]
-    return PPoint(*point.tolist())
-
-
 def mixture_pvector(s: MixtureScenario) -> PPoint:
     """Convex combination p*P(rho) + (1-p)*P(u) of the two scenario points."""
     s.validate()
     cc, residue = _cc_pvector_residue_batch(np.asarray(s.rho)[None])
     _check_residue(residue)
     return PPoint(*(s.p * cc[0] + (1.0 - s.p) * dc_pvector_batch(np.asarray(s.u)[None])[0]))
-
-
-def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:
-    """Correlation point of the mixture evaluated through outcome probabilities.
-
-    Mixes p(k = m | ii) of the two branches before forming the indices;
-    agrees with :func:`mixture_pvector` by linearity and serves as its
-    independent cross-check.
-    """
-    s.validate()
-    out = []
-    for i in (1, 2, 3):
-        p_equal = s.p * cc_equal_prob(s.rho, i) + (1.0 - s.p) * dc_cond_prob(s.u, i, 0)
-        out.append(2.0 * p_equal - 1.0)
-    return PPoint(*out)
 
 
 # -- batch kernels -----------------------------------------------------------
@@ -239,23 +174,20 @@ def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:
 # the size of the stack, which the tests check.
 
 
-def _cc_pvector_residue_batch(
-    rhos: np.ndarray, projectors=_EQUAL_PROJ
-) -> tuple[np.ndarray, np.ndarray]:
-    """Points of a stack of density operators measured with the equal-outcome
-    projectors P_i, shape (n, 3), and the imaginary residues of the traces
-    tr(rho P_i), which :func:`cc_pvector` checks against ``IMAG_TOL``."""
+def _cc_pvector_residue_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points of a stack of density operators, shape (n, 3), and the imaginary
+    residues of the traces tr(rho P_i), which :func:`cc_pvector` checks against
+    ``IMAG_TOL``."""
     rhos = np.asarray(rhos, dtype=complex)
     traces = np.empty((len(rhos), 3), dtype=complex)
-    for k, proj in enumerate(projectors):
+    for k, proj in enumerate(_EQUAL_PROJ):
         np.einsum("nij,ji->n", rhos, proj, out=traces[:, k])
     return 2.0 * traces.real - 1.0, traces.imag
 
 
-def cc_pvector_batch(rhos: np.ndarray, projectors=_EQUAL_PROJ) -> np.ndarray:
-    """Correlation points of a stack of density operators, shape (n, 3), measured
-    with the equal-outcome projectors ``projectors`` (default: the fixed axes)."""
-    return _cc_pvector_residue_batch(rhos, projectors)[0]
+def cc_pvector_batch(rhos: np.ndarray) -> np.ndarray:
+    """Correlation points of a stack of density operators, shape (n, 3)."""
+    return _cc_pvector_residue_batch(rhos)[0]
 
 
 def statistic_c_batch(points: np.ndarray) -> np.ndarray:
@@ -263,26 +195,92 @@ def statistic_c_batch(points: np.ndarray) -> np.ndarray:
     return points[:, 0] * points[:, 1] * points[:, 2]
 
 
-def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
-    """Correlation points from rows (a1, a2, b1, b2, alpha), shape (n, 3).
-
-    The rows parameterize unitaries as in :func:`_unitary_params`, with
-    (a1, a2, b1, b2) on the unit sphere. The arithmetic is elementwise, so
-    a row's point does not depend on the other rows of the batch.
-    """
-    params = np.asarray(params, dtype=float)
-    a1, a2, b1, b2, alpha = (params[:, k] for k in range(5))
-    sa, ca = np.sin(alpha), np.cos(alpha)
+def _dc_diagonal(a1, a2, b1, b2, sa, ca):
+    """(R11, R22, R33), elementwise, of the unitaries [[a1 + i a2, b1 + i b2],
+    [-e^{i alpha}(b1 - i b2), e^{i alpha}(a1 - i a2)]], (a1, a2, b1, b2) on the
+    unit sphere, sa, ca = sin(alpha), cos(alpha). Every 2x2 unitary has this form."""
     c = 0.5 + a1 * a2 * sa + 0.5 * ca * (a1 * a1 - a2 * a2)
     d = b1 * b2 * sa + 0.5 * ca * (b1 * b1 - b2 * b2)
-    return np.stack(
-        [2.0 * (c - d) - 1.0, 2.0 * (c + d) - 1.0, 2.0 * (a1 * a1 + a2 * a2) - 1.0], axis=1
-    )
+    return 2.0 * (c - d) - 1.0, 2.0 * (c + d) - 1.0, 2.0 * (a1 * a1 + a2 * a2) - 1.0
 
 
-def dc_pvector_batch(us: np.ndarray, eigenvectors=_PLUS_EIGVEC) -> np.ndarray:
-    """Correlation points of a stack of 2x2 unitaries, shape (n, 3), measured
-    along the axes with +1 eigenvectors m0 ``eigenvectors`` (default: the fixed axes).
+def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
+    """Correlation points from rows (a1, a2, b1, b2, alpha) (see :func:`_dc_diagonal`),
+    shape (n, 3); a row's point does not depend on the other rows."""
+    a1, a2, b1, b2, alpha = np.asarray(params, dtype=float).T
+    return np.stack(_dc_diagonal(a1, a2, b1, b2, np.sin(alpha), np.cos(alpha)), axis=1)
+
+
+def dc_transfer_matrix(a1, a2, b1, b2, sa, ca) -> list:
+    """Rows of R_ij = tr(sigma_i u sigma_j u^dag) / 2 for the parameters of
+    :func:`_dc_diagonal`, elementwise over floats or arrays. With A = a1^2 - a2^2,
+    B = b1^2 - b2^2, P = 2 a1 a2, P' = 2 b1 b2: R12 = cos (P + P') - sin (A + B)."""
+    big_a, big_b, p, p2 = a1 * a1 - a2 * a2, b1 * b1 - b2 * b2, 2.0 * a1 * a2, 2.0 * b1 * b2
+    even, odd = a1 * b1 - a2 * b2, a1 * b2 + a2 * b1
+    r11, r22, r33 = _dc_diagonal(a1, a2, b1, b2, sa, ca)
+    return [
+        [r11, ca * (p + p2) - sa * (big_a + big_b), -2.0 * (ca * even + sa * odd)],
+        [sa * (big_a - big_b) - ca * (p - p2), r22, 2.0 * (ca * odd - sa * even)],
+        [2.0 * (a1 * b1 + a2 * b2), 2.0 * (a2 * b1 - a1 * b2), r33],
+    ]
+
+
+def _cc_matrix(re: np.ndarray, im: np.ndarray, lam, diagonal: bool) -> list:
+    """[T11, T22, T33], or the rows of (T + T^T) / 2, of sum_r lam_r |psi_r><psi_r|,
+    psi_r = (re_r + i im_r) / norm. Each entry sums bilinears g_ab = Re(conj(psi_a)
+    psi_b) and h_ab = Im(...) of the unnormalized components, divides by the
+    squared norm ((g_00 + g_11) + g_22) + g_33, then takes the weight lam_r."""
+    total = None
+    for r, (x, y) in enumerate(zip(re, im)):
+        def g(a, b):
+            return x[a] * x[b] + y[a] * y[b]
+
+        def h(a, b):
+            return x[a] * y[b] - y[a] * x[b]
+
+        g00, g11, g22, g33 = (g(a, a) for a in range(4))
+        g03, g12 = g(0, 3), g(1, 2)
+        terms = [2.0 * (g03 + g12), 2.0 * (g12 - g03), (g00 + g33) - (g11 + g22)]
+        if not diagonal:
+            terms += [2.0 * h(0, 3), (g(0, 1) + g(0, 2)) - (g(1, 3) + g(2, 3)),
+                      (h(0, 1) + h(0, 2)) - (h(1, 3) + h(2, 3))]
+        norm = ((g00 + g11) + g22) + g33
+        terms = [t / norm if lam is None else t / norm * lam[r] for t in terms]
+        total = terms if total is None else [s + t for s, t in zip(total, terms)]
+    if diagonal:
+        return total
+    t11, t22, t33, s12, s13, s23 = total
+    return [[t11, s12, s13], [s12, t22, s23], [s13, s23, t33]]
+
+
+def correlation_matrix_batch(kind: str, components: tuple, diagonal: bool = False) -> list:
+    """Rows of (n,) entries of M, symmetrized for 'CC' (only that part reaches a
+    point), or with ``diagonal`` the point [M11, M22, M33], from the drawn
+    ``components``: for 'CC' (``samplers.cc_components``) the real and
+    imaginary parts of the pure components, (rank, 4, n) each, and above rank 1
+    their weights, (rank, n); for 'DC' the rows (a1, a2, b1, b2, alpha)."""
+    if kind == "CC":
+        lam = components[2] if len(components) > 2 else None
+        return _cc_matrix(components[0], components[1], lam, diagonal)
+    a1, a2, b1, b2, alpha = components
+    sa, ca = np.sin(alpha), np.cos(alpha)
+    if diagonal:
+        return list(_dc_diagonal(a1, a2, b1, b2, sa, ca))
+    return dc_transfer_matrix(a1, a2, b1, b2, sa, ca)
+
+
+def rotated_pvector_batch(m: list, q) -> np.ndarray:
+    """diag(Q^T M Q), shape (n, 3): the points of the objects with matrices ``m``
+    measured along axes rotated by a v with transfer matrix ``q`` (3x3 floats).
+    Entry k sums q_ik q_jk M_ij in row-major (i, j) order."""
+    out = np.empty((len(m[0][0]), 3))
+    for k in range(3):
+        out[:, k] = sum(q[i][k] * q[j][k] * m[i][j] for i in range(3) for j in range(3))
+    return out
+
+
+def dc_pvector_batch(us: np.ndarray) -> np.ndarray:
+    """Correlation points of a stack of 2x2 unitaries, shape (n, 3).
 
     Each amplitude <m0| u |m0> is summed elementwise in row-major (i, j)
     order, so a one-row stack gives the bits of the same row in any stack.
@@ -290,7 +288,7 @@ def dc_pvector_batch(us: np.ndarray, eigenvectors=_PLUS_EIGVEC) -> np.ndarray:
     us = np.asarray(us, dtype=complex)
     u00, u01, u10, u11 = us[:, 0, 0], us[:, 0, 1], us[:, 1, 0], us[:, 1, 1]
     cols = []
-    for b in eigenvectors:
+    for b in _PLUS_EIGVEC:
         a = b.conj()
         amp = a[0] * u00 * b[0] + a[0] * u01 * b[1] + a[1] * u10 * b[0] + a[1] * u11 * b[1]
         cols.append(2.0 * np.abs(amp) ** 2 - 1.0)

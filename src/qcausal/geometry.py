@@ -195,12 +195,23 @@ def region_test(name: str):
     """Return the membership predicate ``(p, tol=0.0)`` for a named region."""
     if name not in _ROWS:
         raise ValidationError(f"unknown region {name!r}; expected one of {sorted(_ROWS)}")
+    if name == "O":
+        return in_overlap
     return functools.partial(_member, _SIGNS[_ROWS[name]], 1.0)
 
 
 def in_overlap(p, tol: float = 0.0):
-    """Membership in the octahedral overlap: all eight sign faces."""
-    return _member(_SIGNS, 1.0, p, tol)
+    """Membership in the octahedral overlap: all eight sign faces, as one comparison.
+
+    ``(|x| + |y|) + |z| <= 1 + tol`` has the bits of the eight face tests
+    ``(a x + b y) + c z <= 1 + tol``: multiplying by +-1 is exact and rounding
+    is monotone, so the face whose signs match the point's gives the largest sum.
+    """
+    if tol < 0:
+        raise ValidationError("tolerance must be >= 0")
+    arr = np.abs(_points(p))
+    inside = (arr[..., 0] + arr[..., 1]) + arr[..., 2] <= 1.0 + tol
+    return bool(inside) if arr.ndim == 1 else inside
 
 
 def in_otc(p, tol: float = 0.0):

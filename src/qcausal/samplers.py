@@ -9,7 +9,10 @@ independent generators from (seed, worker index) through
 Samplers accept an optional ``size``: ``None`` returns a single object,
 an integer returns a stacked batch (leading axis). Rejection sampling for
 region-conditioned draws works on fixed-size chunks, which keeps the
-stream deterministic for a given seed.
+stream deterministic for a given seed. It tests each chunk's correlation
+points in real arithmetic from the drawn components (the unitary parameters,
+or the density draw's blocks as ``cc_components`` lays them out) and keeps
+the components of the accepted rows alone.
 
 The density and unitary-parameter draws are each defined once, as a
 :class:`DrawStream`. The whole-n samplers draw it in one go; ``record`` and
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import cc_pvector_batch, dc_pvector_batch
+from .correlation import correlation_matrix_batch
 from .errors import SamplingExhaustedError, ValidationError
 from .geometry import region_test
 
@@ -39,6 +42,8 @@ __all__ = [
     "sample_unitary",
     "sample_unitary_params",
     "unitaries_from_params",
+    "cc_components",
+    "sample_region_components",
     "sample_in_region",
     "sample_in_region_batch",
     "REGIONS_BY_KIND",
@@ -115,8 +120,9 @@ class DrawStream:
     blocks: tuple
     assemble: Callable
 
-    def draw(self, rng: np.random.Generator, n: int):
-        return self.assemble(block(rng, n) for block in self.blocks)
+    def draw(self, rng: np.random.Generator, n: int, assemble: Callable | None = None):
+        """n assembled rows; ``assemble`` replaces the stream's own assembly."""
+        return (assemble or self.assemble)(block(rng, n) for block in self.blocks)
 
     def record(self, rng: np.random.Generator, sizes: list[int]) -> list[list[dict]]:
         """For consecutive spans of ``sizes`` rows, each span's generator state
@@ -129,7 +135,7 @@ class DrawStream:
                 block(rng, rows)
         return states
 
-    def replay(self, states: list[dict], rows: int):
+    def replay(self, states: list[dict], rows: int, assemble: Callable | None = None):
         """The ``rows`` assembled rows of the span whose recorded (PCG64)
         states are ``states``: the same bits as those rows of ``draw``."""
 
@@ -138,7 +144,8 @@ class DrawStream:
             bitgen.state = state
             return np.random.Generator(bitgen)
 
-        return self.assemble(block(at(state), rows) for block, state in zip(self.blocks, states))
+        blocks = (block(at(state), rows) for block, state in zip(self.blocks, states))
+        return (assemble or self.assemble)(blocks)
 
 
 def _density_from_blocks(blocks) -> np.ndarray:
@@ -166,9 +173,9 @@ def density_stream(rank: int = 4) -> DrawStream:
 
 
 def _unitary_params_from_blocks(blocks):
-    v = next(blocks)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return v[:, 0], v[:, 1], v[:, 2], v[:, 3], next(blocks)
+    v = next(blocks).T.copy()
+    v /= np.sqrt(((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]) + v[3] * v[3])
+    return (*v, next(blocks))
 
 
 # The draw of sample_unitary_params: sphere normals, then phases.
@@ -214,23 +221,25 @@ def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
     return u
 
 
-def _draw_batch(kind: str, cfg: SamplerConfig, rng: np.random.Generator, n: int):
-    if kind == "CC":
-        objs = sample_density(rng, rank=cfg.density_rank, size=n)
-        return objs, cc_pvector_batch(objs)
-    objs = sample_unitary(rng, size=n)
-    return objs, dc_pvector_batch(objs)
+def cc_components(blocks) -> tuple:
+    """The density draw's blocks as the contiguous component columns that
+    ``correlation.correlation_matrix_batch`` takes: the real and imaginary normals,
+    (rank, 4, n) each, then (above rank 1) the weights, (rank, n). Pass it as the
+    ``assemble`` of ``density_stream(rank).draw`` or ``replay``."""
+    return tuple(np.ascontiguousarray(np.moveaxis(block, 0, -1)) for block in blocks)
 
 
-def sample_in_region_batch(
+def sample_region_components(
     cfg: SamplerConfig,
     kind: str,
     region: str,
     size: int,
     rng: np.random.Generator | None = None,
     tol: float = 1e-9,
-) -> np.ndarray:
-    """Rejection-sample ``size`` objects whose correlation point lies in ``region``.
+) -> tuple:
+    """Rejection-sample the drawn components of ``size`` objects whose correlation
+    point lies in ``region``: those of :func:`cc_components` ('CC') or of
+    :func:`sample_unitary_params` ('DC'), each with the rows last.
 
     Draws always come in full chunks of ``_CHUNK`` objects, so the accepted
     stream depends only on the generator, not on ``cfg.max_rejections``. The
@@ -248,7 +257,10 @@ def sample_in_region_batch(
         raise ValidationError("size must be >= 1")
     member = region_test(region)
     rng = cfg.rng() if rng is None else rng
-    accepted: list[np.ndarray] = []
+    stream, assemble = UNITARY_PARAMS, None
+    if kind == "CC":
+        stream, assemble = density_stream(cfg.density_rank), cc_components
+    accepted: list[tuple] = []
     n_accepted = 0
     attempts = 0
     while n_accepted < size:
@@ -260,13 +272,29 @@ def sample_in_region_batch(
                 accepted=n_accepted,
                 attempts=attempts,
             )
-        objs, pts = _draw_batch(kind, cfg, rng, _CHUNK)
+        components = stream.draw(rng, _CHUNK, assemble)
         attempts += _CHUNK
-        keep = member(pts, tol)
-        if keep.any():
-            accepted.append(objs[keep])
-            n_accepted += int(keep.sum())
-    return np.concatenate(accepted, axis=0)[:size]
+        pts = np.stack(correlation_matrix_batch(kind, components, diagonal=True), axis=1)
+        keep = np.flatnonzero(member(pts, tol))
+        accepted.append(tuple(column[..., keep] for column in components))
+        n_accepted += len(keep)
+    return tuple(np.concatenate(columns, axis=-1)[..., :size] for columns in zip(*accepted))
+
+
+def sample_in_region_batch(
+    cfg: SamplerConfig,
+    kind: str,
+    region: str,
+    size: int,
+    rng: np.random.Generator | None = None,
+    tol: float = 1e-9,
+) -> np.ndarray:
+    """Rejection-sample ``size`` objects whose correlation point lies in ``region``:
+    the objects of the components that :func:`sample_region_components` keeps."""
+    components = sample_region_components(cfg, kind, region, size, rng, tol)
+    if kind == "DC":
+        return unitaries_from_params(*components)
+    return _density_from_blocks(np.moveaxis(column, -1, 0) for column in components)
 
 
 def sample_in_region(

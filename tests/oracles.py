@@ -1,0 +1,182 @@
+"""Second routes to the correlation points and the escape counts, kept as the
+tests' independent oracles.
+
+The package measures along rotated axes in real arithmetic from the drawn
+components (``correlation.rotated_pvector_batch``). The routes here build the
+objects and take complex traces instead: the projectors onto v|m_k> (x) v|m_k>,
+or the amplitudes <m'_0| u |m'_0> of the rotated +1 eigenvectors m'_0 = v m_0.
+The per-axis probabilities and the closed form from a unitary's parameters
+check the fixed-axis points and their mixtures.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from qcausal.correlation import (
+    _EQUAL_PROJ,
+    _PLUS_EIGVEC,
+    MixtureScenario,
+    PPoint,
+    _check_axis,
+    _check_residue,
+    cc_pvector_batch,
+    dc_pvector_batch,
+    dc_pvector_params_batch,
+)
+from qcausal.errors import ConsistencyError, ValidationError
+from qcausal.geometry import _ESCAPE_RUNS, _SIGNS, _face_masks
+from qcausal.qmath import (
+    pauli_eigenbasis,
+    projector,
+    require_density,
+    require_unitary,
+    tensor_product,
+)
+from qcausal.samplers import _CHUNK, sample_density, sample_unitary
+
+
+def pprime_cc_oracle(rho: np.ndarray, v: np.ndarray) -> PPoint:
+    """Rotated-basis correlation point of a preparation, via rotated projectors.
+
+    Uses the projectors onto v|m_k> (x) v|m_k> directly; must equal
+    ``cc_pvector(transform_density(rho, v))`` to 1e-10 — the identity is
+    asserted in tests, not assumed.
+    """
+    rho = require_density(rho)
+    v = require_unitary(v)
+    out = []
+    for i in (1, 2, 3):
+        m0, m1 = pauli_eigenbasis(i)
+        q0 = v @ m0
+        q1 = v @ m1
+        proj = projector(tensor_product(q0, q0)) + projector(tensor_product(q1, q1))
+        value = np.trace(rho @ proj)
+        if abs(value.imag) > 1e-10:
+            raise ConsistencyError("rotated-projector trace has a large imaginary residue")
+        out.append(2.0 * float(value.real) - 1.0)
+    return PPoint(*out)
+
+
+def pprime_dc_oracle(u: np.ndarray, v: np.ndarray) -> PPoint:
+    """Rotated-basis correlation point of an evolution, via rotated eigenvectors.
+
+    Uses |(v|m_0>)^dag u (v|m_0>)|^2 directly; must equal
+    ``dc_pvector(transform_unitary(u, v))`` to 1e-10.
+    """
+    u = require_unitary(u)
+    v = require_unitary(v)
+    out = []
+    for i in (1, 2, 3):
+        w = v @ pauli_eigenbasis(i)[0]
+        amp = w.conj() @ u @ w
+        out.append(2.0 * float(abs(amp) ** 2) - 1.0)
+    return PPoint(*out)
+
+
+def _rotated_points(kind: str, objs: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Points of the stacked ``objs`` measured along the axes rotated by ``v``:
+    traces with the projectors P'_i = (v (x) v) P_i (v (x) v)^dag, or the
+    amplitudes of the eigenvectors m'_i = v m0_i."""
+    if kind == "CC":
+        vv = np.kron(v, v)
+        traces = [np.einsum("nij,ji->n", objs, vv @ proj @ vv.conj().T) for proj in _EQUAL_PROJ]
+        return 2.0 * np.stack(traces, axis=1).real - 1.0
+    amps = [np.einsum("i,nij,j->n", w.conj(), objs, w) for w in (v @ m0 for m0 in _PLUS_EIGVEC)]
+    return 2.0 * np.abs(np.stack(amps, axis=1)) ** 2 - 1.0
+
+
+def overlap_objects_oracle(kind: str, rank: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` overlap objects the way the rejection sampler once drew them: whole
+    density operators or unitaries, chunk by chunk, their points from the complex
+    kernels and tested against all eight sign faces at 1e-9."""
+    kept, count = [], 0
+    while count < n:
+        if kind == "CC":
+            objs = sample_density(rng, rank=rank, size=_CHUNK)
+            pts = cc_pvector_batch(objs)
+        else:
+            objs = sample_unitary(rng, size=_CHUNK)
+            pts = dc_pvector_batch(objs)
+        (inside,) = _face_masks(pts, _SIGNS, 1.0, 1e-9)
+        kept.append(objs[inside])
+        count += int(inside.sum())
+    return np.concatenate(kept)[:n]
+
+
+def escaped_oracle(kind: str, v: np.ndarray, objs: np.ndarray) -> int:
+    """How many of the overlap objects ``objs`` the rotated axes of ``v`` move into
+    the corner-cut tetrahedron minus the overlap, by :func:`_rotated_points`."""
+    pts = _rotated_points(kind, objs, v)
+    full, in_target, rest = _face_masks(pts, _SIGNS, 1.0, 1e-9, _ESCAPE_RUNS[kind])
+    assert full.all(), "a rotated point left its tetrahedron"
+    return int((in_target & ~rest).sum())
+
+
+def cc_equal_prob(rho: np.ndarray, i: int) -> float:
+    """p(k = m | ii) when both qubits of ``rho`` are measured along axis i.
+
+    A per-axis formula, independent of ``cc_pvector_batch``; it backs
+    :func:`mixture_pvector_oracle`.
+    """
+    rho = require_density(rho)
+    _check_axis(i)
+    value = complex(np.trace(rho @ _EQUAL_PROJ[i - 1]))
+    _check_residue(value.imag)
+    return float(value.real)
+
+
+def dc_cond_prob(u: np.ndarray, i: int, k: int) -> float:
+    """Probability that the evolved qubit repeats eigen-outcome ``k`` on axis i.
+
+    Equals |<m_k| u |m_k>|^2; by unitarity it is the same for k = 0 and
+    k = 1, which is what makes the direct-cause indices state-independent.
+    """
+    u = require_unitary(u)
+    _check_axis(i)
+    if k not in (0, 1):
+        raise ValidationError(f"eigenvector index must be 0 or 1, got {k!r}")
+    m = pauli_eigenbasis(i)[k]
+    amp = m.conj() @ u @ m
+    return float(abs(amp) ** 2)
+
+
+def _unitary_params(u: np.ndarray) -> tuple[float, float, float, float, float]:
+    """Recover (a1, a2, b1, b2, alpha) with u = [[a1+i a2, b1+i b2],
+    [-e^{i alpha}(b1-i b2), e^{i alpha}(a1-i a2)]].
+
+    Every 2x2 unitary has this form: the second row is the conjugate
+    first row rotated by the determinant phase. alpha is taken as the
+    phase of det(u); the remaining parameters read off the first row.
+    """
+    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
+    alpha = float(np.angle(det))
+    a1, a2 = float(u[0, 0].real), float(u[0, 0].imag)
+    b1, b2 = float(u[0, 1].real), float(u[0, 1].imag)
+    return a1, a2, b1, b2, alpha
+
+
+def dc_pvector_oracle(u: np.ndarray) -> PPoint:
+    """Correlation point of a unitary via its sphere-plus-phase parameters.
+
+    The closed form of ``dc_pvector_params_batch``, a route independent
+    of ``dc_pvector``; the tests require the two to agree to 1e-10.
+    """
+    u = require_unitary(u)
+    point = dc_pvector_params_batch(np.array([_unitary_params(u)]))[0]
+    return PPoint(*point.tolist())
+
+
+def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:
+    """Correlation point of the mixture evaluated through outcome probabilities.
+
+    Mixes p(k = m | ii) of the two branches before forming the indices;
+    agrees with ``mixture_pvector`` by linearity and serves as its
+    independent cross-check.
+    """
+    s.validate()
+    out = []
+    for i in (1, 2, 3):
+        p_equal = s.p * cc_equal_prob(s.rho, i) + (1.0 - s.p) * dc_cond_prob(s.u, i, 0)
+        out.append(2.0 * p_equal - 1.0)
+    return PPoint(*out)

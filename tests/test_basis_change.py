@@ -3,12 +3,20 @@ import functools
 import numpy as np
 import pytest
 
+import oracles
 from qcausal import basis_change as bc
+from qcausal import cli
 from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal import qmath
 from qcausal.errors import ConsistencyError, ValidationError
-from qcausal.samplers import SamplerConfig, sample_density, sample_in_region_batch, sample_unitary
+from qcausal.samplers import (
+    SamplerConfig,
+    sample_density,
+    sample_in_region_batch,
+    sample_region_components,
+    sample_unitary,
+)
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
@@ -145,7 +153,7 @@ class TestRotatedPointIdentities:
     def test_identity_rotation_cc(self):
         rho = qmath.projector(qmath.bell(1))
         np.testing.assert_allclose(
-            bc.pprime_cc_oracle(rho, qmath.pauli(0)).as_array(),
+            oracles.pprime_cc_oracle(rho, qmath.pauli(0)).as_array(),
             corr.cc_pvector(rho).as_array(),
             atol=1e-14,
         )
@@ -153,7 +161,7 @@ class TestRotatedPointIdentities:
     def test_hadamard_rotation_cc(self):
         rho = qmath.projector(qmath.bell(1))
         np.testing.assert_allclose(
-            bc.pprime_cc_oracle(rho, HADAMARD).as_array(),
+            oracles.pprime_cc_oracle(rho, HADAMARD).as_array(),
             corr.cc_pvector(bc.transform_density(rho, HADAMARD)).as_array(),
             atol=1e-12,
         )
@@ -163,7 +171,7 @@ class TestRotatedPointIdentities:
         for _ in range(2000):
             rho = sample_density(rng)
             v = sample_unitary(rng)
-            lhs = bc.pprime_cc_oracle(rho, v).as_array()
+            lhs = oracles.pprime_cc_oracle(rho, v).as_array()
             rhs = corr.cc_pvector(bc.transform_density(rho, v)).as_array()
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -172,7 +180,7 @@ class TestRotatedPointIdentities:
         for _ in range(2000):
             u = sample_unitary(rng)
             v = sample_unitary(rng)
-            lhs = bc.pprime_dc_oracle(u, v).as_array()
+            lhs = oracles.pprime_dc_oracle(u, v).as_array()
             rhs = corr.dc_pvector(bc.transform_unitary(u, v)).as_array()
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
@@ -182,8 +190,8 @@ class TestRotatedPointIdentities:
             rho = sample_density(rng)
             u = sample_unitary(rng)
             v = sample_unitary(rng)
-            assert geo.contains(geo.tcc(), bc.pprime_cc_oracle(rho, v).as_array(), 1e-9)
-            assert geo.contains(geo.tdc(), bc.pprime_dc_oracle(u, v).as_array(), 1e-9)
+            assert geo.contains(geo.tcc(), oracles.pprime_cc_oracle(rho, v).as_array(), 1e-9)
+            assert geo.contains(geo.tdc(), oracles.pprime_dc_oracle(u, v).as_array(), 1e-9)
 
     def test_maximally_mixed_invariant(self):
         rng = np.random.default_rng(86)
@@ -201,13 +209,13 @@ class TestRotatedPointIdentities:
             v1 = sample_unitary(rng)
             v2 = sample_unitary(rng)
             np.testing.assert_allclose(
-                bc.pprime_cc_oracle(bc.transform_density(rho, v1), v2).as_array(),
-                bc.pprime_cc_oracle(rho, v1 @ v2).as_array(),
+                oracles.pprime_cc_oracle(bc.transform_density(rho, v1), v2).as_array(),
+                oracles.pprime_cc_oracle(rho, v1 @ v2).as_array(),
                 atol=1e-10,
             )
             np.testing.assert_allclose(
-                bc.pprime_dc_oracle(bc.transform_unitary(u, v1), v2).as_array(),
-                bc.pprime_dc_oracle(u, v1 @ v2).as_array(),
+                oracles.pprime_dc_oracle(bc.transform_unitary(u, v1), v2).as_array(),
+                oracles.pprime_dc_oracle(u, v1 @ v2).as_array(),
                 atol=1e-10,
             )
 
@@ -261,14 +269,18 @@ class TestEscapeExperiment:
             bc.escape_experiment("XX", bc.ESCAPE_V1, 10, SamplerConfig(seed=94))
 
     @pytest.mark.parametrize("which", ["v1", "v2", "v3", "v4", "sampled"])
-    @pytest.mark.parametrize("kind, rank", [("CC", 1), ("CC", 4), ("DC", 1)])
+    @pytest.mark.parametrize(
+        "kind, rank", [("CC", 1), ("CC", 2), ("CC", 3), ("CC", 4), ("DC", 1)]
+    )
     def test_rotated_axes_match_transformed_objects(self, kind, rank, which):
-        # The experiment rotates the measurement axes; the oracle rotates the objects.
+        # The experiment takes diag(Q^T M Q) from the components; the oracle
+        # rotates the objects built from the same components.
         if which == "sampled":
             v = sample_unitary(np.random.default_rng(97))
         else:
             v = bc.ESCAPE_V_SET[int(which[1]) - 1]
         cfg = SamplerConfig(seed=98, density_rank=rank)
+        components = sample_region_components(cfg, kind, "O", 3_000)
         objs = sample_in_region_batch(cfg, kind, "O", 3_000)
         if kind == "CC":
             oracle = corr.cc_pvector_batch(bc._transform_density_batch(objs, v))
@@ -276,9 +288,29 @@ class TestEscapeExperiment:
         else:
             oracle = corr.dc_pvector_batch(bc._transform_unitary_batch(objs, v))
             cut = geo.in_otd
-        np.testing.assert_allclose(bc._rotated_points(kind, objs, v), oracle, rtol=0, atol=1e-14)
+        m = corr.correlation_matrix_batch(kind, components)
+        got = corr.rotated_pvector_batch(m, bc._transfer_matrix(v))
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
         escaped = int((cut(oracle, 1e-9) & ~geo.in_overlap(oracle, 1e-9)).sum())
         assert bc.escape_experiment(kind, v, 3_000, cfg).escaped == escaped
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_table2_counts_match_the_object_route(self, seed):
+        # every cell's count against whole objects drawn, tested and rotated
+        # through the complex kernels, as the experiment once did it
+        n = 20_000
+        report = cli.run_table2(n=n, seed=seed)
+        cfg = SamplerConfig(seed=seed, density_rank=1)
+        for cell in range(8):
+            kind, v = ("DC" if cell % 2 else "CC"), bc.ESCAPE_V_SET[cell // 2]
+            objs = oracles.overlap_objects_oracle(kind, 1, n, cfg.worker_rng(cell))
+            entry = report.results[f"v{cell // 2 + 1}"][kind.lower()]
+            assert entry["escaped"] == oracles.escaped_oracle(kind, v, objs), (cell, kind)
+
+    def test_transfer_matrix_of_the_reference_rotations(self):
+        sampled = sample_unitary(np.random.default_rng(7))
+        for v in (*bc.ESCAPE_V_SET, HADAMARD, qmath.pauli(0), sampled):
+            np.testing.assert_allclose(bc._transfer_matrix(v), _adjoint(v), rtol=0, atol=1e-15)
 
 
 def _adjoint(v):

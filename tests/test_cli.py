@@ -10,10 +10,11 @@ import textwrap
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import qcausal
@@ -23,11 +24,14 @@ from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
 from qcausal.samplers import (
     SamplerConfig,
+    density_stream,
+    cc_components,
     sample_density,
     sample_in_region_batch,
     sample_unitary,
     sample_unitary_params,
 )
+from golden.cases import INPUTS
 from test_basis_change import _search_escape_oracle
 from test_geometry import near_face_points
 
@@ -317,10 +321,11 @@ def repr_rows_oracle(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> b
 
 def whole_array_csv_oracle(kind, n, seed, rank=4):
     """CSV bytes and c column of an unchunked sample: every row held, one repr per float.
-    DC points come from the closed form on the drawn parameters, as in ``sample``."""
+    Points come from the drawn components in real arithmetic, as in ``sample``."""
     rng = SamplerConfig(seed=seed, density_rank=rank).rng()
     if kind == "CC":
-        pts = corr.cc_pvector_batch(sample_density(rng, rank=rank, size=n))
+        components = density_stream(rank).draw(rng, n, cc_components)
+        pts = np.stack(corr.correlation_matrix_batch("CC", components, diagonal=True), axis=1)
     else:
         pts = corr.dc_pvector_params_batch(np.column_stack(sample_unitary_params(rng, n)))
     cvals = pts.prod(axis=1)
@@ -372,6 +377,17 @@ class TestSampleStreaming:
         cli.run_sample("DC", n, seed=seed, out_path=str(path))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
         oracle = corr.dc_pvector_batch(sample_unitary(SamplerConfig(seed=seed).rng(), size=n))
+        assert np.abs(rows - oracle).max() <= 1e-12
+
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_cc_points_match_complex_route(self, tmp_path, rank):
+        # the CSV's real-arithmetic points against the projector traces of the
+        # density operators themselves, over a full chunk and a tail
+        n = 2**16 + 1000
+        path = tmp_path / "s.csv"
+        cli.run_sample("CC", n, seed=5, out_path=str(path), rank=rank)
+        rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
+        oracle = corr.cc_pvector_batch(sample_density(SamplerConfig(seed=5).rng(), rank, n))
         assert np.abs(rows - oracle).max() <= 1e-12
 
     def test_chunk_plan(self):
@@ -909,3 +925,71 @@ def test_fuzzed_documents_fail_only_with_one_validation_line(tmp_path_factory, v
         assert _classify_outcome(path) == (1, True)
     else:
         assert _classify_outcome(path)[0] == 0
+
+
+def _flag(name, values):
+    """No ``--name`` at all, or ``--name=value`` (the ``=`` keeps a negative value
+    from reading as an option)."""
+    return st.just([]) | values.map(lambda value: [f"--{name}={value!r}"])
+
+
+_sizes = st.integers(-3, 2000) | st.sampled_from([2**63, 10**30])
+_seed_flag = _flag("seed", st.integers(-2, 2**64))
+_tol_flag = _flag("tol", st.floats() | st.sampled_from([0.0, 1e-9, 1e-6]))
+_docs = st.sampled_from(
+    [str(INPUTS / name) for name in sorted(os.listdir(INPUTS))] + ["missing.json", "."]
+)
+# grid steps below 0.01 are left out: a run at 0.001 takes over a minute
+_argvs = st.one_of(
+    st.tuples(st.just(["classify"]), _docs.map(lambda path: [path]), _seed_flag, _tol_flag),
+    st.tuples(
+        st.just(["bounds"]),
+        _flag("grid-step", st.sampled_from([-0.01, 0.0, 1e-4, 0.05, 0.1, 0.5, float("nan")])),
+        _flag("starts", st.integers(-2, 5) | st.just(10**12)),
+        _seed_flag,
+        _tol_flag,
+    ),
+    st.tuples(
+        st.just(["sample"]),
+        st.sampled_from([["CC"], ["DC"]]),
+        st.sampled_from([["--csv", "s.csv"], ["--csv", "missing/s.csv"]]),
+        _flag("n", _sizes),
+        _flag("rank", st.integers(-1, 6)),
+        _seed_flag,
+    ),
+    st.tuples(st.just(["table1"]), _tol_flag),
+    st.tuples(
+        st.just(["table2"]),
+        _flag("n", _sizes),
+        _seed_flag,
+        st.lists(_docs, max_size=2).map(lambda paths: [f"--v-doc={p}" for p in paths]),
+    ),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=_argvs, out=st.sampled_from([None, "r.json", "missing/r.json"]))
+def test_fuzzed_argv_ends_in_a_report_or_one_line(tmp_path_factory, argv, out):
+    # exit 0 with a report, 2 with a report that lists violations, or 1 or 3
+    # with one stderr line and no report; run in one process on one CPU
+    workdir = tmp_path_factory.mktemp("argv")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    previous = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0}):
+            code = cli.main(argv + ([] if out is None else ["--out", out]))
+    finally:
+        os.chdir(previous)
+    written = workdir / out if out else None
+    event(f"{argv[0]} exit {code}")
+    if code in (1, 3):
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, (argv, lines)
+        assert lines[0].startswith("validation error: " if code == 1 else "i/o error: ")
+        assert stdout.getvalue() == "" and not (written and written.exists())
+    else:
+        assert code in (0, 2) and stderr.getvalue() == "", (argv, code, stderr.getvalue())
+        report = json.loads(written.read_text() if written else stdout.getvalue())
+        assert (code == 2) == bool(report["violations"]), argv

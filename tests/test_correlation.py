@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from qcausal import correlation as corr
 from qcausal import qmath
 from qcausal.errors import ConsistencyError, ValidationError
@@ -100,17 +101,17 @@ class TestStatistic:
 
 class TestDirectCause:
     def test_identity_repeats(self):
-        assert corr.dc_cond_prob(qmath.pauli(0), 1, 0) == pytest.approx(1.0, abs=1e-12)
+        assert oracles.dc_cond_prob(qmath.pauli(0), 1, 0) == pytest.approx(1.0, abs=1e-12)
 
     def test_z_flips_plus(self):
-        assert corr.dc_cond_prob(qmath.pauli(3), 1, 0) == pytest.approx(0.0, abs=1e-12)
+        assert oracles.dc_cond_prob(qmath.pauli(3), 1, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_hadamard_z_half(self):
-        assert corr.dc_cond_prob(HADAMARD, 3, 0) == pytest.approx(0.5, abs=1e-12)
+        assert oracles.dc_cond_prob(HADAMARD, 3, 0) == pytest.approx(0.5, abs=1e-12)
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
-            corr.dc_cond_prob(np.diag([1.0, 2.0]), 1, 0)
+            oracles.dc_cond_prob(np.diag([1.0, 2.0]), 1, 0)
 
     def test_index_x1(self):
         assert corr.dc_corr_index(qmath.pauli(1), 2) == pytest.approx(-1.0, abs=1e-12)
@@ -134,12 +135,12 @@ class TestDirectCause:
 class TestClosedForm:
     def test_hadamard(self):
         np.testing.assert_allclose(
-            corr.dc_pvector_oracle(HADAMARD), (0, -1, 0), atol=1e-12
+            oracles.dc_pvector_oracle(HADAMARD), (0, -1, 0), atol=1e-12
         )
 
     def test_identity(self):
         np.testing.assert_allclose(
-            corr.dc_pvector_oracle(qmath.pauli(0)), (1, 1, 1), atol=1e-12
+            oracles.dc_pvector_oracle(qmath.pauli(0)), (1, 1, 1), atol=1e-12
         )
 
     def test_matches_projector_route(self):
@@ -147,7 +148,7 @@ class TestClosedForm:
         worst = 0.0
         for u in sample_unitary(rng, size=10_000):
             delta = np.abs(
-                corr.dc_pvector_oracle(u).as_array() - corr.dc_pvector(u).as_array()
+                oracles.dc_pvector_oracle(u).as_array() - corr.dc_pvector(u).as_array()
             ).max()
             worst = max(worst, delta)
         assert worst <= 1e-10
@@ -156,18 +157,18 @@ class TestClosedForm:
 class TestStateIndependence:
     def test_sigma1_x(self):
         u = qmath.pauli(1)
-        assert corr.dc_cond_prob(u, 1, 0) == pytest.approx(corr.dc_cond_prob(u, 1, 1))
+        assert oracles.dc_cond_prob(u, 1, 0) == pytest.approx(oracles.dc_cond_prob(u, 1, 1))
 
     def test_hadamard_y(self):
-        assert corr.dc_cond_prob(HADAMARD, 2, 0) == pytest.approx(
-            corr.dc_cond_prob(HADAMARD, 2, 1), abs=1e-15
+        assert oracles.dc_cond_prob(HADAMARD, 2, 0) == pytest.approx(
+            oracles.dc_cond_prob(HADAMARD, 2, 1), abs=1e-15
         )
 
     def test_random_sweep(self):
         rng = np.random.default_rng(12)
         for u in sample_unitary(rng, size=10_000):
             for i in (1, 2, 3):
-                assert abs(corr.dc_cond_prob(u, i, 0) - corr.dc_cond_prob(u, i, 1)) <= 1e-12
+                assert abs(oracles.dc_cond_prob(u, i, 0) - oracles.dc_cond_prob(u, i, 1)) <= 1e-12
 
 
 class TestMixture:
@@ -195,7 +196,7 @@ class TestMixture:
             )
             np.testing.assert_allclose(
                 corr.mixture_pvector(s).as_array(),
-                corr.mixture_pvector_oracle(s).as_array(),
+                oracles.mixture_pvector_oracle(s).as_array(),
                 atol=1e-12,
             )
 

@@ -177,6 +177,25 @@ class TestOverlap:
         )
         assert np.array_equal(via_formula, via_halfspaces)
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-9])
+    def test_one_comparison_matches_the_eight_faces(self, tol):
+        # within a few ulps of every face, on the faces, with signed zeros,
+        # infinities and NaN: (|x| + |y|) + |z| decides as the eight sums do
+        special = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 0.5, -0.5]
+        grid = np.array([[a, b, c] for a in special for b in special for c in special])
+        pts = np.concatenate([near_face_points(), on_face_points(1.0), on_face_points(1.0 + tol),
+                              grid])
+        with np.errstate(invalid="ignore"):  # inf - inf in the mixed-sign faces
+            (eight,) = geo._face_masks(pts, geo._SIGNS, 1.0, tol)
+        assert np.array_equal(geo.in_overlap(pts, tol), eight)
+        assert np.array_equal(geo.region_test("O")(pts, tol), eight)
+        assert [geo.in_overlap(p, tol) for p in pts[::97]] == eight[::97].tolist()
+        assert eight.any() and not eight.all()
+
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValidationError):
+            geo.in_overlap(np.zeros(3), -1e-9)
+
 
 class TestCornerCutRegions:
     def test_bell_vertices_kept_in_otc(self):

@@ -13,13 +13,17 @@ from qcausal import basis_change as bc
 from qcausal import correlation as corr
 from qcausal import qmath
 from qcausal.samplers import (
+    UNITARY_PARAMS,
     SamplerConfig,
+    cc_components,
+    density_stream,
     sample_density,
     sample_in_region_batch,
     sample_unitary,
     sample_unitary_params,
     unitaries_from_params,
 )
+import oracles
 from test_basis_change import _search_escape_oracle
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -106,22 +110,23 @@ def perturbed_unitaries(rng, tol):
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, rank=ranks)
 def test_rotated_axes_equal_transformed_objects(seed, rank):
-    rng = np.random.default_rng(seed)
-    rhos = sample_density(rng, rank=rank, size=16)
-    us = sample_unitary(rng, size=16)
-    v = sample_unitary(rng)
-    np.testing.assert_allclose(
-        bc._rotated_points("CC", rhos, v),
-        corr.cc_pvector_batch(bc._transform_density_batch(rhos, v)),
-        rtol=0,
-        atol=1e-12,
-    )
-    np.testing.assert_allclose(
-        bc._rotated_points("DC", us, v),
-        corr.dc_pvector_batch(bc._transform_unitary_batch(us, v)),
-        rtol=0,
-        atol=1e-12,
-    )
+    # the kernel's components and the objects come from one draw, twice
+    v = sample_unitary(np.random.default_rng(seed))
+    q = bc._transfer_matrix(v)
+    for kind, stream, assemble in (
+        ("CC", density_stream(rank), cc_components), ("DC", UNITARY_PARAMS, None)
+    ):
+        components = stream.draw(np.random.default_rng(seed), 16, assemble)
+        if kind == "CC":
+            objs = sample_density(np.random.default_rng(seed), rank=rank, size=16)
+            oracle = corr.cc_pvector_batch(bc._transform_density_batch(objs, v))
+        else:
+            objs = sample_unitary(np.random.default_rng(seed), size=16)
+            oracle = corr.dc_pvector_batch(bc._transform_unitary_batch(objs, v))
+        m = corr.correlation_matrix_batch(kind, components)
+        np.testing.assert_allclose(corr.rotated_pvector_batch(m, q), oracle, rtol=0, atol=1e-12)
+        rotated = oracles._rotated_points(kind, objs, v)
+        np.testing.assert_allclose(rotated, oracle, rtol=0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
