@@ -8,12 +8,15 @@ oracles certify these numbers and must agree:
   first weight at a time (the statistic is a trilinear polynomial of an
   affine image of the weights, so the mesh error is bounded by L * step
   with L <= 3 * sqrt(3)), refined by an in-repo derivative-free compass
-  polish on the simplex;
+  polish on the simplex. One sweep serves all four targets: each slice's
+  weights are built once and C is evaluated once per tetrahedron;
 * multi-start Nelder-Mead over raw quantum parameters (real state
   coefficients, or sphere-plus-phase unitary parameters), re-evaluated
   through the correlation module. All starts advance in lockstep as one
   numpy array of simplices, with the standard coefficients and stop rule
-  (Nelder & Mead 1965; Lagarias et al. 1998). The objectives normalize the
+  (Nelder & Mead 1965; Lagarias et al. 1998). One batch spans both
+  directions of a parameterization: both run the same starts, each row
+  signed by its start's direction. The objectives normalize the
   leading four parameters, so the simplices are rescaled along that ray
   after every iteration; this changes no objective value, and it keeps a
   start from drifting outward until the iteration cap. Each start's path
@@ -67,6 +70,10 @@ TARGET_VALUES = {
 }
 
 _POLISH_MAX_ITER = 10_000
+
+# Per direction: the first extremal index of an array, the strict improvement
+# test across grid slices, and the value every slice improves on.
+_EXTREMUM = {"MAX": (np.argmax, np.greater, -np.inf), "MIN": (np.argmin, np.less, np.inf)}
 
 
 @dataclass(frozen=True)
@@ -126,23 +133,42 @@ def _statistic_at(t: Tetrahedron, weights: np.ndarray) -> np.ndarray:
     return statistic_c_batch(point)
 
 
-def grid_extremum(t: Tetrahedron, direction: str, step: float) -> BoundReport:
-    """Extremum over the weights (i, j, k, n-i-j-k)/n, n = 1/step, one slice of i
-    at a time; the first in lexicographic (i, j, k) order wins a tie."""
+def _grid_extrema(targets, step: float) -> dict[str, BoundReport]:
+    """Each target's extremum over the weights (i, j, k, n-i-j-k)/n, n = 1/step,
+    from one sweep: a slice of i at a time, C evaluated once per tetrahedron;
+    the first in lexicographic (i, j, k) order wins a tie."""
     if not 0.001 <= step <= 0.1:
         raise ValidationError(f"grid step must be in [0.001, 0.1], got {step}")
-    target = _target_for(t, direction)
     n = round(1.0 / step)
-    sign = 1.0 if direction == "MAX" else -1.0
-    best_score = -np.inf
+    best = {target: (_EXTREMUM[target[3:]][2], None) for target in targets}
     for i in range(n + 1):
         j, jk = np.triu_indices(n - i + 1)  # jk = j + k, in lexicographic (j, k) order
         weights = np.column_stack([np.full(j.size, i), j, jk - j, n - i - jk]) / n
-        scores = sign * _statistic_at(t, weights)
-        best = int(np.argmax(scores))
-        if scores[best] > best_score:
-            best_score, w = scores[best], weights[best]
-    return BoundReport(target, float(sign * best_score), w, _witness_object(target, w))
+        for kind, t in (("CC", tcc()), ("DC", tdc())):
+            wanted = [target for target in best if target.startswith(kind)]
+            if not wanted:
+                continue
+            values = _statistic_at(t, weights)
+            for target in wanted:
+                pick, better, _ = _EXTREMUM[target[3:]]
+                at = int(pick(values))
+                if better(values[at], best[target][0]):
+                    best[target] = (values[at], weights[at])
+    return {
+        target: BoundReport(target, float(value), w, _witness_object(target, w))
+        for target, (value, w) in best.items()
+    }
+
+
+def grid_extremum(t: Tetrahedron, direction: str, step: float) -> BoundReport:
+    """Extremum over the weights (i, j, k, n-i-j-k)/n, n = 1/step; the first in
+    lexicographic (i, j, k) order wins a tie."""
+    target = _target_for(t, direction)
+    return _grid_extrema([target], step)[target]
+
+
+# The compass moves in sweep order, each taking weight from _MOVE_FROM to _MOVE_TO.
+_MOVE_TO, _MOVE_FROM = np.array([(i, j) for i in range(4) for j in range(4) if i != j]).T
 
 
 def _simplex_compass(
@@ -153,30 +179,32 @@ def _simplex_compass(
 
     The transfer directions e_i - e_j positively span the feasible cone at
     every face of the simplex, so stalling at step < tol certifies a
-    stationary point up to tol.
+    stationary point up to tol. A sweep takes the first move that improves on
+    the current point; all its moves from one point are evaluated in one call,
+    and after a move is taken only the moves that follow it, from the new point.
     """
-
-    def score(w):
-        return sign * float(_statistic_at(t, w[None])[0])
-
     w = w0.copy()
-    best = score(w)
+    best = sign * float(_statistic_at(t, w[None])[0])
     delta = 0.25
     iterations = 0
     while delta >= tol and iterations < _POLISH_MAX_ITER:
         iterations += 1
         improved = False
-        for i in range(4):
-            for j in range(4):
-                if i == j or w[j] < delta:
-                    continue
-                cand = w.copy()
-                cand[i] += delta
-                cand[j] -= delta
-                val = score(cand)
-                if val > best + 1e-16:
-                    w, best = cand, val
-                    improved = True
+        first = 0
+        while True:
+            moves = first + np.flatnonzero(w[_MOVE_FROM[first:]] >= delta)
+            if moves.size == 0:
+                break
+            rows = np.arange(moves.size)
+            cand = np.repeat(w[None], moves.size, axis=0)
+            cand[rows, _MOVE_TO[moves]] += delta
+            cand[rows, _MOVE_FROM[moves]] -= delta
+            values = sign * _statistic_at(t, cand)
+            up = np.flatnonzero(values > best + 1e-16)
+            if up.size == 0:
+                break
+            k = up[0]
+            w, best, improved, first = cand[k], float(values[k]), True, moves[k] + 1
         if not improved:
             delta /= 2.0
     return w, sign * best, delta < tol
@@ -243,8 +271,9 @@ def _rescale_block(sim: np.ndarray, block: int) -> None:
 def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _SimplexResult:
     """Nelder-Mead from every row of ``x0`` at once, advanced in lockstep.
 
-    ``objective`` maps an (n, d) array of points to n values and must treat
-    rows independently. All simplices form one (starts, d+1, d) array; each
+    ``objective`` maps an (n, d) array of points and the index of the start
+    each belongs to (its row of ``x0``) to n values, and must treat rows
+    independently. All simplices form one (starts, d+1, d) array; each
     iteration evaluates the reflections in one call, the single expansion or
     contraction point each simplex needs in a second, and the shrinks in a
     third. A start leaves the active set once its vertices lie within
@@ -259,14 +288,14 @@ def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _Simpl
     for k in range(d):
         col = sim[:, k + 1, k]
         sim[:, k + 1, k] = np.where(col != 0, (1 + _NM_NONZDELT) * col, _NM_ZDELT)
-    fsim = objective(sim.reshape(-1, d)).reshape(starts, d + 1)
+    idx = np.arange(starts)
+    fsim = objective(sim.reshape(-1, d), np.repeat(idx, d + 1)).reshape(starts, d + 1)
     nfev = np.full(starts, d + 1)
 
     best_x = np.empty((starts, d))
     best_f = np.empty(starts)
     evaluations = np.empty(starts, dtype=int)
     converged = np.zeros(starts, dtype=bool)
-    idx = np.arange(starts)
     iterations = 0
     while True:
         order = np.argsort(fsim, axis=1, kind="stable")
@@ -295,7 +324,7 @@ def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _Simpl
         xbar = _sum_rows(sim[:, :-1]) / d
         worst, f_worst = sim[:, -1], fsim[:, -1]
         xr = (1 + _NM_RHO) * xbar - _NM_RHO * worst
-        fxr = objective(xr)
+        fxr = objective(xr, idx)
         nfev += 1
 
         expand = fxr < fsim[:, 0]
@@ -309,7 +338,7 @@ def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _Simpl
         x2 = np.where(expand[:, None], xe, np.where(outside[:, None], xc, xcc))
         f2 = np.full(n, np.nan)
         if second.any():
-            f2[second] = objective(x2[second])
+            f2[second] = objective(x2[second], idx[second])
             nfev[second] += 1
 
         take2 = (expand & (f2 < fxr)) | (outside & (f2 <= fxr)) | (inside & (f2 < f_worst))
@@ -321,48 +350,84 @@ def _nelder_mead(objective, x0: np.ndarray, block: int, max_iter: int) -> _Simpl
             s = sim[shrink]
             s[:, 1:] = s[:, :1] + _NM_SIGMA * (s[:, 1:] - s[:, :1])
             fs = fsim[shrink]
-            fs[:, 1:] = objective(s[:, 1:].reshape(-1, d)).reshape(-1, d)
+            fs[:, 1:] = objective(
+                s[:, 1:].reshape(-1, d), np.repeat(idx[shrink], d)
+            ).reshape(-1, d)
             sim[shrink], fsim[shrink] = s, fs
             nfev[shrink] += d
     return _SimplexResult(best_x, best_f, evaluations, converged)
 
 
-def _state_objective(sign: float):
-    """Signed statistic of the real state with entangled-basis coefficients z."""
+def _state_objective(signs: np.ndarray):
+    """Statistic of the real state with entangled-basis coefficients z, times
+    the sign of each row's start."""
 
-    def objective(z):
+    def objective(z, start):
         n2 = _sum_rows(z * z)
         tiny = n2 < _TINY_NORM2
-        value = sign * _statistic_at(tcc(), z * z / np.where(tiny, 1.0, n2)[:, None])
+        value = signs[start] * _statistic_at(tcc(), z * z / np.where(tiny, 1.0, n2)[:, None])
         return np.where(tiny, 1.0, value)
 
     return objective
 
 
-def _unitary_objective(sign: float):
-    """Signed statistic of the unitary with parameters (a1, a2, b1, b2, alpha)."""
+def _unitary_objective(signs: np.ndarray):
+    """Statistic of the unitary with parameters (a1, a2, b1, b2, alpha), times
+    the sign of each row's start."""
 
-    def objective(x):
+    def objective(x, start):
         v = x[:, :4]
         n2 = _sum_rows(v * v)
         tiny = n2 < _TINY_NORM2
         params = x.copy()
         params[:, :4] = v / np.sqrt(np.where(tiny, 1.0, n2))[:, None]
-        value = sign * statistic_c_batch(dc_pvector_params_batch(params))
+        value = signs[start] * statistic_c_batch(dc_pvector_params_batch(params))
         return np.where(tiny, 1.0, value)
 
     return objective
 
 
-def _best_start(objective, x0: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Run every start; return the best end point (the first on ties) and
-    the evaluation and non-convergence counts for the report."""
-    res = _nelder_mead(objective, x0, _SCALE_BLOCK, _NM_MAX_ITER)
-    counts = {
-        "evaluations": int(res.evaluations.sum()),
-        "nonconverged": int((~res.converged).sum()),
-    }
-    return res.x[int(np.argmin(res.fun))], counts
+def _multistart_extrema(
+    kind: str, directions, starts: int, cfg: SamplerConfig
+) -> dict[str, BoundReport]:
+    """Multi-start Nelder-Mead in each direction over the ``kind`` ("CC" or
+    "DC") parameterization, as one lockstep batch.
+
+    The starts are drawn once from ``cfg.rng()`` and every direction runs
+    them all, minimizing -C for MAX and C for MIN; each start's path has the
+    same bits as in a one-direction batch. Returns a report per target, from
+    the best end point of its starts (the first on ties).
+    """
+    if starts < 1:
+        raise ValidationError("starts must be >= 1")
+    rng = cfg.rng()
+    if kind == "CC":
+        x0 = rng.standard_normal((starts, 4))
+    else:
+        x0 = np.array([
+            np.concatenate([rng.standard_normal(4), rng.uniform(0, 2 * np.pi, 1)])
+            for _ in range(starts)
+        ])
+    signs = np.repeat([-1.0 if direction == "MAX" else 1.0 for direction in directions], starts)
+    objective = (_state_objective if kind == "CC" else _unitary_objective)(signs)
+    res = _nelder_mead(objective, np.tile(x0, (len(directions), 1)), _SCALE_BLOCK, _NM_MAX_ITER)
+    reports = {}
+    for k, direction in enumerate(directions):
+        part, target = slice(k * starts, (k + 1) * starts), f"{kind}_{direction}"
+        best = res.x[part][int(np.argmin(res.fun[part]))]
+        if kind == "CC":
+            z = best / np.sqrt(_sum_rows(best[None] ** 2))
+            weights, obj = z * z, sum(zj * bell(j) for j, zj in enumerate(z, start=1))
+        else:
+            v = best[:4] / np.sqrt(_sum_rows(best[None, :4] ** 2))
+            obj = unitaries_from_params(v[0], v[1], v[2], v[3], best[4])
+            weights = barycentric(tdc(), dc_pvector(obj).as_array(), tol=1e-6)
+        reports[target] = BoundReport(
+            target, _evaluate_witness(target, obj), weights, obj, starts=starts,
+            evaluations=int(res.evaluations[part].sum()),
+            nonconverged=int((~res.converged[part]).sum()),
+        )
+    return reports
 
 
 def multistart_state_extremum(
@@ -376,19 +441,7 @@ def multistart_state_extremum(
     on the unit sphere.
     """
     target = _target_for(tcc(), direction)
-    if starts < 1:
-        raise ValidationError("starts must be >= 1")
-    sign = -1.0 if direction == "MAX" else 1.0
-    x0 = cfg.rng().standard_normal((starts, 4))
-    best_z, counts = _best_start(_state_objective(sign), x0)
-    z = best_z / np.sqrt(_sum_rows(best_z[None] ** 2))
-    weights = z * z
-    state = sum(zj * bell(j) for j, zj in enumerate(z, start=1))
-    value = _evaluate_witness(target, state)
-    return BoundReport(
-        target=target, value=value, witness=weights, witness_object=state, starts=starts,
-        **counts,
-    )
+    return _multistart_extrema("CC", [direction], starts, cfg)[target]
 
 
 def multistart_unitary_extremum(
@@ -396,19 +449,4 @@ def multistart_unitary_extremum(
 ) -> BoundReport:
     """Multi-start Nelder-Mead over sphere-plus-phase unitary parameters."""
     target = _target_for(tdc(), direction)
-    if starts < 1:
-        raise ValidationError("starts must be >= 1")
-    sign = -1.0 if direction == "MAX" else 1.0
-    rng = cfg.rng()
-    x0 = np.array([
-        np.concatenate([rng.standard_normal(4), rng.uniform(0, 2 * np.pi, 1)])
-        for _ in range(starts)
-    ])
-    best_x, counts = _best_start(_unitary_objective(sign), x0)
-    v = best_x[:4] / np.sqrt(_sum_rows(best_x[None, :4] ** 2))
-    u = unitaries_from_params(v[0], v[1], v[2], v[3], best_x[4])
-    value = _evaluate_witness(target, u)
-    weights = barycentric(tdc(), dc_pvector(u).as_array(), tol=1e-6)
-    return BoundReport(
-        target=target, value=value, witness=weights, witness_object=u, starts=starts, **counts
-    )
+    return _multistart_extrema("DC", [direction], starts, cfg)[target]

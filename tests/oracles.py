@@ -6,13 +6,15 @@ components (``correlation.rotated_pvector_batch``). The routes here build the
 objects and take complex traces instead: the projectors onto v|m_k> (x) v|m_k>,
 or the amplitudes <m'_0| u |m'_0> of the rotated +1 eigenvectors m'_0 = v m_0.
 The per-axis probabilities and the closed form from a unitary's parameters
-check the fixed-axis points and their mixtures.
+check the fixed-axis points and their mixtures. The one-move-at-a-time
+compass search checks the batched polish of the bound certificates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from qcausal import bounds
 from qcausal.correlation import (
     _EQUAL_PROJ,
     _PLUS_EIGVEC,
@@ -180,3 +182,37 @@ def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:
         p_equal = s.p * cc_equal_prob(s.rho, i) + (1.0 - s.p) * dc_cond_prob(s.u, i, 0)
         out.append(2.0 * p_equal - 1.0)
     return PPoint(*out)
+
+
+def simplex_compass_oracle(t, sign: float, w0: np.ndarray, tol: float):
+    """The compass polish one candidate per evaluation, in sweep order.
+
+    Transfers ``delta`` of weight from j to i for every ordered pair, taking
+    each improvement at once; must return the same end point, value and
+    convergence flag as ``bounds._simplex_compass``, bit for bit.
+    """
+
+    def score(w):
+        return sign * float(bounds._statistic_at(t, w[None])[0])
+
+    w = w0.copy()
+    best = score(w)
+    delta = 0.25
+    iterations = 0
+    while delta >= tol and iterations < bounds._POLISH_MAX_ITER:
+        iterations += 1
+        improved = False
+        for i in range(4):
+            for j in range(4):
+                if i == j or w[j] < delta:
+                    continue
+                cand = w.copy()
+                cand[i] += delta
+                cand[j] -= delta
+                val = score(cand)
+                if val > best + 1e-16:
+                    w, best = cand, val
+                    improved = True
+        if not improved:
+            delta /= 2.0
+    return w, sign * best, delta < tol

@@ -7,6 +7,7 @@ import textwrap
 import numpy as np
 import pytest
 
+import oracles
 from qcausal import bounds, cli, geometry as geo, qmath
 from qcausal import correlation as corr
 from qcausal.errors import ValidationError
@@ -109,6 +110,27 @@ class TestGrid:
             report = bounds.grid_extremum(tetra, direction, 0.02)
             assert abs(witness_value(report) - report.value) <= 1e-8
 
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.01])
+    def test_shared_sweep_equals_one_target_sweeps(self, step):
+        shared = bounds._grid_extrema(bounds.TARGET_VALUES, step)
+        weights = simplex_grid_oracle(round(1 / step))
+        ties = {}
+        for target, report in shared.items():
+            tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
+            direction = target.split("_")[1]
+            alone = bounds.grid_extremum(tetra, direction, step)
+            assert report.target == alone.target == target
+            assert np.float64(report.value).tobytes() == np.float64(alone.value).tobytes()
+            assert report.witness.tobytes() == alone.witness.tobytes()
+            assert report.witness_object.tobytes() == alone.witness_object.tobytes()
+            # the first extremal weight vector in lexicographic (i, j, k) order wins
+            values = bounds._statistic_at(tetra, weights)
+            extremal = np.flatnonzero(values == report.value)
+            assert report.witness.tobytes() == weights[extremal[0]].tobytes()
+            ties[target] = extremal.size
+        # the four vertices tie at C = -1 and at C = +1
+        assert ties["CC_MIN"] >= 4 and ties["DC_MAX"] >= 4
+
 
 class TestPolish:
     def test_cc_max_to_high_accuracy(self):
@@ -135,6 +157,40 @@ class TestPolish:
                 assert polished.value >= coarse.value - 1e-15
             else:
                 assert polished.value <= coarse.value + 1e-15
+
+
+class TestCompassBatch:
+    @pytest.mark.parametrize("step", [0.1, 0.05, 0.01])
+    @pytest.mark.parametrize("target", sorted(bounds.TARGET_VALUES))
+    def test_polish_equals_one_candidate_oracle(self, target, step):
+        tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
+        sign = 1.0 if target.endswith("MAX") else -1.0
+        grid = bounds.grid_extremum(tetra, target.split("_")[1], step)
+        polished = bounds.polish_extremum(grid)
+        w, value, converged = oracles.simplex_compass_oracle(tetra, sign, grid.witness, 1e-10)
+        assert np.float64(polished.value).tobytes() == np.float64(value).tobytes()
+        assert polished.witness.tobytes() == w.tobytes()
+        assert polished.converged == converged
+
+    def test_random_starts_equal_one_candidate_oracle(self):
+        # from interior points a sweep often takes a move and goes on with the
+        # moves after it; restarting the sweep there changes some end points.
+        # The dyadic starts hold a weight equal to the step, which may be moved.
+        dyadic = [[0.5, 0.25, 0.125, 0.125]] * 4 + [[0.75, 0.25, 0.0, 0.0]] * 4
+        starts = np.vstack([dyadic, SamplerConfig(seed=90).rng().dirichlet(np.ones(4), size=96)])
+        for n, w0 in enumerate(starts):
+            tetra, sign = (geo.tcc(), geo.tdc())[n % 2], (1.0, -1.0)[n // 2 % 2]
+            w, value, converged = bounds._simplex_compass(tetra, sign, w0, 1e-10)
+            expected = oracles.simplex_compass_oracle(tetra, sign, w0, 1e-10)
+            assert (w.tobytes(), value, converged) == (expected[0].tobytes(), *expected[1:])
+
+    def test_capped_polish_equals_oracle(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_POLISH_MAX_ITER", 3)
+        grid = bounds.grid_extremum(geo.tcc(), "MAX", 0.1)
+        polished = bounds.polish_extremum(grid)
+        w, value, converged = oracles.simplex_compass_oracle(geo.tcc(), 1.0, grid.witness, 1e-10)
+        assert not polished.converged and not converged
+        assert (polished.value, polished.witness.tobytes()) == (value, w.tobytes())
 
 
 class TestMultistartState:
@@ -217,6 +273,11 @@ def _unitary_starts(seed, starts):
     ])
 
 
+def _signed(make_objective, sign, starts):
+    """An objective whose every start has the one ``sign``."""
+    return make_objective(np.full(starts, sign))
+
+
 def _nelder_mead(objective, x0, block=bounds._SCALE_BLOCK, max_iter=bounds._NM_MAX_ITER):
     return bounds._nelder_mead(objective, x0, block, max_iter)
 
@@ -228,7 +289,7 @@ def _reference_nelder_mead(objective, x0, block, max_iter):
     with the lockstep batch, which must match it bit for bit.
     """
     def f(x):
-        return objective(x[None, :])[0]
+        return objective(x[None, :], np.zeros(1, dtype=int))[0]
 
     d = len(x0)
     sim = [x0.copy()]
@@ -286,14 +347,14 @@ def _reference_nelder_mead(objective, x0, block, max_iter):
             nfev += d
 
 
+_OBJECTIVES = [(bounds._state_objective, _state_starts), (bounds._unitary_objective, _unitary_starts)]
+
+
 class TestLockstepNelderMead:
-    @pytest.mark.parametrize(
-        "make_objective,make_starts",
-        [(bounds._state_objective, _state_starts), (bounds._unitary_objective, _unitary_starts)],
-    )
+    @pytest.mark.parametrize("make_objective,make_starts", _OBJECTIVES)
     @pytest.mark.parametrize("sign", [-1.0, 1.0])
     def test_batch_equals_one_at_a_time(self, make_objective, make_starts, sign):
-        objective = make_objective(sign)
+        objective = _signed(make_objective, sign, 12)
         x0 = make_starts(81, 12)
         batch = _nelder_mead(objective, x0)
         for i in range(len(x0)):
@@ -314,14 +375,14 @@ class TestLockstepNelderMead:
         # under the former scipy search these two starts drifted to |z| of
         # 1.4e15 and 7.2e12 and ran to the 10,000-iteration cap
         x0 = _state_starts(42, 50)[start:start + 1]
-        res = _nelder_mead(bounds._state_objective(sign), x0)
+        res = _nelder_mead(_signed(bounds._state_objective, sign, 1), x0)
         assert res.converged[0]
         assert res.evaluations[0] < 5_000
         assert 0.5 <= np.linalg.norm(res.x[0]) < 2.0
 
     def test_rescaling_is_what_stops_the_drift(self):
         x0 = _state_starts(42, 50)[29:30]
-        objective = bounds._state_objective(1.0)
+        objective = _signed(bounds._state_objective, 1.0, 1)
         rescaled = _nelder_mead(objective, x0, max_iter=3_000)
         plain = _nelder_mead(objective, x0, block=0, max_iter=3_000)
         assert rescaled.converged[0]
@@ -330,7 +391,7 @@ class TestLockstepNelderMead:
 
     def test_iteration_cap_honoured_and_counted(self):
         x0 = _state_starts(5, 6)
-        res = _nelder_mead(bounds._state_objective(-1.0), x0, max_iter=3)
+        res = _nelder_mead(_signed(bounds._state_objective, -1.0, 6), x0, max_iter=3)
         assert not res.converged.any()
         # d + 1 initial evaluations, then at most 2 + d per iteration
         assert np.all(res.evaluations >= 5 + 3)
@@ -348,7 +409,7 @@ class TestLockstepNelderMead:
         center = np.array([0.3, -1.2, 2.5])
         scale = np.array([1.0, 4.0, 0.5])
 
-        def objective(x):
+        def objective(x, start):
             diff = x - center
             return (scale * diff * diff).sum(axis=1)
 
@@ -357,6 +418,88 @@ class TestLockstepNelderMead:
         assert res.converged.all()
         np.testing.assert_allclose(res.x, np.tile(center, (3, 1)), atol=1e-6)
         assert np.all(res.fun <= 1e-12)
+
+
+def _assert_same_starts(merged, alone, offset):
+    """Start i of ``alone`` ended as start offset + i of ``merged``, bit for bit."""
+    part = slice(offset, offset + len(alone.fun))
+    assert merged.x[part].tobytes() == alone.x.tobytes()
+    assert merged.fun[part].tobytes() == alone.fun.tobytes()
+    assert np.array_equal(merged.evaluations[part], alone.evaluations)
+    assert np.array_equal(merged.converged[part], alone.converged)
+
+
+class TestMergedDirections:
+    @pytest.mark.parametrize("seed", [3, 42, 81])
+    @pytest.mark.parametrize("make_objective,make_starts", _OBJECTIVES)
+    def test_two_direction_batch_equals_one_direction(self, make_objective, make_starts, seed):
+        x0 = make_starts(seed, 8)
+        signs = np.repeat([-1.0, 1.0], len(x0))
+        merged = _nelder_mead(make_objective(signs), np.tile(x0, (2, 1)))
+        for k, sign in enumerate((-1.0, 1.0)):
+            alone = _nelder_mead(_signed(make_objective, sign, len(x0)), x0)
+            _assert_same_starts(merged, alone, k * len(x0))
+
+    @pytest.mark.parametrize("kind", ["CC", "DC"])
+    def test_capped_batch_equals_one_direction(self, monkeypatch, kind):
+        # every run of the shared kernel, one batch for both directions and
+        # one per direction through the public functions, stopped at 40 iterations
+        runs = []
+
+        def recording(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        real = bounds._nelder_mead
+        monkeypatch.setattr(bounds, "_nelder_mead", recording)
+        monkeypatch.setattr(bounds, "_NM_MAX_ITER", 40)
+        cfg = SamplerConfig(seed=5)
+        merged = bounds._multistart_extrema(kind, ["MAX", "MIN"], 6, cfg)
+        one = (bounds.multistart_state_extremum if kind == "CC"
+               else bounds.multistart_unitary_extremum)
+        alone = [one(direction, 6, cfg) for direction in ("MAX", "MIN")]
+        assert len(runs) == 3 and not runs[0].converged.all()
+        for k, report in enumerate(alone):
+            _assert_same_starts(runs[0], runs[k + 1], 6 * k)
+            twin = merged[report.target]
+            assert np.float64(twin.value).tobytes() == np.float64(report.value).tobytes()
+            assert twin.witness.tobytes() == report.witness.tobytes()
+            assert twin.witness_object.tobytes() == report.witness_object.tobytes()
+            assert (twin.evaluations, twin.nonconverged) == (
+                report.evaluations, report.nonconverged)
+
+    @pytest.mark.parametrize("seed", [3, 42])
+    def test_run_bounds_equals_one_direction_calls(self, seed):
+        cfg = SamplerConfig(seed=seed)
+        expected, violations = {}, []
+        for target, reference in bounds.TARGET_VALUES.items():
+            tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
+            direction = target.split("_")[1]
+            polished = bounds.polish_extremum(bounds.grid_extremum(tetra, direction, 0.05))
+            if target.startswith("CC"):
+                multi = bounds.multistart_state_extremum(direction, 12, cfg)
+            else:
+                multi = bounds.multistart_unitary_extremum(direction, 12, cfg)
+            expected[target] = {
+                "reference": reference,
+                "grid_polished": polished.value,
+                "multistart": multi.value,
+                "oracle_agreement": abs(polished.value - multi.value),
+                "witness_weights": list(polished.witness),
+                "tolerance": 1e-6,
+                "polish_converged": polished.converged,
+                "multistart_evaluations": multi.evaluations,
+                "multistart_nonconverged": multi.nonconverged,
+            }
+            if max(abs(polished.value - multi.value), abs(polished.value - reference)) > 1e-6:
+                violations.append({"target": target, "grid_polished": polished.value,
+                                   "multistart": multi.value})
+        report = cli.run_bounds(grid_step=0.05, starts=12, seed=seed)
+        assert report.to_json() == cli.RunReport(
+            command="bounds", seed=seed,
+            parameters={"grid_step": 0.05, "starts": 12, "tol": 1e-6},
+            results=expected, violations=violations,
+        ).to_json()
 
 
 class TestMultistartCounts:
@@ -378,6 +521,18 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, qcausal, qcausal.cli; "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_import_loads_no_random_or_multiprocessing():
+    # numpy.random alone adds about 15 ms and 5 MB to the import
+    code = (
+        "import sys, qcausal, qcausal.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m == 'numpy.random' or m.startswith('numpy.random.')))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True,
                          text=True, check=True)

@@ -775,7 +775,7 @@ class TestMainEntry:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command, bound", [("table2", "10,000,000"), ("bounds", "2 kB"), ("sample", "4 kB")]
+        "command, bound", [("table2", "10,000,000"), ("bounds", "4.5 kB"), ("sample", "4 kB")]
     )
     def test_help_states_size_bound(self, capsys, command, bound):
         with pytest.raises(SystemExit):
