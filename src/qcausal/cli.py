@@ -259,21 +259,36 @@ def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunR
     )
 
 
+def _bounds_part(grid_step: float, starts: int, cfg, part: str) -> dict[str, bounds.BoundReport]:
+    """The "CC" or "DC" multistart batch of ``bounds``, or its "grid" sweep, polished."""
+    if part != "grid":
+        return bounds._multistart_extrema(part, ["MAX", "MIN"], starts, cfg)
+    grid = bounds._grid_extrema(bounds.TARGET_VALUES, grid_step)
+    return {target: bounds.polish_extremum(report) for target, report in grid.items()}
+
+
 def run_bounds(
     grid_step: float = 0.01, starts: int = 200, seed: int = 42, tol: float = 1e-6
 ) -> RunReport:
-    """Certify the four extrema with both oracles and report their agreement."""
+    """Certify the four extrema with both oracles and report their agreement.
+
+    The three parts run on every usable CPU (``_ordered_map``), with the same
+    report bytes at any CPU count; the arguments are checked before they start.
+    """
     _check_tol(tol)
-    _check_memory(starts, 4500, f"--starts {starts}")
+    if not 0.001 <= grid_step <= 0.1:  # NaN fails both comparisons
+        raise ValidationError(f"grid step must be in [0.001, 0.1], got {grid_step}")
+    if starts < 1:
+        raise ValidationError("starts must be >= 1")
+    _check_memory(starts, 7000, f"--starts {starts}")  # both batches live
     cfg = samplers.SamplerConfig(seed=seed)
-    grid = bounds._grid_extrema(bounds.TARGET_VALUES, grid_step)
-    multistart = {}
-    for kind in ("CC", "DC"):
-        multistart.update(bounds._multistart_extrema(kind, ["MAX", "MIN"], starts, cfg))
+    with _ordered_map(_bounds_part, (grid_step, starts, cfg), ["CC", "DC", "grid"]) as parts:
+        cc, dc, grid = parts
+    multistart = {**cc, **dc}
     results = {}
     violations = []
     for target, reference in bounds.TARGET_VALUES.items():
-        polished, multi = bounds.polish_extremum(grid[target]), multistart[target]
+        polished, multi = grid[target], multistart[target]
         agreement = abs(polished.value - multi.value)
         results[target] = {
             "reference": reference,
@@ -633,7 +648,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--grid-step", type=float, default=0.01, help="spacing in [0.001, 0.1]")
     p_bounds.add_argument("--starts", type=int, default=200,
                           help="starts per target, refused past this machine's memory "
-                               "at 4.5 kB each")
+                               "at 7 kB each")
     p_bounds.add_argument("--tol", type=float, default=1e-6)
 
     p_sample = sub.add_parser(

@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .qmath import (
+    DENSITY_TOL,
     pauli_eigenbasis,
     projector,
     require_density,
@@ -60,7 +61,9 @@ __all__ = [
     "IMAG_TOL",
 ]
 
-IMAG_TOL = 1e-10
+# |Im tr(rho P)| <= 2 * DENSITY_TOL for every rho that require_density accepts,
+# as the entries of each P sum to at most 4 in magnitude; 1e-14 covers rounding.
+IMAG_TOL = 2.0 * DENSITY_TOL + 1e-14
 _COMPONENT_SLACK = 1e-9
 
 

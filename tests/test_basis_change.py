@@ -398,10 +398,11 @@ class TestSearchChecks:
             bc.escape_witness("DC", HADAMARD)
 
     def test_imaginary_residue_raises(self, monkeypatch):
-        # Hermitian within the density tolerance, but tr(rho P_1) gains 4e-10j.
+        # tr(rho P_1) gains 4e-9j, past a density predicate that fails to see it
         skew = np.zeros((4, 4), dtype=complex)
-        skew[0, 3] = skew[3, 0] = 4e-10j
+        skew[0, 3] = skew[3, 0] = 4e-9j
         self._corrupt(monkeypatch, "_transform_density_batch", lambda out: out + skew)
+        monkeypatch.setattr(bc, "is_density", lambda m, tol: True)
         with pytest.raises(ConsistencyError, match="imaginary residue"):
             bc.escape_witness("CC", np.eye(4) / 4)
 

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import qcausal
@@ -703,6 +703,67 @@ class TestTable2Pool:
         assert not (tmp_path / "r.json").exists()
 
 
+class TestBoundsPool:
+    @pytest.fixture(autouse=True)
+    def no_worker_left(self):
+        yield
+        assert multiprocessing.active_children() == []
+
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        """The start method of each pool that ``_ordered_map`` creates."""
+        contexts = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(
+            multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m)
+        )
+        return contexts
+
+    def test_in_process_matches_pool(self, monkeypatch, contexts):
+        reports = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            reports.append(cli.run_bounds(grid_step=0.05, starts=7, seed=3).to_json())
+        assert contexts == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    def test_dc_part_consistency_error_exits_two(self, tmp_path, monkeypatch, capfd, cpus):
+        real = cli.bounds._multistart_extrema
+
+        def fails_for_dc(kind, directions, starts, cfg):
+            if kind == "DC":
+                raise ConsistencyError("a DC start diverged")
+            return real(kind, directions, starts, cfg)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(cli.bounds, "_multistart_extrema", fails_for_dc)
+        argv = ["bounds", "--grid-step", "0.1", "--starts", "3", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 2
+        assert capfd.readouterr().err == "consistency violation: a DC start diverged\n"
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--grid-step", "nan"], "grid step must be in [0.001, 0.1], got nan"),
+            (["--grid-step", "0.5"], "grid step must be in [0.001, 0.1], got 0.5"),
+            (["--starts", "0"], "starts must be >= 1"),
+            (["--starts", "-2"], "starts must be >= 1"),
+        ],
+    )
+    def test_bad_argument_refused_before_the_pool(
+        self, tmp_path, monkeypatch, capfd, contexts, cpus, argv, message
+    ):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        assert cli.main(["bounds", *argv, "--out", str(tmp_path / "r.json")]) == 1
+        captured = capfd.readouterr()
+        assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
+        assert contexts == []
+        assert not (tmp_path / "r.json").exists()
+
+
 class TestMainEntry:
     def test_classify_exit_zero(self, tmp_path, capsys):
         doc = cli.document_from_array("unitary", qmath.pauli(1))
@@ -775,7 +836,7 @@ class TestMainEntry:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command, bound", [("table2", "10,000,000"), ("bounds", "4.5 kB"), ("sample", "4 kB")]
+        "command, bound", [("table2", "10,000,000"), ("bounds", "7 kB"), ("sample", "4 kB")]
     )
     def test_help_states_size_bound(self, capsys, command, bound):
         with pytest.raises(SystemExit):
@@ -907,6 +968,12 @@ def _one_entry_fuzzed(kind, base, entry):
 
 
 _pair = st.lists(_numbers, min_size=2, max_size=2) | _json
+# diag(1/4) with entry 9 off Hermitian by 4.12e-10: inside the density
+# predicate's tolerance, so a document that must end in a report
+_SKEWED_DENSITY = {
+    "kind": "density", "dim": 4,
+    "entries": [[0.25 * (i % 5 == 0), 4.12e-10 * (i == 9)] for i in range(16)],
+}
 _near_valid = (
     _one_entry_fuzzed("pvector", [0.1, 0.1, 0.1], _numbers | _json)
     | _one_entry_fuzzed("unitary", [[1, 0], [0, 0], [0, 0], [1, 0]], _pair)
@@ -916,6 +983,7 @@ _near_valid = (
 
 @settings(max_examples=2000, deadline=None)
 @given(value=_near_valid | _documents | _json)
+@example(value=_SKEWED_DENSITY)
 def test_fuzzed_documents_fail_only_with_one_validation_line(tmp_path_factory, value):
     path = tmp_path_factory.getbasetemp() / "fuzz.json"
     path.write_text(json.dumps(value), encoding="utf-8")
@@ -925,6 +993,15 @@ def test_fuzzed_documents_fail_only_with_one_validation_line(tmp_path_factory, v
         assert _classify_outcome(path) == (1, True)
     else:
         assert _classify_outcome(path)[0] == 0
+
+
+def test_near_hermitian_density_ends_in_a_report(tmp_path):
+    path = tmp_path / "skewed.json"
+    path.write_text(json.dumps(_SKEWED_DENSITY), encoding="utf-8")
+    assert _classify_outcome(path) == (0, False)
+    report = cli.run_classify(cli.load_document(str(path)))
+    assert report.results["label"] == "AMBIGUOUS"
+    assert report.results["escape"]["found"] is False
 
 
 def _flag(name, values):

@@ -43,15 +43,27 @@ class TestCommonCauseIndices:
         with pytest.raises(ValidationError):
             corr.cc_corr_index(np.eye(4, dtype=complex), 1)
 
-    def test_corrupted_input_trips_residue_guard(self):
-        # near-Hermitian corruption passes the density predicate at 1e-9 but
-        # leaves an imaginary trace residue above the 1e-10 budget
+    def test_corrupted_input_trips_residue_guard(self, monkeypatch):
+        # a non-Hermitian input that a faulty density predicate lets through
+        monkeypatch.setattr(corr, "require_density", lambda rho: rho)
         rho = np.eye(4, dtype=complex) / 4
-        rho[0, 3] += 4e-10j
-        rho[3, 0] += 4e-10j
-        assert qmath.is_density(rho, 1e-9)
+        rho[0, 3] += 4e-9j
+        rho[3, 0] += 4e-9j
+        assert not qmath.is_density(rho)
         with pytest.raises(ConsistencyError, match="imaginary residue"):
             corr.cc_corr_index(rho, 1)
+
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_accepted_density_passes_residue_guard(self, axis):
+        # the off-diagonal skew that adds most to Im tr(rho P) of the axis while
+        # the density predicate still accepts rho
+        proj = corr._EQUAL_PROJ[axis - 1]
+        off = ~np.eye(4, dtype=bool) & (np.abs(proj) > 0)
+        rho = np.eye(4, dtype=complex) / 4
+        rho[off] += 0.99j * qmath.DENSITY_TOL / 2 * proj[off] / np.abs(proj[off])
+        assert qmath.is_density(rho)
+        assert abs(np.trace(rho @ proj).imag) > 0.9 * qmath.DENSITY_TOL
+        assert corr.cc_corr_index(rho, axis) == pytest.approx(0.0, abs=1e-12)
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValidationError):
