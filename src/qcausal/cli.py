@@ -227,12 +227,17 @@ def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunR
     """Classify one document and decide an ambiguous object's escape (``seed`` is only recorded)."""
     _check_tol(tol)
     samplers.SamplerConfig(seed=seed)  # refuses a seed that no other command would take
+    payload = doc.payload()
     if doc.kind == "density":
-        point = correlation.cc_pvector(doc.payload())
+        # the Hermitian part, exactly Hermitian in floating point and equal to rho
+        # when rho is: a rotation keeps the operator norm of rho - rho^dag, not its
+        # largest entry, so the moved object could leave DENSITY_TOL
+        payload = (payload + payload.conj().T) / 2
+        point = correlation.cc_pvector(payload)
     elif doc.kind == "unitary":
-        point = correlation.dc_pvector(doc.payload())
+        point = correlation.dc_pvector(payload)
     else:
-        point = correlation.PPoint.from_array(doc.payload())
+        point = correlation.PPoint.from_array(payload)
     label = geometry.classify(point.as_array(), tol)
     results = {
         "pvector": list(point),
@@ -247,7 +252,7 @@ def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunR
             }
         else:
             kind = "CC" if doc.kind == "density" else "DC"
-            margin, v = basis_change.escape_witness(kind, doc.payload(), tol=tol)
+            margin, v = basis_change.escape_witness(kind, payload, tol=tol)
             results["escape"] = {
                 "applicable": True,
                 "found": v is not None,
@@ -329,9 +334,10 @@ _LABEL_LINES = [f"{name}\n".encode("ascii") for name in geometry._LABEL_NAMES]
 _LABEL_LENGTHS = np.array([len(line) for line in _LABEL_LINES])
 
 
-def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
-    """ASCII CSV rows ``c11,c22,c33,c,label``, each ended by a newline, each
-    float as Python's ``repr`` writes it, the shortest round-trip form.
+def _encode_rows(rows: np.ndarray, codes: np.ndarray) -> bytes:
+    """ASCII CSV rows ``c11,c22,c33,c,label`` from the (n, 4) floats ``rows`` and
+    the label ``codes``, each row ended by a newline, each float as Python's
+    ``repr`` writes it, the shortest round-trip form.
 
     ``_reprfloat.repr_fields`` writes each float into a 25-byte field that ends
     with its repr and a comma, NULs in front. A cumulative sum of the reprs'
@@ -343,12 +349,12 @@ def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes
     def windows(buf, width):  # item i is buf[i:i + width]: writing one writes its neighbours
         return np.ndarray((buf.size - width + 1,), dtype=f"V{width}", buffer=buf, strides=(1,))
 
-    rows, width = _reprfloat._BLOCK // 4, 25
-    fields = np.empty((4 * rows, _reprfloat.FIELD), dtype=np.uint8)
-    items = np.ndarray((4 * rows,), dtype=f"V{width}", buffer=fields, strides=(_reprfloat.FIELD,))
-    x, text = np.column_stack((pts, cvals)), []
-    for lo in range(0, len(x), rows):
-        block, block_codes = x[lo : lo + rows], codes[lo : lo + rows]
+    step, width = _reprfloat._BLOCK // 4, 25
+    fields = np.empty((4 * step, _reprfloat.FIELD), dtype=np.uint8)
+    items = np.ndarray((4 * step,), dtype=f"V{width}", buffer=fields, strides=(_reprfloat.FIELD,))
+    text = []
+    for lo in range(0, len(rows), step):
+        block, block_codes = rows[lo : lo + step], codes[lo : lo + step]
         size = _reprfloat.repr_fields(block, fields[: block.size]) + 1
         labels = _LABEL_LENGTHS[block_codes]
         size[3::4] += labels
@@ -364,27 +370,50 @@ def _encode_rows(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes
 
 
 def _sample_chunk(
-    kind: str, stream: samplers.DrawStream, item: tuple[tuple[int, int], list[dict]]
-) -> tuple[int, float, float, bytes]:
-    """Bound violations, min and max of C, and the encoded CSV rows of one chunk.
+    kind: str, cfg: samplers.SamplerConfig, fd: int, turn, written, item: tuple[int, tuple]
+) -> tuple[int, float, float]:
+    """Bound violations and the min and max of C of chunk k of ``sample``, whose
+    CSV rows ``lo:hi`` it writes to ``fd`` on its turn; ``item`` is (k, (lo, hi)).
 
-    ``item`` is the chunk's span of rows and the generator states that
-    ``stream.record`` kept for it; the chunk's pure components (CC) or unitary
-    parameter columns (DC) are redrawn from them here, and the points take them
-    in real arithmetic, whose bits do not depend on numpy's SIMD loops."""
-    (lo, hi), states = item
-    if kind == "CC":
-        components = stream.replay(states, hi - lo, samplers.cc_components)
-        pts = np.stack(correlation.correlation_matrix_batch(kind, components, diagonal=True), 1)
-    else:
-        pts = correlation.dc_pvector_params_batch(np.column_stack(stream.replay(states, hi - lo)))
-    cvals = correlation.statistic_c_batch(pts)
-    if kind == "CC":
-        violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
-    else:
-        violations = int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
-    codes = geometry._classify_codes(pts, tol=1e-9)
-    return violations, cvals.min(), cvals.max(), _encode_rows(pts, cvals, codes)
+    The chunk draws a full ``_CHUNK_ROWS`` rows, in the kernel's layout, from
+    ``cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k)`` and keeps the first hi - lo,
+    so a row depends only on the seed and its index. The points take them in
+    real arithmetic, whose bits do not depend on numpy's SIMD loops. The turn
+    comes when the counter ``written``, under the Condition ``turn``, reaches k.
+    A pool hands out chunks in order, so each chunk before k is done or held by
+    a live worker. A chunk that fails still takes its turn and sets the counter
+    to -1, so no chunk waits for good and none after it writes: the CSV of a
+    failed run is a prefix of the whole one."""
+    k, (lo, hi) = item
+    encoded = None
+    try:
+        rng = cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k)
+        drawn = samplers.kernel_components(rng, kind, cfg.density_rank, _CHUNK_ROWS)
+        diagonal = correlation.correlation_matrix_batch(
+            kind, tuple(column[..., : hi - lo] for column in drawn), diagonal=True
+        )
+        rows = np.empty((hi - lo, 4))
+        pts, cvals = rows[:, :3], rows[:, 3]
+        np.stack(diagonal, axis=1, out=pts)
+        cvals[:] = correlation.statistic_c_batch(pts)
+        if kind == "CC":
+            violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
+        else:
+            violations = int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
+        encoded = _encode_rows(rows, geometry._classify_codes(pts, tol=1e-9))
+        return violations, cvals.min(), cvals.max()
+    finally:
+        with turn:
+            try:
+                turn.wait_for(lambda: written.value in (k, -1))  # -1 once a chunk has failed
+                ours = written.value == k and encoded is not None
+                written.value = -1  # until this chunk's rows are out
+                if ours:
+                    with open(fd, "wb", closefd=False) as out:
+                        out.write(encoded)
+                    written.value = k + 1
+            finally:
+                turn.notify_all()
 
 
 # A pool worker's task with its shared arguments bound, set by _init_worker. A
@@ -454,39 +483,37 @@ def run_sample(
 ) -> RunReport:
     """Write a CSV scatter of sampled correlation points and check the bounds.
 
-    The rows come in chunks of ``_CHUNK_ROWS``, the last one shorter. The
-    random draw is the stream of ``sample_density`` (CC) or
-    ``sample_unitary_params`` (DC) for all ``n`` rows, but no process holds
-    it: this one passes over it once and keeps only the generator states at
-    each chunk's rows (``DrawStream.record``), and each chunk redraws its own
-    rows from them (``DrawStream.replay``), so the CSV is byte for byte the one
-    a whole-array pass would write. The points come from the drawn components
-    in real arithmetic, and no density operator or unitary is built
-    (``_sample_chunk``); each float is written as
-    ``repr`` writes it (``_encode_rows``). The chunks are computed and encoded
-    on every usable CPU (``_ordered_map``), and this process writes each one,
-    in order, as soon as it arrives.
+    The rows come in chunks of ``_CHUNK_ROWS``, the last one shorter. Each chunk
+    draws from its own generator, so row i depends only on the seed and i, and
+    computes, encodes and writes its own rows (``_sample_chunk``), with no
+    density operator or unitary built and each float as ``repr`` writes it
+    (``_encode_rows``). The chunks run on every usable CPU (``_ordered_map``)
+    and write, in chunk order, to the CSV's file descriptor, which the workers
+    inherit. This process writes the header first; it draws nothing, and of
+    each chunk it receives only the bound violations and the min and max of C.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     cfg = samplers.SamplerConfig(seed=seed, density_rank=rank)
-    stream = samplers.density_stream(rank) if kind == "CC" else samplers.UNITARY_PARAMS
-    _check_memory(-(-n // _CHUNK_ROWS), 1024 * (1 + len(stream.blocks)), f"--n {n}")  # plan, states
-    spans = _chunk_bounds(n)
-    states = stream.record(cfg.rng(), [hi - lo for lo, hi in spans])
+    _check_memory(-(-n // _CHUNK_ROWS), 2300, f"--n {n}")  # each chunk's item and future
+    import multiprocessing  # not at the top, as in _ordered_map
+
+    forks = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if forks else None)
+    turn, written = context.Condition(), context.RawValue("q", 0)  # the chunks' write turn
 
     n_violations = 0
     min_c, max_c = np.inf, -np.inf
-    with open(out_path, "wb") as handle, _ordered_map(
-        _sample_chunk, (kind, stream), list(zip(spans, states))
-    ) as chunks:
+    with open(out_path, "wb") as handle:
         handle.write(_CSV_HEADER.encode("ascii") + b"\n")
-        for violations, lo_c, hi_c, rows in chunks:
-            n_violations += violations
-            min_c, max_c = min(min_c, lo_c), max(max_c, hi_c)
-            handle.write(rows)
+        handle.flush()
+        shared = (kind, cfg, handle.fileno(), turn, written)
+        with _ordered_map(_sample_chunk, shared, list(enumerate(_chunk_bounds(n)))) as results:
+            for violations, lo_c, hi_c in results:
+                n_violations += violations
+                min_c, max_c = min(min_c, lo_c), max(max_c, hi_c)
     violations = []
     if n_violations:
         violations.append({"bound_violations": n_violations, "kind": kind})
@@ -656,7 +683,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("kind", choices=["CC", "DC"])
     p_sample.add_argument("--n", type=int, default=20000,
-                          help="rows, refused past this machine's memory at 3-4 kB per 65,536")
+                          help="rows, refused past this machine's memory at 2.3 kB per 65,536")
     p_sample.add_argument("--rank", type=int, default=4)
     p_sample.add_argument("--csv", required=True, help="output CSV path")
 

@@ -1,10 +1,12 @@
 """Seeded random generation of states, density operators and unitaries.
 
 All sampling flows through numpy's PCG64 generator, so one 64-bit seed
-pins the full sample stream on any platform. Parallel workers derive
-independent generators from (seed, worker index) through
-``numpy.random.SeedSequence(seed, spawn_key=(index,))`` — see
-:meth:`SamplerConfig.worker_rng`.
+pins the full sample stream on any platform. Independent parts of a run
+draw from generators split off the seed by one rule,
+``numpy.random.SeedSequence(seed, spawn_key=key)`` (see
+:meth:`SamplerConfig.worker_rng`): ``table2`` cell ``c`` uses the one-word
+key ``(c,)``, and ``sample`` chunk ``k`` the two-word key
+``(SAMPLE_CHUNK_KEY, k)``, so no chunk shares a generator with a cell.
 
 Samplers accept an optional ``size``: ``None`` returns a single object,
 an integer returns a stacked batch (leading axis). Rejection sampling for
@@ -14,15 +16,15 @@ points in real arithmetic from the drawn components (the unitary parameters,
 or the density draw's blocks as ``cc_components`` lays them out) and keeps
 the components of the accepted rows alone.
 
-The density and unitary-parameter draws are each defined once, as a
-:class:`DrawStream`. The whole-n samplers draw it in one go; ``record`` and
-``replay`` rebuild any span of its rows, with the same bits, from a few
-generator states, so a process need not hold the rest.
+The density and unitary-parameter draws are each defined once
+(:func:`density_blocks`, :func:`sample_unitary_params`), for the whole-n
+samplers and the rejection sampler. A ``sample`` chunk draws its own
+generator's block straight in the layout the point kernel reads
+(:func:`kernel_components`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,9 +35,7 @@ from .geometry import region_test
 
 __all__ = [
     "SamplerConfig",
-    "DrawStream",
-    "density_stream",
-    "UNITARY_PARAMS",
+    "density_blocks",
     "sample_real_pure",
     "sample_complex_pure",
     "sample_density",
@@ -43,6 +43,8 @@ __all__ = [
     "sample_unitary_params",
     "unitaries_from_params",
     "cc_components",
+    "kernel_components",
+    "SAMPLE_CHUNK_KEY",
     "sample_region_components",
     "sample_in_region",
     "sample_in_region_batch",
@@ -52,6 +54,11 @@ __all__ = [
 REGIONS_BY_KIND = {"CC": ("O", "TCC", "OTC"), "DC": ("O", "TDC", "OTD")}
 
 _CHUNK = 4096
+
+# The first spawn-key word of every ``sample`` chunk's generator, a tag: with the
+# chunk index as the second word, a chunk's key is two words long, and a ``table2``
+# cell's key one word, so the two never share a generator.
+SAMPLE_CHUNK_KEY = 0x73616D70  # "samp" in ASCII
 
 
 @dataclass(frozen=True)
@@ -79,9 +86,9 @@ class SamplerConfig:
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
 
-    def worker_rng(self, index: int) -> np.random.Generator:
-        """Independent generator for worker ``index`` (documented split rule)."""
-        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(index,)))
+    def worker_rng(self, *key: int) -> np.random.Generator:
+        """Independent generator for spawn key ``key`` (documented split rule)."""
+        return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
 
 def _squeeze(batch: np.ndarray, size):
@@ -104,48 +111,16 @@ def sample_complex_pure(rng: np.random.Generator, size=None) -> np.ndarray:
     return _squeeze(v, size)
 
 
-@dataclass(frozen=True)
-class DrawStream:
-    """A random draw of n rows: ``blocks`` drawn one after another, each for
-    all n rows (``block(rng, n)``), and combined row by row by ``assemble``.
-
-    ``assemble`` takes an iterator over the blocks and must take all of them,
-    in order; each block is drawn only when taken, so a block that is used
-    up can be freed before the next one is drawn. A block fills its rows in
-    order, so rows ``lo:hi`` of a block are what the generator yields from
-    its state at row ``lo`` of that block: ``record`` keeps those states and
-    ``replay`` redraws any span from them.
-    """
-
-    blocks: tuple
-    assemble: Callable
-
-    def draw(self, rng: np.random.Generator, n: int, assemble: Callable | None = None):
-        """n assembled rows; ``assemble`` replaces the stream's own assembly."""
-        return (assemble or self.assemble)(block(rng, n) for block in self.blocks)
-
-    def record(self, rng: np.random.Generator, sizes: list[int]) -> list[list[dict]]:
-        """For consecutive spans of ``sizes`` rows, each span's generator state
-        at its first row of every block. Draws the whole stream from ``rng``,
-        one span at a time, and keeps none of it."""
-        states: list[list[dict]] = [[] for _ in sizes]
-        for block in self.blocks:
-            for span_states, rows in zip(states, sizes):
-                span_states.append(rng.bit_generator.state)
-                block(rng, rows)
-        return states
-
-    def replay(self, states: list[dict], rows: int, assemble: Callable | None = None):
-        """The ``rows`` assembled rows of the span whose recorded (PCG64)
-        states are ``states``: the same bits as those rows of ``draw``."""
-
-        def at(state: dict) -> np.random.Generator:
-            bitgen = np.random.PCG64(0)
-            bitgen.state = state
-            return np.random.Generator(bitgen)
-
-        blocks = (block(at(state), rows) for block, state in zip(self.blocks, states))
-        return (assemble or self.assemble)(blocks)
+def density_blocks(rng: np.random.Generator, rank: int, n: int):
+    """The draw of :func:`sample_density`, a block at a time, each drawn only when
+    taken: real then imaginary normals of the ``rank`` pure components, (n, rank, 4)
+    each, then (above rank 1) their Dirichlet weights, (n, rank)."""
+    if not 1 <= rank <= 4:
+        raise ValidationError(f"rank must be in 1..4, got {rank}")
+    yield rng.standard_normal((n, rank, 4))
+    yield rng.standard_normal((n, rank, 4))
+    if rank > 1:
+        yield rng.dirichlet(np.ones(rank), size=n)
 
 
 def _density_from_blocks(blocks) -> np.ndarray:
@@ -157,41 +132,17 @@ def _density_from_blocks(blocks) -> np.ndarray:
     return np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
 
 
-def density_stream(rank: int = 4) -> DrawStream:
-    """The draw of :func:`sample_density`: real then imaginary normals of the
-    ``rank`` pure components, then (above rank 1) their Dirichlet weights."""
-    if not 1 <= rank <= 4:
-        raise ValidationError(f"rank must be in 1..4, got {rank}")
-
-    def normals(rng, n):
-        return rng.standard_normal((n, rank, 4))
-
-    def weights(rng, n):
-        return rng.dirichlet(np.ones(rank), size=n)
-
-    return DrawStream((normals, normals) + ((weights,) if rank > 1 else ()), _density_from_blocks)
-
-
-def _unitary_params_from_blocks(blocks):
-    v = next(blocks).T.copy()
+def _sphere_and_phase(rng: np.random.Generator, v: np.ndarray) -> tuple:
+    """(a1, a2, b1, b2, alpha): the four rows of the normals ``v``, (4, n),
+    projected on the unit sphere, then n uniform phases drawn from ``rng``."""
     v /= np.sqrt(((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]) + v[3] * v[3])
-    return (*v, next(blocks))
-
-
-# The draw of sample_unitary_params: sphere normals, then phases.
-UNITARY_PARAMS = DrawStream(
-    (
-        lambda rng, n: rng.standard_normal((n, 4)),
-        lambda rng, n: rng.uniform(0.0, 2.0 * np.pi, size=n),
-    ),
-    _unitary_params_from_blocks,
-)
+    return (*v, rng.uniform(0.0, 2.0 * np.pi, size=v.shape[1]))
 
 
 def sample_density(rng: np.random.Generator, rank: int = 4, size=None) -> np.ndarray:
     """Mixtures of ``rank`` unitarily-invariant pure states with flat simplex weights."""
-    stream = density_stream(rank)
-    return _squeeze(stream.draw(rng, 1 if size is None else int(size)), size)
+    blocks = density_blocks(rng, rank, 1 if size is None else int(size))
+    return _squeeze(_density_from_blocks(blocks), size)
 
 
 def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
@@ -201,8 +152,9 @@ def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
 
 
 def sample_unitary_params(rng: np.random.Generator, n: int):
-    """Raw parameters (a1, a2, b1, b2, alpha): uniform sphere and uniform phase."""
-    return UNITARY_PARAMS.draw(rng, n)
+    """Raw parameters (a1, a2, b1, b2, alpha): uniform sphere and uniform phase,
+    from (n, 4) sphere normals, then n phases."""
+    return _sphere_and_phase(rng, rng.standard_normal((n, 4)).T.copy())
 
 
 def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
@@ -224,9 +176,27 @@ def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
 def cc_components(blocks) -> tuple:
     """The density draw's blocks as the contiguous component columns that
     ``correlation.correlation_matrix_batch`` takes: the real and imaginary normals,
-    (rank, 4, n) each, then (above rank 1) the weights, (rank, n). Pass it as the
-    ``assemble`` of ``density_stream(rank).draw`` or ``replay``."""
+    (rank, 4, n) each, then (above rank 1) the weights, (rank, n), from the
+    blocks of :func:`density_blocks`."""
     return tuple(np.ascontiguousarray(np.moveaxis(block, 0, -1)) for block in blocks)
+
+
+def kernel_components(rng: np.random.Generator, kind: str, rank: int, size: int) -> tuple:
+    """``size`` objects' components drawn straight in the layout that
+    ``correlation.correlation_matrix_batch`` reads, rows last. 'CC': the real,
+    then the imaginary normals of ``rank`` pure components, (rank, 4, size)
+    each, then, above rank 1, flat Dirichlet weights, (rank, size), drawn as
+    standard exponentials and divided by their sum. 'DC': (a1, a2, b1, b2) from
+    (4, size) normals projected on the unit sphere, then ``size`` uniform phases.
+    Column i of each depends only on the generator and ``size``."""
+    if kind == "DC":
+        return _sphere_and_phase(rng, rng.standard_normal((4, size)))
+    components = (rng.standard_normal((rank, 4, size)), rng.standard_normal((rank, 4, size)))
+    if rank == 1:
+        return components
+    weights = rng.standard_exponential((rank, size))
+    weights /= sum(weights)  # row after row, in order
+    return (*components, weights)
 
 
 def sample_region_components(
@@ -257,9 +227,6 @@ def sample_region_components(
         raise ValidationError("size must be >= 1")
     member = region_test(region)
     rng = cfg.rng() if rng is None else rng
-    stream, assemble = UNITARY_PARAMS, None
-    if kind == "CC":
-        stream, assemble = density_stream(cfg.density_rank), cc_components
     accepted: list[tuple] = []
     n_accepted = 0
     attempts = 0
@@ -272,7 +239,10 @@ def sample_region_components(
                 accepted=n_accepted,
                 attempts=attempts,
             )
-        components = stream.draw(rng, _CHUNK, assemble)
+        if kind == "CC":
+            components = cc_components(density_blocks(rng, cfg.density_rank, _CHUNK))
+        else:
+            components = sample_unitary_params(rng, _CHUNK)
         attempts += _CHUNK
         pts = np.stack(correlation_matrix_batch(kind, components, diagonal=True), axis=1)
         keep = np.flatnonzero(member(pts, tol))

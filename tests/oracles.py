@@ -6,7 +6,8 @@ components (``correlation.rotated_pvector_batch``). The routes here build the
 objects and take complex traces instead: the projectors onto v|m_k> (x) v|m_k>,
 or the amplitudes <m'_0| u |m'_0> of the rotated +1 eigenvectors m'_0 = v m_0.
 The per-axis probabilities and the closed form from a unitary's parameters
-check the fixed-axis points and their mixtures. The one-move-at-a-time
+check the fixed-axis points and their mixtures. ``sample``'s draw, held whole,
+checks the CSV that its chunks write one at a time. The one-move-at-a-time
 compass search checks the batched polish of the bound certificates.
 """
 
@@ -35,7 +36,16 @@ from qcausal.qmath import (
     require_unitary,
     tensor_product,
 )
-from qcausal.samplers import _CHUNK, sample_density, sample_unitary
+from qcausal.samplers import (
+    _CHUNK,
+    SAMPLE_CHUNK_KEY,
+    SamplerConfig,
+    kernel_components,
+    sample_density,
+    sample_unitary,
+)
+
+SAMPLE_CHUNK_ROWS = 1 << 16
 
 
 def pprime_cc_oracle(rho: np.ndarray, v: np.ndarray) -> PPoint:
@@ -216,3 +226,14 @@ def simplex_compass_oracle(t, sign: float, w0: np.ndarray, tol: float):
         if not improved:
             delta /= 2.0
     return w, sign * best, delta < tol
+
+
+def sample_components_oracle(kind: str, n: int, seed: int, rank: int = 4) -> tuple:
+    """The drawn components of ``sample``'s first ``n`` rows, held whole, rows
+    last: each 2^16-row chunk's whole draw from its own generator, concatenated."""
+    cfg = SamplerConfig(seed=seed, density_rank=rank)
+    chunks = [
+        kernel_components(cfg.worker_rng(SAMPLE_CHUNK_KEY, k), kind, rank, SAMPLE_CHUNK_ROWS)
+        for k in range(-(-n // SAMPLE_CHUNK_ROWS))
+    ]
+    return tuple(np.concatenate(columns, axis=-1)[..., :n] for columns in zip(*chunks))

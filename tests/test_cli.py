@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import io
 import json
@@ -24,14 +25,13 @@ from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
 from qcausal.samplers import (
     SamplerConfig,
-    density_stream,
-    cc_components,
-    sample_density,
+    _density_from_blocks,
     sample_in_region_batch,
     sample_unitary,
-    sample_unitary_params,
+    unitaries_from_params,
 )
 from golden.cases import INPUTS
+from oracles import sample_components_oracle
 from test_basis_change import _search_escape_oracle
 from test_geometry import near_face_points
 
@@ -322,12 +322,8 @@ def repr_rows_oracle(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> b
 def whole_array_csv_oracle(kind, n, seed, rank=4):
     """CSV bytes and c column of an unchunked sample: every row held, one repr per float.
     Points come from the drawn components in real arithmetic, as in ``sample``."""
-    rng = SamplerConfig(seed=seed, density_rank=rank).rng()
-    if kind == "CC":
-        components = density_stream(rank).draw(rng, n, cc_components)
-        pts = np.stack(corr.correlation_matrix_batch("CC", components, diagonal=True), axis=1)
-    else:
-        pts = corr.dc_pvector_params_batch(np.column_stack(sample_unitary_params(rng, n)))
+    components = sample_components_oracle(kind, n, seed, rank)
+    pts = np.stack(corr.correlation_matrix_batch(kind, components, diagonal=True), axis=1)
     cvals = pts.prod(axis=1)
     rows = repr_rows_oracle(pts, cvals, geo._classify_codes(pts, tol=1e-9))
     return b"c11,c22,c33,c,label\n" + rows, cvals
@@ -376,8 +372,8 @@ class TestSampleStreaming:
         path = tmp_path / "s.csv"
         cli.run_sample("DC", n, seed=seed, out_path=str(path))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
-        oracle = corr.dc_pvector_batch(sample_unitary(SamplerConfig(seed=seed).rng(), size=n))
-        assert np.abs(rows - oracle).max() <= 1e-12
+        us = unitaries_from_params(*sample_components_oracle("DC", n, seed))
+        assert np.abs(rows - corr.dc_pvector_batch(us)).max() <= 1e-12
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_cc_points_match_complex_route(self, tmp_path, rank):
@@ -387,8 +383,18 @@ class TestSampleStreaming:
         path = tmp_path / "s.csv"
         cli.run_sample("CC", n, seed=5, out_path=str(path), rank=rank)
         rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
-        oracle = corr.cc_pvector_batch(sample_density(SamplerConfig(seed=5).rng(), rank, n))
-        assert np.abs(rows - oracle).max() <= 1e-12
+        components = sample_components_oracle("CC", n, 5, rank)
+        rhos = _density_from_blocks(np.moveaxis(column, -1, 0) for column in components)
+        assert np.abs(rows - corr.cc_pvector_batch(rhos)).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["DC", "CC"])
+    def test_shorter_run_is_a_prefix(self, tmp_path, kind):
+        # row i depends only on the seed and i: the last, shorter chunk draws
+        # a full chunk and keeps its first rows
+        short, long = tmp_path / "short.csv", tmp_path / "long.csv"
+        cli.run_sample(kind, 70_000, seed=8, out_path=str(short))
+        cli.run_sample(kind, 200_000, seed=8, out_path=str(long))
+        assert long.read_bytes().startswith(short.read_bytes())
 
     def test_chunk_plan(self):
         chunk = cli._CHUNK_ROWS
@@ -492,10 +498,14 @@ class TestSamplePool:
 
     @pytest.mark.parametrize("kind, n, rank", [("DC", 3 * 2**16 + 7, 4), ("CC", 2 * 2**16 + 5, 4)])
     def test_in_process_matches_pool(self, tmp_path, monkeypatch, kind, n, rank):
-        contexts = []
-        get_context = multiprocessing.get_context
+        # the run's chunk turn takes a fork context too, so count the pools
+        pools = []
+        executor = concurrent.futures.ProcessPoolExecutor
         monkeypatch.setattr(
-            multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m)
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            lambda *args, **kw: pools.append(kw["mp_context"].get_start_method())
+            or executor(*args, **kw),
         )
         path = tmp_path / "s.csv"
         outputs = []
@@ -503,22 +513,22 @@ class TestSamplePool:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             report = cli.run_sample(kind, n, seed=9, out_path=str(path), rank=rank)
             outputs.append((path.read_bytes(), report.to_json()))
-        assert contexts == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        assert pools == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     def test_chunk_validation_error_exits_one(self, tmp_path, monkeypatch, capfd, cpus):
-        n, kernel = 3 * 2**16 + 7, corr.dc_pvector_params_batch
-        second_a1 = sample_unitary_params(SamplerConfig(seed=3).rng(), n)[0][2**16]
+        n, kernel = 3 * 2**16 + 7, corr.correlation_matrix_batch
+        second_a1 = sample_components_oracle("DC", n, seed=3)[0][2**16]
 
-        def nan_in_second_chunk(params):
-            pts = kernel(params)
-            if params[0, 0] == second_a1:
-                pts[7] = np.nan
-            return pts
+        def nan_in_second_chunk(kind, components, diagonal=False):
+            m = kernel(kind, components, diagonal)
+            if components[0][0] == second_a1:
+                m[0][7] = np.nan
+            return m
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(corr, "dc_pvector_params_batch", nan_in_second_chunk)
+        monkeypatch.setattr(corr, "correlation_matrix_batch", nan_in_second_chunk)
         status = cli.main(["sample", "DC", "--n", str(n), "--seed", "3",
                            "--csv", str(tmp_path / "s.csv"), "--out", str(tmp_path / "r.json")])
         err = capfd.readouterr().err
@@ -534,15 +544,15 @@ class TestSamplePool:
             from qcausal import cli
             from qcausal import correlation as corr
 
-            parent, kernel = os.getpid(), corr.dc_pvector_params_batch
+            parent, kernel = os.getpid(), corr.correlation_matrix_batch
 
-            def dies_in_a_worker(params):
+            def dies_in_a_worker(*args, **kwargs):
                 if os.getpid() != parent:
                     os._exit(1)
-                return kernel(params)
+                return kernel(*args, **kwargs)
 
             os.sched_getaffinity = lambda pid: {0, 1}
-            corr.dc_pvector_params_batch = dies_in_a_worker
+            corr.correlation_matrix_batch = dies_in_a_worker
             try:
                 cli.run_sample("DC", 3 * 2**16 + 7, seed=3, out_path=sys.argv[1])
             except BrokenProcessPool:
@@ -554,6 +564,55 @@ class TestSamplePool:
             env=src_env(), capture_output=True, text=True, timeout=120, check=True,
         )
         assert out.stdout.split() == ["broken", "0"]
+
+    def test_failed_chunk_passes_its_turn_on(self, tmp_path):
+        # chunk 1 raises only once chunk 2 has its points, so chunk 2 is done and
+        # waits for chunk 1's turn: the run must end with the error, not hang
+        code = textwrap.dedent(
+            """
+            import multiprocessing, os, sys, time
+            from qcausal import cli, samplers
+            from qcausal import correlation as corr
+            from qcausal.errors import ValidationError
+
+            cfg, kernel = samplers.SamplerConfig(seed=3), corr.correlation_matrix_batch
+            marker = sys.argv[2]
+            first_a1 = [
+                samplers.kernel_components(
+                    cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k), "DC", 4, 2**16
+                )[0][0]
+                for k in (1, 2)
+            ]
+
+            def fails_after_chunk_two(kind, components, diagonal=False):
+                if components[0][0] == first_a1[1]:
+                    open(marker, "w").close()
+                elif components[0][0] == first_a1[0]:
+                    deadline = time.monotonic() + 30
+                    while not os.path.exists(marker) and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    time.sleep(0.2)
+                    raise ValidationError("chunk 1 failed")
+                return kernel(kind, components, diagonal)
+
+            os.sched_getaffinity = lambda pid: {0, 1}
+            corr.correlation_matrix_batch = fails_after_chunk_two
+            try:
+                cli.run_sample("DC", 4 * 2**16, seed=3, out_path=sys.argv[1])
+            except ValidationError as exc:
+                print(exc, "|", os.path.exists(marker), len(multiprocessing.active_children()))
+            """
+        )
+        csv = tmp_path / "s.csv"
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(csv), str(tmp_path / "marker")],
+            env=src_env(), capture_output=True, text=True, timeout=120, check=True,
+        )
+        assert out.stdout.split() == ["chunk", "1", "failed", "|", "True", "0"]
+        # chunk 2 did not write: the CSV is the whole run's first chunk
+        written = csv.read_bytes()
+        cli.run_sample("DC", 2**16, seed=3, out_path=str(csv))
+        assert written == csv.read_bytes()
 
     @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task"), reason="reads /proc")
     def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
@@ -836,7 +895,7 @@ class TestMainEntry:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command, bound", [("table2", "10,000,000"), ("bounds", "7 kB"), ("sample", "4 kB")]
+        "command, bound", [("table2", "10,000,000"), ("bounds", "7 kB"), ("sample", "2.3 kB")]
     )
     def test_help_states_size_bound(self, capsys, command, bound):
         with pytest.raises(SystemExit):
@@ -1002,6 +1061,31 @@ def test_near_hermitian_density_ends_in_a_report(tmp_path):
     report = cli.run_classify(cli.load_document(str(path)))
     assert report.results["label"] == "AMBIGUOUS"
     assert report.results["escape"]["found"] is False
+
+
+@st.composite
+def _skewed_overlap_densities(draw):
+    """An overlap density document plus an anti-Hermitian part spread over all
+    entries, scaled so that max |rho - rho^dag| is 0.5 to 1.5 times DENSITY_TOL."""
+    seed, rank = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4))
+    cfg = SamplerConfig(seed=seed, density_rank=rank)
+    rho = sample_in_region_batch(cfg, "CC", "O", 1)[0]
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    skew = a - a.conj().T
+    rho = rho + skew * (draw(st.floats(0.5, 1.5)) * qmath.DENSITY_TOL / np.abs(2 * skew).max())
+    return {"kind": "density", "dim": 4, "entries": cli._complex_entries(rho)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=_skewed_overlap_densities())
+@example(value=_SKEWED_DENSITY)
+def test_near_hermitian_densities_end_in_a_report_or_one_line(tmp_path_factory, value):
+    path = tmp_path_factory.getbasetemp() / "skewed.json"
+    path.write_text(json.dumps(value), encoding="utf-8")
+    code, one_line = _classify_outcome(path)
+    event(f"exit {code}")
+    assert code == 0 or (code, one_line) == (1, True)
 
 
 def _flag(name, values):

@@ -65,12 +65,17 @@ def float_sets(seed: int = 0) -> dict[str, np.ndarray]:
     return {name: np.where(rng.random(len(v)) < 0.5, -v, v) for name, v in sets.items()}
 
 
+def encode(pts, cvals, codes) -> bytes:
+    """``cli._encode_rows`` of the rows ``pts`` with the c column ``cvals``."""
+    return cli._encode_rows(np.column_stack((pts, cvals)), codes)
+
+
 def assert_encodes_like_repr(values) -> None:
     """``values``, four to a row (padded with 0.5), encode as the oracle encodes them."""
     values = np.asarray(values, dtype=np.float64)
     rows = np.concatenate((values, np.full(-len(values) % 4, 0.5))).reshape(-1, 4)
     codes = (np.arange(len(rows)) % len(geo._LABEL_NAMES)).astype(np.uint8)
-    got = cli._encode_rows(rows[:, :3], rows[:, 3], codes)
+    got = cli._encode_rows(rows, codes)
     want = repr_rows_oracle(rows[:, :3], rows[:, 3], codes)
     if got != want:
         row = next(g for g, w in zip(got.split(b"\n"), want.split(b"\n")) if g != w)
@@ -84,8 +89,8 @@ def test_float_set_encodes_like_repr(name):
 
 
 def test_fallback_domain_keeps_repr_forms():
-    pts = np.array([[0.0, -0.0, 1e-5], [1.0, -1.0, 5e-324]])
-    rows = cli._encode_rows(pts, np.array([1e-300, 0.5]), np.array([0, 3], dtype=np.uint8))
+    rows = np.array([[0.0, -0.0, 1e-5, 1e-300], [1.0, -1.0, 5e-324, 0.5]])
+    rows = cli._encode_rows(rows, np.array([0, 3], dtype=np.uint8))
     assert rows == b"0.0,-0.0,1e-05,1e-300,CC_ONLY\n1.0,-1.0,5e-324,0.5,MIXTURE_REQUIRED\n"
 
 
@@ -106,7 +111,7 @@ def test_sampled_chunk_encodes_like_repr(kind, rank, seed):
         pts = corr.dc_pvector_batch(sample_unitary(rng, size=n))
     cvals = pts.prod(axis=1)
     codes = geo._classify_codes(pts, tol=1e-9)
-    assert cli._encode_rows(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
+    assert encode(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
 
 
 # Doubles whose repr takes 24 bytes, the longest of any double.
@@ -136,17 +141,17 @@ def edge_rows(n: int = 2 * 4096 + 7) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def test_edge_rows_encode_like_repr():
     pts, cvals, codes = edge_rows()
-    assert cli._encode_rows(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
+    assert encode(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
 
 
 @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8192])
 def test_rows_at_block_boundaries_encode_like_repr(n):
     pts, cvals, codes = edge_rows(n)
-    assert cli._encode_rows(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
+    assert encode(pts, cvals, codes) == repr_rows_oracle(pts, cvals, codes)
 
 
 def test_empty_chunk_encodes_to_nothing():
-    assert cli._encode_rows(np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.uint8)) == b""
+    assert cli._encode_rows(np.empty((0, 4)), np.empty(0, dtype=np.uint8)) == b""
 
 
 # Checks every float set in a child process whose numpy runs only its baseline loops.
@@ -159,13 +164,11 @@ _BASELINE_CHILD = textwrap.dedent(
     assert not __cpu_features__["X86_V3"], "NPY_DISABLE_CPU_FEATURES took no effect"
     sys.path.insert(0, sys.argv[1])
     from test_cli import repr_rows_oracle
-    from test_csv_encoding import assert_encodes_like_repr, edge_rows, float_sets
-
-    from qcausal import cli
+    from test_csv_encoding import assert_encodes_like_repr, edge_rows, encode, float_sets
 
     for values in float_sets().values():
         assert_encodes_like_repr(values)
-    assert cli._encode_rows(*edge_rows()) == repr_rows_oracle(*edge_rows())
+    assert encode(*edge_rows()) == repr_rows_oracle(*edge_rows())
     """
 )
 

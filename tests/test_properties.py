@@ -13,10 +13,9 @@ from qcausal import basis_change as bc
 from qcausal import correlation as corr
 from qcausal import qmath
 from qcausal.samplers import (
-    UNITARY_PARAMS,
     SamplerConfig,
     cc_components,
-    density_stream,
+    density_blocks,
     sample_density,
     sample_in_region_batch,
     sample_unitary,
@@ -113,10 +112,12 @@ def test_rotated_axes_equal_transformed_objects(seed, rank):
     # the kernel's components and the objects come from one draw, twice
     v = sample_unitary(np.random.default_rng(seed))
     q = bc._transfer_matrix(v)
-    for kind, stream, assemble in (
-        ("CC", density_stream(rank), cc_components), ("DC", UNITARY_PARAMS, None)
-    ):
-        components = stream.draw(np.random.default_rng(seed), 16, assemble)
+    for kind in ("CC", "DC"):
+        rng = np.random.default_rng(seed)
+        if kind == "CC":
+            components = cc_components(density_blocks(rng, rank, 16))
+        else:
+            components = sample_unitary_params(rng, 16)
         if kind == "CC":
             objs = sample_density(np.random.default_rng(seed), rank=rank, size=16)
             oracle = corr.cc_pvector_batch(bc._transform_density_batch(objs, v))

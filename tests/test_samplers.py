@@ -226,25 +226,14 @@ class TestConfigValidation:
 
 
 def direct_density_oracle(rng, rank, n):
-    """sample_density written out as one expression per step, without DrawStream."""
+    """sample_density written out as one expression per step."""
     states = rng.standard_normal((n, rank, 4)) + 1j * rng.standard_normal((n, rank, 4))
     states /= np.linalg.norm(states, axis=2, keepdims=True)
     lam = np.ones((n, 1)) if rank == 1 else rng.dirichlet(np.ones(rank), size=n)
     return np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
 
 
-def generator_at(state):
-    bitgen = np.random.PCG64(0)
-    bitgen.state = state
-    return np.random.Generator(bitgen)
-
-
-STREAMS = [
-    pytest.param(samplers.density_stream(rank), id=f"density-rank{rank}") for rank in (1, 2, 3, 4)
-] + [pytest.param(samplers.UNITARY_PARAMS, id="unitary-params")]
-
-
-class TestDrawStream:
+class TestDraws:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, samplers._CHUNK, 70_000])
     def test_density_matches_the_direct_formula(self, rank, n):
@@ -264,35 +253,37 @@ class TestDrawStream:
         for a, b in zip(got, (*v.T, alpha)):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("stream", STREAMS)
-    def test_replayed_blocks_concatenate_to_the_whole_block(self, stream):
-        sizes = [1, 4095, 2**15, 3, 2**16 + 7]
-        states = stream.record(samplers.SamplerConfig(seed=19).rng(), sizes)
-        rng = samplers.SamplerConfig(seed=19).rng()
-        for k, block in enumerate(stream.blocks):
-            whole = block(rng, sum(sizes))
-            parts = [block(generator_at(s[k]), rows) for s, rows in zip(states, sizes)]
-            assert np.concatenate(parts).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("stream", STREAMS)
-    def test_replayed_spans_are_rows_of_the_whole_draw(self, stream):
-        sizes = [7, 4096, 2**15 + 1]
-        rng = samplers.SamplerConfig(seed=20).rng()
-        states = stream.record(rng, sizes)
-        whole_rng = samplers.SamplerConfig(seed=20).rng()
-        whole = stream.draw(whole_rng, sum(sizes))
-        # the pass over the stream leaves the generator where the whole draw does
-        assert rng.bit_generator.state == whole_rng.bit_generator.state
-        columns = whole if isinstance(whole, tuple) else (whole,)
-        lo = 0
-        for span_states, rows in zip(states, sizes):
-            part = stream.replay(span_states, rows)
-            part = part if isinstance(part, tuple) else (part,)
-            for got, col in zip(part, columns):
-                assert got.tobytes() == col[lo:lo + rows].tobytes()
-            lo += rows
+class TestKernelComponents:
+    @pytest.mark.parametrize("size", [1, 7, 2**16])
+    def test_dc_is_a_unit_sphere_point_and_a_phase(self, size):
+        cfg = samplers.SamplerConfig(seed=21)
+        rng, oracle_rng = cfg.worker_rng(5, 0), cfg.worker_rng(5, 0)
+        *sphere, alpha = samplers.kernel_components(rng, "DC", 4, size)
+        normals = oracle_rng.standard_normal((4, size))
+        np.testing.assert_allclose(
+            sphere, normals / np.linalg.norm(normals, axis=0), rtol=0, atol=1e-15
+        )
+        assert alpha.tobytes() == oracle_rng.uniform(0.0, 2.0 * np.pi, size).tobytes()
 
-    def test_record_keeps_one_state_per_span_and_block(self):
-        states = samplers.density_stream(3).record(samplers.SamplerConfig().rng(), [2, 3])
-        assert [len(s) for s in states] == [3, 3]
-        assert all(state["bit_generator"] == "PCG64" for s in states for state in s)
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_cc_normals_then_flat_dirichlet_weights(self, rank):
+        cfg = samplers.SamplerConfig(seed=22)
+        rng, oracle_rng = cfg.worker_rng(5, 1), cfg.worker_rng(5, 1)
+        drawn = samplers.kernel_components(rng, "CC", rank, 1000)
+        assert len(drawn) == (2 if rank == 1 else 3)
+        for block in drawn[:2]:
+            assert block.tobytes() == oracle_rng.standard_normal((rank, 4, 1000)).tobytes()
+        if rank > 1:
+            exponentials = oracle_rng.standard_exponential((rank, 1000))
+            np.testing.assert_allclose(
+                drawn[2], exponentials / exponentials.sum(axis=0), rtol=0, atol=1e-15
+            )
+            np.testing.assert_allclose(drawn[2].sum(axis=0), 1.0, rtol=0, atol=1e-15)
+
+    def test_chunk_generators_miss_the_table2_cells(self):
+        # sample's two-word keys (SAMPLE_CHUNK_KEY, k) against table2's one-word (cell,)
+        cfg = samplers.SamplerConfig(seed=42)
+        chunks = {cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k).integers(2**63) for k in range(64)}
+        cells = {cfg.worker_rng(cell).integers(2**63) for cell in range(64)}
+        assert len(chunks) == len(cells) == 64 and not chunks & cells
