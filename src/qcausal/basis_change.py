@@ -5,16 +5,17 @@ correlation point of a preparation rho to that of (v (x) v)^dag rho
 (v (x) v), and the point of an evolution u to that of v^dag u v. Both map
 the correlation matrix M to Q^T M Q, Q the transfer matrix of v, so the
 escape experiment never builds an object: it takes M from the drawn
-components of the overlap sample and the points diag(Q^T M Q), with Q
-built once per call. The transformed objects are the tests' independent
-route to the same points.
+components of the overlap sample, a block of rows at a time, and the
+points diag(Q^T M Q) of every rotation asked for, each Q built once per
+call. The transformed objects are the tests' independent route to the
+same points.
 
 A point in the octahedral overlap is ambiguous. :func:`escape_witness`
 decides exactly whether a rotation moves one object's point out of it;
 the escape experiment measures how often a given rotation moves
-conditioned samples out. Four reference rotations are embedded at
-4-decimal precision and re-unitarized by polar projection (printed
-matrices are only approximately unitary).
+conditioned samples out. Four reference rotations are printed at 4-decimal
+precision, which is only approximately unitary; they are embedded as the
+exact floats of their polar projections.
 
 Reference escape proportions (20000 samples each) are reproduced by pure
 preparations and sphere-plus-phase unitaries conditioned on the overlap;
@@ -41,7 +42,7 @@ from .correlation import (
 from .errors import ConsistencyError, ValidationError
 from .geometry import _ESCAPE_RUNS, _SIGNS, RegionLabel, _face_masks, classify
 from .qmath import is_density, is_unitary, pauli, require_density, require_unitary
-from .samplers import SamplerConfig, sample_region_components
+from .samplers import SamplerConfig, _region_chunks
 
 __all__ = [
     "EscapeResult",
@@ -55,10 +56,12 @@ __all__ = [
     "ESCAPE_V4",
     "ESCAPE_V_SET",
     "REFERENCE_PROPORTIONS",
-    "nearest_unitary",
 ]
 
 _MEMBERSHIP_TOL = 1e-9
+# Accepted rows per block of the escape kernel: M is built for one block at a time,
+# so the kernel's memory does not grow with n.
+_BLOCK = 2**14
 # The rounding slack of the escape witness, whose point reaches 1 + margin only
 # up to a few ulps of 1: at a smaller tol, rounding alone would decide its exit.
 _WITNESS_SLACK = 1e-12
@@ -66,40 +69,27 @@ _WITNESS_SLACK = 1e-12
 _SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
 
 
-def nearest_unitary(m: np.ndarray) -> np.ndarray:
-    """Polar projection onto the unitary group (drops the Hermitian factor)."""
-    m = np.asarray(m, dtype=complex)
-    w, _, vh = np.linalg.svd(m)
-    return w @ vh
-
-
-def _reference(entries) -> np.ndarray:
-    u = nearest_unitary(np.array(entries, dtype=complex))
+def _pinned(entries) -> np.ndarray:
+    u = np.array(entries, dtype=complex)
     u.setflags(write=False)
     return u
 
 
-ESCAPE_V1 = _reference(
-    [[0.1813 - 0.5744j, 0.2656 + 0.7527j], [-0.6807 + 0.4170j, -0.2213 + 0.5602j]]
-)
-ESCAPE_V2 = _reference(
-    [[-0.1080 + 0.7959j, 0.4848 - 0.3461j], [-0.4763 - 0.3577j, -0.0888 - 0.7983j]]
-)
-ESCAPE_V3 = _reference(
-    [[-0.2947 + 0.5266j, 0.7483 - 0.2754j], [-0.6926 - 0.3950j, -0.2039 - 0.5680j]]
-)
-ESCAPE_V4 = _reference(
-    [[0.3482 + 0.3352j, -0.3442 + 0.8050j], [-0.2069 + 0.8507j, 0.4796 - 0.0597j]]
-)
-ESCAPE_V_SET = (ESCAPE_V1, ESCAPE_V2, ESCAPE_V3, ESCAPE_V4)
+# The polar projections (U = W V^H of the SVD W S V^H) of the printed 4-decimal
+# matrices, as exact floats: no LAPACK build decides their bits.
+ESCAPE_V_SET = ESCAPE_V1, ESCAPE_V2, ESCAPE_V3, ESCAPE_V4 = tuple(map(_pinned, (
+    [[0.1812977060048415 - 0.5744062363134501j, 0.26561544313414237 + 0.7527529832888425j],
+     [-0.6806733623888818 + 0.41698008491511124j, -0.22130038337992838 + 0.5602120338178194j]],
+    [[-0.10801167118659176 + 0.7959302901053672j, 0.48480246609197025 - 0.3461141734332915j],
+     [-0.47631779392257956 - 0.3577007287845432j, -0.08879277535198472 - 0.7983028190261052j]],
+    [[-0.2947353903020513 + 0.5266228882058878j, 0.7482956336653288 - 0.275414284231213j],
+     [-0.6926507609050676 - 0.3950117805063769j, -0.2038818480332052 - 0.5680077541032151j]],
+    [[0.3481639814026977 + 0.3351897532183231j, -0.34417558154585737 + 0.8049676021175217j],
+     [-0.20688132449387583 + 0.850664322142948j, 0.4795919878904766 - 0.05968126808303923j]],
+)))
 
 # Published escape percentages per reference rotation, (CC, DC) pairs.
-REFERENCE_PROPORTIONS = (
-    (36.44, 58.91),
-    (35.84, 57.32),
-    (29.9, 50.64),
-    (33.45, 52.56),
-)
+REFERENCE_PROPORTIONS = ((36.44, 58.91), (35.84, 57.32), (29.9, 50.64), (33.45, 52.56))
 
 
 @dataclass(frozen=True)
@@ -163,35 +153,56 @@ def escape_experiment(
     """Count overlap-conditioned samples rotated into the decidable region.
 
     Draws ``n`` objects of ``kind`` with correlation point in the overlap (their
-    components, see ``samplers.sample_region_components``), measures them along
-    the axes rotated by ``v``, and counts rotated points
-    landing in the corner-cut tetrahedron minus the overlap.
-    ``image_in_target`` reports whether every rotated point stayed inside the
-    corner-cut tetrahedron (it must, by the conjugation invariants; a rotated
-    point outside its full tetrahedron would be an internal error).
+    components, see ``samplers.sample_region_components``) from ``rng``, by default
+    ``cfg.rng()``, measures them along the axes rotated by ``v``, and counts rotated
+    points landing in the corner-cut tetrahedron minus the overlap: ``table2``'s
+    kernel with the one rotation ``v``. ``image_in_target`` reports whether every
+    rotated point stayed inside the corner-cut tetrahedron (it must, by the
+    conjugation invariants; one outside its full tetrahedron is an internal error).
     """
+    cfg = SamplerConfig(density_rank=1) if cfg is None else cfg
+    return _escape_counts(kind, [v], n, cfg, cfg.rng() if rng is None else rng)[0]
+
+
+def _blocks(chunks, rows: int):
+    """The chunks' columns joined into blocks of ``rows`` rows or more, the last one less."""
+    pending, count = [], 0
+    for chunk in chunks:
+        pending.append(chunk)
+        count += chunk[-1].shape[-1]
+        if count >= rows:
+            yield tuple(np.concatenate(columns, axis=-1) for columns in zip(*pending))
+            pending, count = [], 0
+    if pending:
+        yield tuple(np.concatenate(columns, axis=-1) for columns in zip(*pending))
+
+
+def _escape_counts(kind: str, rotations: list, n: int, cfg: SamplerConfig, rng) -> list:
+    """The escape experiment of each of ``rotations`` on one stream of ``n`` overlap
+    objects of ``kind`` drawn from ``rng``. M is built once per block of about
+    ``_BLOCK`` accepted rows, and each rotation takes diag(Q^T M Q) of it and one
+    pass over the eight faces. A row's point does not depend on its block, so the
+    counts are those of the whole stream at once."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    v = require_unitary(v)
-    cfg = SamplerConfig(density_rank=1) if cfg is None else cfg
-    components = sample_region_components(cfg, kind, "O", n, rng=rng)
-    pts = rotated_pvector_batch(correlation_matrix_batch(kind, components), _transfer_matrix(v))
-    full, in_target, rest = _face_masks(pts, _SIGNS, 1.0, _MEMBERSHIP_TOL, _ESCAPE_RUNS[kind])
-    if not full.all():
-        raise ConsistencyError("a rotated point left its tetrahedron")
-    # Inside the tetrahedron, the cut face alone decides the corner-cut region,
-    # and the overlap is that region inside the other three mirror faces.
-    escaped = int((in_target & ~rest).sum())
-    return EscapeResult(
-        kind=kind,
-        v=v,
-        n_samples=n,
-        escaped=escaped,
-        proportion=escaped / n,
-        image_in_target=bool(in_target.all()),
-    )
+    rotations = [require_unitary(v) for v in rotations]
+    qs = [_transfer_matrix(v) for v in rotations]
+    escaped, inside = [0] * len(qs), [True] * len(qs)
+    runs = _ESCAPE_RUNS[kind]
+    for block in _blocks(_region_chunks(cfg, kind, "O", n, rng, _MEMBERSHIP_TOL), _BLOCK):
+        m = correlation_matrix_batch(kind, block)
+        for k, q in enumerate(qs):
+            pts = rotated_pvector_batch(m, q)
+            full, in_target, rest = _face_masks(pts, _SIGNS, 1.0, _MEMBERSHIP_TOL, runs)
+            if not full.all():
+                raise ConsistencyError("a rotated point left its tetrahedron")
+            # Inside the tetrahedron, the cut face alone decides the corner-cut region,
+            # and the overlap is that region inside the other three mirror faces.
+            escaped[k] += int((in_target & ~rest).sum())
+            inside[k] = inside[k] and bool(in_target.all())
+    return [EscapeResult(kind, v, n, e, e / n, t) for v, e, t in zip(rotations, escaped, inside)]
 
 
 def _lift(q: np.ndarray) -> np.ndarray:

@@ -580,16 +580,11 @@ def run_table1(tol: float = 1e-12) -> RunReport:
     )
 
 
-def _table2_cell(
-    cfg: samplers.SamplerConfig, n: int, rotations: list, cell: int
-) -> basis_change.EscapeResult:
-    """The escape experiment of ``table2`` cell ``cell``: rotation ``cell // 2``
-    (from 0) on CC objects for an even ``cell``, on DC objects for an odd one,
-    drawn from ``cfg.worker_rng(cell)``."""
-    kind = "DC" if cell % 2 else "CC"
-    return basis_change.escape_experiment(
-        kind, rotations[cell // 2], n, cfg, rng=cfg.worker_rng(cell)
-    )
+def _table2_kind(cfg: samplers.SamplerConfig, n: int, rotations: list, key: int) -> list:
+    """``table2``'s escape experiments of every rotation on one stream of CC objects
+    (``key`` 0) or DC objects (``key`` 1), drawn from ``cfg.worker_rng(key)``."""
+    kind = ("CC", "DC")[key]
+    return basis_change._escape_counts(kind, rotations, n, cfg, cfg.worker_rng(key))
 
 
 def run_table2(
@@ -600,17 +595,18 @@ def run_table2(
     Measured proportions are compared against the published references
     with a +-5 percentage-point band; out-of-band rows are flagged in the
     results (``in_band`` false), not treated as violations, because the
-    published figures depend on the sampling distribution. Rotation ``idx``
-    (from 1) draws its CC cell from ``worker_rng(2 * (idx - 1))`` and its DC
-    cell from ``worker_rng(2 * (idx - 1) + 1)`` of ``SamplerConfig(seed)``.
-    The cells are independent, so they run on every usable CPU (see
-    ``_ordered_map``); the report is assembled from them in cell order.
+    published figures depend on the sampling distribution. Every rotation's CC
+    cell counts the same ``n`` objects, drawn from ``worker_rng(0)`` of
+    ``SamplerConfig(seed)``, and every DC cell the ``n`` objects of
+    ``worker_rng(1)``. The two kinds are independent, so they run as two items
+    on every usable CPU (see ``_ordered_map``); the report is assembled from
+    them in rotation order.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
-    if n > cfg.max_rejections:  # each object costs at least one draw of a cell's budget
-        raise ValidationError(f"n must be <= {cfg.max_rejections}, the rejection budget of a cell")
+    if n > cfg.max_rejections:  # each object costs at least one draw of its kind's budget
+        raise ValidationError(f"n must be <= {cfg.max_rejections}, a kind's rejection budget")
     if v_docs:
         v_set = [load_document(path) for path in v_docs]
         for doc in v_set:
@@ -621,13 +617,13 @@ def run_table2(
     else:
         rotations = list(basis_change.ESCAPE_V_SET)
         references = list(basis_change.REFERENCE_PROPORTIONS)
-    with _ordered_map(_table2_cell, (cfg, n, rotations), list(range(2 * len(rotations)))) as cells:
-        cells = list(cells)
+    with _ordered_map(_table2_kind, (cfg, n, rotations), [0, 1]) as kinds:
+        kinds = list(kinds)
     results = {}
     for idx, ref in enumerate(references, start=1):
         row = {}
         for k, column in enumerate(("cc", "dc")):
-            res = cells[2 * (idx - 1) + k]
+            res = kinds[k][idx - 1]
             percent = 100.0 * res.proportion
             halfwidth = 100.0 * 1.96 * np.sqrt(
                 max(res.proportion * (1 - res.proportion), 0.0) / n

@@ -36,8 +36,6 @@ __all__ = [
     "RegionLabel",
     "tcc",
     "tdc",
-    "dug_tcc",
-    "dug_tdc",
     "contains",
     "in_overlap",
     "in_otc",
@@ -111,8 +109,6 @@ class Tetrahedron:
 
 _TCC = Tetrahedron([[1, -1, 1], [-1, 1, 1], [1, 1, -1], [-1, -1, -1]])
 _TDC = Tetrahedron([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
-_DUG_TCC = Tetrahedron([[-1, -1, -1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
-_DUG_TDC = Tetrahedron([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 # The eight sign faces s . c <= 1 (see module docstring): rows 0-3 bound tcc(),
 # rows 4-7 tdc(). Face j of a tetrahedron lies opposite vertex j, so the mirror
@@ -136,16 +132,6 @@ def tcc() -> Tetrahedron:
 def tdc() -> Tetrahedron:
     """Tetrahedron of direct-cause correlation points (Pauli order)."""
     return _TDC
-
-
-def dug_tcc() -> Tetrahedron:
-    """Corner of ``tcc()`` unreachable from the overlap after any rotation."""
-    return _DUG_TCC
-
-
-def dug_tdc() -> Tetrahedron:
-    """Corner of ``tdc()`` unreachable from the overlap after any rotation."""
-    return _DUG_TDC
 
 
 def _points(p) -> np.ndarray:

@@ -4,17 +4,19 @@ All sampling flows through numpy's PCG64 generator, so one 64-bit seed
 pins the full sample stream on any platform. Independent parts of a run
 draw from generators split off the seed by one rule,
 ``numpy.random.SeedSequence(seed, spawn_key=key)`` (see
-:meth:`SamplerConfig.worker_rng`): ``table2`` cell ``c`` uses the one-word
-key ``(c,)``, and ``sample`` chunk ``k`` the two-word key
-``(SAMPLE_CHUNK_KEY, k)``, so no chunk shares a generator with a cell.
+:meth:`SamplerConfig.worker_rng`): ``table2`` draws its CC objects with
+the one-word key ``(0,)`` and its DC objects with ``(1,)``, and ``sample``
+chunk ``k`` uses the two-word key ``(SAMPLE_CHUNK_KEY, k)``, so no chunk
+shares a generator with ``table2``.
 
 Samplers accept an optional ``size``: ``None`` returns a single object,
 an integer returns a stacked batch (leading axis). Rejection sampling for
 region-conditioned draws works on fixed-size chunks, which keeps the
 stream deterministic for a given seed. It tests each chunk's correlation
 points in real arithmetic from the drawn components (the unitary parameters,
-or the density draw's blocks as ``cc_components`` lays them out) and keeps
-the components of the accepted rows alone.
+or the density draw's blocks as ``cc_components`` lays them out) and yields
+the components of each chunk's accepted rows alone, so a caller that
+consumes them chunk by chunk never holds the whole sample.
 
 The density and unitary-parameter draws are each defined once
 (:func:`density_blocks`, :func:`sample_unitary_params`), for the whole-n
@@ -56,8 +58,8 @@ REGIONS_BY_KIND = {"CC": ("O", "TCC", "OTC"), "DC": ("O", "TDC", "OTD")}
 _CHUNK = 4096
 
 # The first spawn-key word of every ``sample`` chunk's generator, a tag: with the
-# chunk index as the second word, a chunk's key is two words long, and a ``table2``
-# cell's key one word, so the two never share a generator.
+# chunk index as the second word, a chunk's key is two words long, and each of
+# ``table2``'s two keys one word, so the two never share a generator.
 SAMPLE_CHUNK_KEY = 0x73616D70  # "samp" in ASCII
 
 
@@ -199,35 +201,10 @@ def kernel_components(rng: np.random.Generator, kind: str, rank: int, size: int)
     return (*components, weights)
 
 
-def sample_region_components(
-    cfg: SamplerConfig,
-    kind: str,
-    region: str,
-    size: int,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
-) -> tuple:
-    """Rejection-sample the drawn components of ``size`` objects whose correlation
-    point lies in ``region``: those of :func:`cc_components` ('CC') or of
-    :func:`sample_unitary_params` ('DC'), each with the rows last.
-
-    Draws always come in full chunks of ``_CHUNK`` objects, so the accepted
-    stream depends only on the generator, not on ``cfg.max_rejections``. The
-    budget is checked before each chunk, so the raw draws spent may pass
-    ``max_rejections`` by less than one chunk.
-    """
-    if kind not in REGIONS_BY_KIND:
-        raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    if region not in REGIONS_BY_KIND[kind]:
-        raise ValidationError(
-            f"region {region!r} is not compatible with kind {kind!r}; "
-            f"expected one of {REGIONS_BY_KIND[kind]}"
-        )
-    if size < 1:
-        raise ValidationError("size must be >= 1")
+def _region_chunks(cfg: SamplerConfig, kind: str, region: str, size: int, rng, tol: float):
+    """The loop of :func:`sample_region_components`, arguments unchecked: the accepted
+    columns of each ``_CHUNK``-object draw until ``size`` rows, the last chunk's cut to fit."""
     member = region_test(region)
-    rng = cfg.rng() if rng is None else rng
-    accepted: list[tuple] = []
     n_accepted = 0
     attempts = 0
     while n_accepted < size:
@@ -245,10 +222,40 @@ def sample_region_components(
             components = sample_unitary_params(rng, _CHUNK)
         attempts += _CHUNK
         pts = np.stack(correlation_matrix_batch(kind, components, diagonal=True), axis=1)
-        keep = np.flatnonzero(member(pts, tol))
-        accepted.append(tuple(column[..., keep] for column in components))
+        keep = np.flatnonzero(member(pts, tol))[: size - n_accepted]
         n_accepted += len(keep)
-    return tuple(np.concatenate(columns, axis=-1)[..., :size] for columns in zip(*accepted))
+        yield tuple(column[..., keep] for column in components)
+
+
+def sample_region_components(
+    cfg: SamplerConfig,
+    kind: str,
+    region: str,
+    size: int,
+    rng: np.random.Generator | None = None,
+    tol: float = 1e-9,
+) -> tuple:
+    """Rejection-sample the drawn components of ``size`` objects whose correlation
+    point lies in ``region``: those of :func:`cc_components` ('CC') or of
+    :func:`sample_unitary_params` ('DC'), each with the rows last, as the chunks of
+    ``_region_chunks`` concatenated.
+
+    Draws always come in full chunks of ``_CHUNK`` objects, so the accepted
+    stream depends only on the generator, not on ``cfg.max_rejections``. The
+    budget is checked before each chunk, so the raw draws spent may pass
+    ``max_rejections`` by less than one chunk.
+    """
+    if kind not in REGIONS_BY_KIND:
+        raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
+    if region not in REGIONS_BY_KIND[kind]:
+        raise ValidationError(
+            f"region {region!r} is not compatible with kind {kind!r}; "
+            f"expected one of {REGIONS_BY_KIND[kind]}"
+        )
+    if size < 1:
+        raise ValidationError("size must be >= 1")
+    chunks = _region_chunks(cfg, kind, region, size, cfg.rng() if rng is None else rng, tol)
+    return tuple(np.concatenate(columns, axis=-1) for columns in zip(*chunks))
 
 
 def sample_in_region_batch(

@@ -6,9 +6,11 @@ components (``correlation.rotated_pvector_batch``). The routes here build the
 objects and take complex traces instead: the projectors onto v|m_k> (x) v|m_k>,
 or the amplitudes <m'_0| u |m'_0> of the rotated +1 eigenvectors m'_0 = v m_0.
 The per-axis probabilities and the closed form from a unitary's parameters
-check the fixed-axis points and their mixtures. ``sample``'s draw, held whole,
-checks the CSV that its chunks write one at a time. The one-move-at-a-time
-compass search checks the batched polish of the bound certificates.
+check the fixed-axis points and their mixtures. The SVD's polar projection of
+the printed reference rotations checks their pinned floats, and the explicit
+corner tetrahedra check the cut regions. ``sample``'s draw, held whole, checks
+the CSV that its chunks write one at a time. The one-move-at-a-time compass
+search checks the batched polish of the bound certificates.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from qcausal.correlation import (
     dc_pvector_params_batch,
 )
 from qcausal.errors import ConsistencyError, ValidationError
-from qcausal.geometry import _ESCAPE_RUNS, _SIGNS, _face_masks
+from qcausal.geometry import _ESCAPE_RUNS, _SIGNS, Tetrahedron, _face_masks
 from qcausal.qmath import (
     pauli_eigenbasis,
     projector,
@@ -46,6 +48,36 @@ from qcausal.samplers import (
 )
 
 SAMPLE_CHUNK_ROWS = 1 << 16
+
+# The corners of tcc() and tdc() beyond the mirror faces across (-1, -1, -1) and
+# (1, 1, 1), as explicit tetrahedra: the check of the cut regions' face rows.
+_DUG_TCC = Tetrahedron([[-1, -1, -1], [-1, 0, 0], [0, -1, 0], [0, 0, -1]])
+_DUG_TDC = Tetrahedron([[1, 1, 1], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+# The four reference rotations as printed, at 4 decimals and so only nearly unitary.
+PRINTED_ESCAPE_V = tuple(np.array(v) for v in (
+    [[0.1813 - 0.5744j, 0.2656 + 0.7527j], [-0.6807 + 0.4170j, -0.2213 + 0.5602j]],
+    [[-0.1080 + 0.7959j, 0.4848 - 0.3461j], [-0.4763 - 0.3577j, -0.0888 - 0.7983j]],
+    [[-0.2947 + 0.5266j, 0.7483 - 0.2754j], [-0.6926 - 0.3950j, -0.2039 - 0.5680j]],
+    [[0.3482 + 0.3352j, -0.3442 + 0.8050j], [-0.2069 + 0.8507j, 0.4796 - 0.0597j]],
+))
+
+
+def nearest_unitary(m: np.ndarray) -> np.ndarray:
+    """Polar projection onto the unitary group (drops the Hermitian factor), by LAPACK's
+    SVD: the route by which the pinned reference rotations were made."""
+    w, _, vh = np.linalg.svd(np.asarray(m, dtype=complex))
+    return w @ vh
+
+
+def dug_tcc() -> Tetrahedron:
+    """Corner of ``tcc()`` unreachable from the overlap after any rotation."""
+    return _DUG_TCC
+
+
+def dug_tdc() -> Tetrahedron:
+    """Corner of ``tdc()`` unreachable from the overlap after any rotation."""
+    return _DUG_TDC
 
 
 def pprime_cc_oracle(rho: np.ndarray, v: np.ndarray) -> PPoint:

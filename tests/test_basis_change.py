@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,7 +105,13 @@ class TestReferenceUnitaries:
     def test_nearest_unitary_of_unitary_is_identity_map(self):
         rng = np.random.default_rng(80)
         u = sample_unitary(rng)
-        np.testing.assert_allclose(bc.nearest_unitary(u), u, atol=1e-12)
+        np.testing.assert_allclose(oracles.nearest_unitary(u), u, atol=1e-12)
+
+    def test_pinned_floats_are_the_polar_projections_of_the_printed_values(self):
+        for v, printed in zip(bc.ESCAPE_V_SET, oracles.PRINTED_ESCAPE_V, strict=True):
+            assert np.abs(v - oracles.nearest_unitary(printed)).max() <= 1e-15
+            assert np.abs(v @ v.conj().T - np.eye(2)).max() <= 1e-15
+            assert not v.flags.writeable
 
 
 class TestTransforms:
@@ -297,15 +304,56 @@ class TestEscapeExperiment:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_table2_counts_match_the_object_route(self, seed):
         # every cell's count against whole objects drawn, tested and rotated
-        # through the complex kernels, as the experiment once did it
+        # through the complex kernels: one draw per kind, for all four rotations
         n = 20_000
         report = cli.run_table2(n=n, seed=seed)
         cfg = SamplerConfig(seed=seed, density_rank=1)
-        for cell in range(8):
-            kind, v = ("DC" if cell % 2 else "CC"), bc.ESCAPE_V_SET[cell // 2]
-            objs = oracles.overlap_objects_oracle(kind, 1, n, cfg.worker_rng(cell))
-            entry = report.results[f"v{cell // 2 + 1}"][kind.lower()]
-            assert entry["escaped"] == oracles.escaped_oracle(kind, v, objs), (cell, kind)
+        for key, kind in enumerate(("CC", "DC")):
+            objs = oracles.overlap_objects_oracle(kind, 1, n, cfg.worker_rng(key))
+            for idx, v in enumerate(bc.ESCAPE_V_SET, start=1):
+                entry = report.results[f"v{idx}"][kind.lower()]
+                assert entry["escaped"] == oracles.escaped_oracle(kind, v, objs), (idx, kind)
+
+    @pytest.mark.parametrize("kind", ["CC", "DC"])
+    def test_wrapper_is_the_kernel_and_blocks_do_not_change_a_count(self, kind, monkeypatch):
+        # n = 1, a draw chunk's worth plus one, a block plus one and two blocks
+        # plus one: the counts of the blocked kernel against those of the whole
+        # stream held at once, and the one-rotation wrapper against the kernel
+        blocks = []
+        matrices = bc.correlation_matrix_batch
+        monkeypatch.setattr(
+            bc, "correlation_matrix_batch", lambda *a: blocks.append(1) or matrices(*a)
+        )
+        cfg = SamplerConfig(seed=95, density_rank=1)
+        for n in (1, 4097, 2**14 + 1, 2**15 + 1):
+            blocks.clear()
+            results = bc._escape_counts(kind, list(bc.ESCAPE_V_SET), n, cfg, cfg.worker_rng(7))
+            made = len(blocks)
+            components = sample_region_components(cfg, kind, "O", n, rng=cfg.worker_rng(7))
+            m = matrices(kind, components)
+            for v, res in zip(bc.ESCAPE_V_SET, results, strict=True):
+                single = bc.escape_experiment(kind, v, n, cfg, rng=cfg.worker_rng(7))
+                for field in ("kind", "n_samples", "escaped", "proportion", "image_in_target"):
+                    assert getattr(single, field) == getattr(res, field), (n, field)
+                assert np.array_equal(single.v, res.v) and np.array_equal(res.v, v)
+                pts = corr.rotated_pvector_batch(m, bc._transfer_matrix(v))
+                cut = geo.in_otc if kind == "CC" else geo.in_otd
+                assert res.escaped == int((cut(pts, 1e-9) & ~geo.in_overlap(pts, 1e-9)).sum())
+        assert made >= 2  # the last n crossed a block boundary
+
+    @pytest.mark.parametrize("kind", ["CC", "DC"])
+    def test_kernel_memory_does_not_grow_with_n(self, kind):
+        # a block at a time: ten times the objects, not ten times the peak
+        cfg = SamplerConfig(seed=96, density_rank=1)
+        peaks = []
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                bc._escape_counts(kind, list(bc.ESCAPE_V_SET), n, cfg, cfg.worker_rng(0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.5 * peaks[0], peaks
 
     def test_transfer_matrix_of_the_reference_rotations(self):
         sampled = sample_unitary(np.random.default_rng(7))

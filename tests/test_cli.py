@@ -668,24 +668,24 @@ class TestTable2Command:
         assert "printed_percent" not in entry["cc"]
 
     def test_seed_streams_do_not_collide(self, monkeypatch):
-        # under additive per-cell seeds (seed + 1000 * idx + 500 * kind) seed
-        # 42's v1-DC stream and seed 542's v1-CC stream coincide. One usable
-        # CPU keeps the cells in this process, where the recorder can see them.
+        # under additive per-kind seeds (seed + 500 * kind) seed 42's DC stream
+        # and seed 542's CC stream coincide. One usable CPU keeps the two kinds
+        # in this process, where the recorder can see them.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        real = cli.basis_change.escape_experiment
+        real = cli.basis_change._escape_counts
         starts = []
 
-        def record(kind, v, n, cfg=None, rng=None):
-            stream = cfg.rng() if rng is None else rng
-            starts.append(stream.bit_generator.state["state"]["state"])
-            return real(kind, v, n, cfg, rng)
+        def record(kind, rotations, n, cfg, rng):
+            starts.append((kind, rng.bit_generator.state["state"]["state"]))
+            return real(kind, rotations, n, cfg, rng)
 
-        monkeypatch.setattr(cli.basis_change, "escape_experiment", record)
+        monkeypatch.setattr(cli.basis_change, "_escape_counts", record)
         cli.run_table2(n=10, seed=42)
         cli.run_table2(n=10, seed=542)
-        v1_dc_of_42, v1_cc_of_542 = starts[1], starts[8]
-        assert v1_dc_of_42 != v1_cc_of_542
-        assert len(set(starts)) == len(starts) == 16
+        assert [kind for kind, _ in starts] == ["CC", "DC", "CC", "DC"]
+        dc_of_42, cc_of_542 = starts[1][1], starts[2][1]
+        assert dc_of_42 != cc_of_542
+        assert len({state for _, state in starts}) == 4
 
     def test_deterministic(self):
         a = cli.run_table2(n=300, seed=23)
@@ -730,15 +730,21 @@ class TestTable2Pool:
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
     def test_third_cell_consistency_error_exits_two(self, tmp_path, monkeypatch, capfd, cpus):
-        real = cli.basis_change.escape_experiment
+        # the third cell is the CC kernel's second rotation, v2: its one block's
+        # face pass reports a point outside the tetrahedron, and the kernel raises
+        real = cli.basis_change._face_masks
+        cc_passes = []
 
-        def fails_in_the_third_cell(kind, v, n, cfg=None, rng=None):
-            if kind == "CC" and np.array_equal(v, basis_change.ESCAPE_V_SET[1]):
-                raise ConsistencyError("a rotated point left its tetrahedron")
-            return real(kind, v, n, cfg, rng)
+        def fails_in_the_third_cell(pts, normals, offsets, tol, runs=(slice(None),)):
+            masks = real(pts, normals, offsets, tol, runs)
+            if runs is geo._ESCAPE_RUNS["CC"]:
+                cc_passes.append(runs)
+                if len(cc_passes) == 2:
+                    masks[0][0] = False
+            return masks
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
-        monkeypatch.setattr(cli.basis_change, "escape_experiment", fails_in_the_third_cell)
+        monkeypatch.setattr(cli.basis_change, "_face_masks", fails_in_the_third_cell)
         status = cli.main(["table2", "--n", "300", "--out", str(tmp_path / "r.json")])
         err = capfd.readouterr().err
         assert status == 2

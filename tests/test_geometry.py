@@ -3,6 +3,7 @@ import functools
 import numpy as np
 import pytest
 
+import oracles
 from qcausal import correlation as corr
 from qcausal import geometry as geo
 from qcausal import qmath
@@ -105,8 +106,8 @@ class TestCanonicalTetrahedra:
 
     def test_volumes(self):
         assert geo.tcc().volume() == pytest.approx(8 / 3)
-        assert geo.dug_tcc().volume() == pytest.approx(1 / 3)
-        assert geo.dug_tdc().volume() == pytest.approx(1 / 3)
+        assert oracles.dug_tcc().volume() == pytest.approx(1 / 3)
+        assert oracles.dug_tdc().volume() == pytest.approx(1 / 3)
 
 
 class TestContains:
@@ -132,7 +133,7 @@ class TestContainsMatchesMatmulOracle:
         pts = np.vstack([near_face_points(), on_face_points(1.0 + tol)])
         cases = [
             (functools.partial(geo.contains, t), contains_matmul_oracle(t, pts, tol))
-            for t in (geo.tcc(), geo.tdc(), geo.dug_tcc(), geo.dug_tdc())
+            for t in (geo.tcc(), geo.tdc(), oracles.dug_tcc(), oracles.dug_tdc())
         ]
         for region, t, cut in ((geo.in_otc, geo.tcc(), -1.0), (geo.in_otd, geo.tdc(), 1.0)):
             cut_side = pts @ np.full(3, cut) <= 1.0 + tol
@@ -231,7 +232,7 @@ class TestCornerCutRegions:
         est_parts = (in_cut.mean() + (in_full & beyond_plane).mean()) * vol_cube
         assert abs(est_full - est_parts) <= 1e-9
         # the dug corner matches its explicit tetrahedron (interior points)
-        in_dug = geo.contains(geo.dug_tcc(), pts, 0.0)
+        in_dug = geo.contains(oracles.dug_tcc(), pts, 0.0)
         strict = pts @ np.array([-1.0, -1.0, -1.0]) > 1.0 + 1e-12
         assert np.array_equal(in_full & strict, in_dug & strict)
 
@@ -303,7 +304,7 @@ class TestBarycentric:
             geo.barycentric(geo.tcc(), np.array([1.0, 1.0, 1.0]))
 
     def test_other_tetrahedron_rejected(self):
-        for t in (geo.dug_tcc(), geo.Tetrahedron(geo.tcc().vertices)):
+        for t in (oracles.dug_tcc(), geo.Tetrahedron(geo.tcc().vertices)):
             with pytest.raises(ValidationError, match="tcc"):
                 geo.barycentric(t, np.array([-0.5, -0.5, -0.5]))
 

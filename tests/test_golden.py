@@ -127,3 +127,24 @@ def test_goldens_under_openblas_kernel(tmp_path, kernel):
         pytest.skip(f"this CPU cannot run the {kernel} kernel")
     names = sorted(set(CASES) - EIGH_CASES)
     assert changed_in_child(tmp_path, names, OPENBLAS_CORETYPE=kernel) == []
+
+
+# Prints the SHA-256 of the four reference rotations' bytes, in a child Python.
+_ROTATIONS_DIGEST = (
+    "import hashlib; from qcausal.basis_change import ESCAPE_V_SET; "
+    "print(hashlib.sha256(b''.join(v.tobytes() for v in ESCAPE_V_SET)).hexdigest())"
+)
+
+
+@pytest.mark.parametrize("kernel", [None, *sorted(OPENBLAS_KERNELS)])
+def test_reference_rotations_keep_their_bits_under_openblas_kernel(kernel):
+    # the rotations are pinned floats: no SVD at import, so no kernel moves a bit
+    # (as projected by LAPACK, Prescott's began 4f3638a3 and Haswell's fa3f1e85)
+    if kernel is not None and OPENBLAS_KERNELS[kernel] not in cpu_flags():
+        pytest.skip(f"this CPU cannot run the {kernel} kernel")
+    env = dict(src_env(), **({} if kernel is None else {"OPENBLAS_CORETYPE": kernel}))
+    child = subprocess.run(
+        [sys.executable, "-c", _ROTATIONS_DIGEST], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.startswith("d1ce4059e9c96293"), child.stdout

@@ -282,7 +282,8 @@ class TestKernelComponents:
             np.testing.assert_allclose(drawn[2].sum(axis=0), 1.0, rtol=0, atol=1e-15)
 
     def test_chunk_generators_miss_the_table2_cells(self):
-        # sample's two-word keys (SAMPLE_CHUNK_KEY, k) against table2's one-word (cell,)
+        # sample's two-word keys (SAMPLE_CHUNK_KEY, k) against one-word keys (k,),
+        # table2's (0,) and (1,) among them
         cfg = samplers.SamplerConfig(seed=42)
         chunks = {cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k).integers(2**63) for k in range(64)}
         cells = {cfg.worker_rng(cell).integers(2**63) for cell in range(64)}
