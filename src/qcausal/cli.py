@@ -23,7 +23,10 @@ import contextlib
 import functools
 import json
 import os
+import pickle
 import sys
+import threading
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +50,7 @@ __all__ = [
 ]
 
 BOUND_SLACK = 1e-9
+_TABLE2_MAX_N = samplers.SamplerConfig.max_rejections // 4  # DC accepts 27% of its draws
 
 _DOCUMENT_KINDS = ("density", "unitary", "pvector")
 
@@ -287,8 +291,9 @@ def run_bounds(
         raise ValidationError("starts must be >= 1")
     _check_memory(starts, 7000, f"--starts {starts}")  # both batches live
     cfg = samplers.SamplerConfig(seed=seed)
-    with _ordered_map(_bounds_part, (grid_step, starts, cfg), ["CC", "DC", "grid"]) as parts:
-        cc, dc, grid = parts
+    # on two workers, the DC batch and the grid share one and the CC batch has the other
+    with _ordered_map(_bounds_part, (grid_step, starts, cfg), ["DC", "CC", "grid"]) as parts:
+        dc, cc, grid = parts
     multistart = {**cc, **dc}
     results = {}
     violations = []
@@ -380,10 +385,10 @@ def _sample_chunk(
     so a row depends only on the seed and its index. The points take them in
     real arithmetic, whose bits do not depend on numpy's SIMD loops. The turn
     comes when the counter ``written``, under the Condition ``turn``, reaches k.
-    A pool hands out chunks in order, so each chunk before k is done or held by
-    a live worker. A chunk that fails still takes its turn and sets the counter
-    to -1, so no chunk waits for good and none after it writes: the CSV of a
-    failed run is a prefix of the whole one."""
+    Each worker computes its chunks in order (``_ordered_map``), so each chunk
+    before k is done or next in a live worker's turn. A chunk that fails still
+    takes its turn and sets the counter to -1, so no chunk waits for good and
+    none after it writes: the CSV of a failed run is a prefix of the whole one."""
     k, (lo, hi) = item
     encoded = None
     try:
@@ -416,66 +421,71 @@ def _sample_chunk(
                 turn.notify_all()
 
 
-# A pool worker's task with its shared arguments bound, set by _init_worker. A
-# forked worker receives the initializer's arguments as the parent's own
-# objects: nothing is pickled or copied.
-_WORKER_TASK = None
-
-
-def _init_worker(task, shared: tuple, parent: int) -> None:
-    import threading
-
-    global _WORKER_TASK
-    _WORKER_TASK = functools.partial(task, *shared)
-    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
-
-
 def _exit_with_parent(parent: int) -> None:
-    """End this worker once ``parent`` is gone (killed, say). Left alone, it would
-    block for good on a pipe that no process reads."""
-    import time
-
+    """End this worker once ``parent`` is gone, rather than block for good on an unread pipe."""
     while os.getppid() == parent:
         time.sleep(0.2)
     os._exit(1)
 
 
-def _worker_call(item):
-    return _WORKER_TASK(item)
+def _work(call, items: list, out, parent: int) -> None:
+    """Pickle ``(True, call(item))`` or ``(False, exception)`` per item to ``out``, then exit."""
+    try:
+        threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+        for item in items:
+            try:
+                pickle.dump((True, call(item)), out)
+            except Exception as exc:
+                pickle.dump((False, exc), out)
+            out.flush()
+    finally:
+        os._exit(0)
+
+
+def _receive(pipe, index: int):
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ConsistencyError(f"a worker process died before returning item {index}") from None
+    if not ok:
+        raise value
+    return value
 
 
 @contextlib.contextmanager
 def _ordered_map(task, shared: tuple, items: list):
-    """``task(*shared, item)`` for each of ``items``, in order: computed by a fork
-    pool of ``min(usable CPUs, len(items))`` workers, or in this process when
-    that is one worker or the platform has no fork.
-
-    ``task`` and ``shared`` reach the workers through fork, never pickled; each
-    item and each result is pickled. A worker's exception, and
-    ``BrokenProcessPool`` if a worker dies, is raised where its result is read.
-    Leaving the block cancels the items not yet started and waits for the
-    workers to exit. Forking is safe here: the pool forks every worker before it
-    starts a thread, and the CLI starts none.
+    """``task(*shared, item)`` for each of ``items``, in order, computed by W =
+    ``min(usable CPUs, len(items))`` forked workers (here when W is one or the
+    platform has no fork). Worker w computes items w, w + W, ... in turn, so
+    callers order their items to balance that split; ``task`` and ``shared``
+    reach it through fork. It pickles each result to its own pipe, and item i is
+    read from pipe i mod W: a worker's exception is raised there, and a dead
+    worker is a ``ConsistencyError``. Leaving the block kills and reaps every
+    worker. Forking is safe here: the CLI starts no thread.
     """
-    import multiprocessing  # here, not at the top: it adds about 20 ms to importing the CLI
-
+    call = functools.partial(task, *shared)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(items))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        yield map(functools.partial(task, *shared), items)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield map(call, items)
         return
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(task, shared, os.getpid()),
-    )
+    parent, pids, pipes = os.getpid(), [], []
     try:
-        yield pool.map(_worker_call, items)
+        for w in range(workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            with open(write, "wb") as out:  # this process's copy closes once forked
+                pid = os.fork()
+                if pid == 0:
+                    _work(call, items[w::workers], out, parent)
+            pids.append(pid)
+        yield (_receive(pipes[i % workers], i) for i in range(len(items)))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid in pids:
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
 
 
 def run_sample(
@@ -497,11 +507,11 @@ def run_sample(
     if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     cfg = samplers.SamplerConfig(seed=seed, density_rank=rank)
-    _check_memory(-(-n // _CHUNK_ROWS), 2300, f"--n {n}")  # each chunk's item and future
-    import multiprocessing  # not at the top, as in _ordered_map
+    # each chunk's item: here, and copied on write in each worker that reads it
+    _check_memory(-(-n // _CHUNK_ROWS), 260 + 170 * (os.cpu_count() or 1), f"--n {n}")
+    import multiprocessing  # here, not at the top: it adds about 20 ms to importing the CLI
 
-    forks = "fork" in multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if forks else None)
+    context = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
     turn, written = context.Condition(), context.RawValue("q", 0)  # the chunks' write turn
 
     n_violations = 0
@@ -580,13 +590,6 @@ def run_table1(tol: float = 1e-12) -> RunReport:
     )
 
 
-def _table2_kind(cfg: samplers.SamplerConfig, n: int, rotations: list, key: int) -> list:
-    """``table2``'s escape experiments of every rotation on one stream of CC objects
-    (``key`` 0) or DC objects (``key`` 1), drawn from ``cfg.worker_rng(key)``."""
-    kind = ("CC", "DC")[key]
-    return basis_change._escape_counts(kind, rotations, n, cfg, cfg.worker_rng(key))
-
-
 def run_table2(
     n: int = 20000, seed: int = 42, v_docs: list[str] | None = None
 ) -> RunReport:
@@ -605,8 +608,8 @@ def run_table2(
     if n < 1:
         raise ValidationError("n must be >= 1")
     cfg = samplers.SamplerConfig(seed=seed, density_rank=1)
-    if n > cfg.max_rejections:  # each object costs at least one draw of its kind's budget
-        raise ValidationError(f"n must be <= {cfg.max_rejections}, a kind's rejection budget")
+    if n > _TABLE2_MAX_N:
+        raise ValidationError(f"n must be <= {_TABLE2_MAX_N}, a quarter of the rejection budget")
     if v_docs:
         v_set = [load_document(path) for path in v_docs]
         for doc in v_set:
@@ -617,7 +620,11 @@ def run_table2(
     else:
         rotations = list(basis_change.ESCAPE_V_SET)
         references = list(basis_change.REFERENCE_PROPORTIONS)
-    with _ordered_map(_table2_kind, (cfg, n, rotations), [0, 1]) as kinds:
+
+    def kind_cells(key: int) -> list:  # CC objects from worker_rng(0), DC from worker_rng(1)
+        return basis_change._escape_counts(("CC", "DC")[key], rotations, n, cfg, cfg.worker_rng(key))
+
+    with _ordered_map(kind_cells, (), [0, 1]) as kinds:
         kinds = list(kinds)
     results = {}
     for idx, ref in enumerate(references, start=1):
@@ -679,7 +686,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sample.add_argument("kind", choices=["CC", "DC"])
     p_sample.add_argument("--n", type=int, default=20000,
-                          help="rows, refused past this machine's memory at 2.3 kB per 65,536")
+                          help="rows, refused past this machine's memory at "
+                               "0.26 kB per 65,536, plus 0.17 kB per CPU")
     p_sample.add_argument("--rank", type=int, default=4)
     p_sample.add_argument("--csv", required=True, help="output CSV path")
 
@@ -689,7 +697,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_t2 = sub.add_parser(
         "table2", parents=[seed, out], help="escape proportions for the reference rotations"
     )
-    p_t2.add_argument("--n", type=int, default=20000, help="objects per cell, at most 10,000,000")
+    p_t2.add_argument("--n", type=int, default=20000, help="objects per cell, at most 2,500,000")
     p_t2.add_argument("--v-doc", action="append", default=None,
                       help="path to a unitary document (repeatable; replaces embedded set)")
 

@@ -202,9 +202,10 @@ def _dc_diagonal(a1, a2, b1, b2, sa, ca):
     """(R11, R22, R33), elementwise, of the unitaries [[a1 + i a2, b1 + i b2],
     [-e^{i alpha}(b1 - i b2), e^{i alpha}(a1 - i a2)]], (a1, a2, b1, b2) on the
     unit sphere, sa, ca = sin(alpha), cos(alpha). Every 2x2 unitary has this form."""
-    c = 0.5 + a1 * a2 * sa + 0.5 * ca * (a1 * a1 - a2 * a2)
-    d = b1 * b2 * sa + 0.5 * ca * (b1 * b1 - b2 * b2)
-    return 2.0 * (c - d) - 1.0, 2.0 * (c + d) - 1.0, 2.0 * (a1 * a1 + a2 * a2) - 1.0
+    a11, a22, half_ca = a1 * a1, a2 * a2, 0.5 * ca
+    c = 0.5 + a1 * a2 * sa + half_ca * (a11 - a22)
+    d = b1 * b2 * sa + half_ca * (b1 * b1 - b2 * b2)
+    return 2.0 * (c - d) - 1.0, 2.0 * (c + d) - 1.0, 2.0 * (a11 + a22) - 1.0
 
 
 def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
@@ -275,11 +276,14 @@ def correlation_matrix_batch(kind: str, components: tuple, diagonal: bool = Fals
 def rotated_pvector_batch(m: list, q) -> np.ndarray:
     """diag(Q^T M Q), shape (n, 3): the points of the objects with matrices ``m``
     measured along axes rotated by a v with transfer matrix ``q`` (3x3 floats).
-    Entry k sums q_ik q_jk M_ij in row-major (i, j) order."""
-    out = np.empty((len(m[0][0]), 3))
-    for k in range(3):
-        out[:, k] = sum(q[i][k] * q[j][k] * m[i][j] for i in range(3) for j in range(3))
-    return out
+    Entry k sums q_ik^2 M_ii, then q_ik q_jk (M_ij + M_ji) for i < j, in ascending order:
+    six products from the symmetric part of M, into row k of a (3, n) array, transposed."""
+    parts = (m[0][0], m[1][1], m[2][2], m[0][1] + m[1][0], m[0][2] + m[2][0], m[1][2] + m[2][1])
+    out = np.zeros((3, len(parts[0])))
+    for row, (a, b, c) in zip(out, zip(*q)):
+        for coef, part in zip((a * a, b * b, c * c, a * b, a * c, b * c), parts):
+            row += coef * part
+    return out.T
 
 
 def dc_pvector_batch(us: np.ndarray) -> np.ndarray:

@@ -10,7 +10,9 @@ check the fixed-axis points and their mixtures. The SVD's polar projection of
 the printed reference rotations checks their pinned floats, and the explicit
 corner tetrahedra check the cut regions. ``sample``'s draw, held whole, checks
 the CSV that its chunks write one at a time. The one-move-at-a-time compass
-search checks the batched polish of the bound certificates.
+search checks the batched polish of the bound certificates. One plain sum per
+face checks the region tests' shared sums, and nine products per entry the
+rotated points' six.
 """
 
 from __future__ import annotations
@@ -128,6 +130,30 @@ def _rotated_points(kind: str, objs: np.ndarray, v: np.ndarray) -> np.ndarray:
         return 2.0 * np.stack(traces, axis=1).real - 1.0
     amps = [np.einsum("i,nij,j->n", w.conj(), objs, w) for w in (v @ m0 for m0 in _PLUS_EIGVEC)]
     return 2.0 * np.abs(np.stack(amps, axis=1)) ** 2 - 1.0
+
+
+def face_masks_oracle(arr, normals, offsets, tol: float, runs=(slice(None),)) -> list:
+    """``geometry._face_masks`` with one plain sum ``(a x + b y) + c z <= offset + tol``
+    per face, every coefficient a multiply and no sum shared between faces."""
+    arr = np.asarray(arr, dtype=float)
+    x, y, z = arr[..., 0], arr[..., 1], arr[..., 2]
+    bounds = np.broadcast_to(np.asarray(offsets, dtype=float) + tol, (len(normals),))
+    masks = []
+    for run in runs:
+        mask = np.ones(arr.shape[:-1], dtype=bool)
+        for (a, b, c), bound in zip(normals[run].tolist(), bounds[run].tolist()):
+            mask &= (a * x + b * y) + c * z <= bound
+        masks.append(mask)
+    return masks
+
+
+def rotated_pvector_oracle(m: list, q) -> np.ndarray:
+    """diag(Q^T M Q) with nine products per entry, q_ik q_jk M_ij summed in row-major
+    (i, j) order: ``correlation.rotated_pvector_batch`` without the symmetric part."""
+    return np.stack(
+        [sum(q[i][k] * q[j][k] * m[i][j] for i in range(3) for j in range(3)) for k in range(3)],
+        axis=1,
+    )
 
 
 def overlap_objects_oracle(kind: str, rank: int, n: int, rng: np.random.Generator) -> np.ndarray:

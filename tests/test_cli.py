@@ -1,8 +1,6 @@
-import concurrent.futures
 import contextlib
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -41,6 +39,26 @@ def src_env():
     src = str(Path(qcausal.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH")]
     return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def no_child_left() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per ``os.fork`` call in this process: the workers of ``_ordered_map``."""
+    forked, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(1) or fork())
+    return forked
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 
 def write_doc(tmp_path, name, doc):
@@ -310,6 +328,25 @@ class TestSampleCommand:
         )
         assert out.stdout.strip() == "False"
 
+    def test_only_sample_imports_multiprocessing(self, tmp_path):
+        # table2 and bounds fork their workers bare, on two CPUs here
+        code = textwrap.dedent(
+            """
+            import os, sys
+            from qcausal import cli
+            os.sched_getaffinity = lambda pid: {0, 1}
+            loaded = []
+            for argv in (["table2", "--n", "300"], ["bounds", "--starts", "2", "--grid-step", "0.1"],
+                         ["sample", "DC", "--n", "10", "--csv", sys.argv[1] + "/s.csv"]):
+                assert cli.main([*argv, "--out", sys.argv[1] + "/r.json"]) == 0
+                loaded.append([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+            print(loaded)
+            """
+        )
+        out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=src_env(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[[], [], ['multiprocessing']]"
+
 
 def repr_rows_oracle(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
     """CSV rows ``c11,c22,c33,c,label`` with one ``repr`` call per float: the
@@ -487,33 +524,43 @@ def _running(pid):
     return stat.rsplit(")", 1)[1].split()[0] != "Z"
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+@needs_fork
+class TestOrderedMap:
+    def test_exception_in_a_middle_item_leaves_no_child(self, monkeypatch, forks):
+        # three workers: item 3 is the first worker's second, and its error is
+        # raised where item 3 is read, after items 0-2
+        def task(scale, item):
+            if item == 3:
+                raise ValidationError(f"item {item} failed")
+            return scale * item
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        seen = []
+        with pytest.raises(ValidationError, match="item 3 failed"):
+            with cli._ordered_map(task, (10,), list(range(7))) as results:
+                for value in results:
+                    seen.append(value)
+        assert seen == [0, 10, 20]
+        assert len(forks) == 3
+        assert no_child_left()
+
+
+@needs_fork
 class TestSamplePool:
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
         yield
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
     @pytest.mark.parametrize("kind, n, rank", [("DC", 3 * 2**16 + 7, 4), ("CC", 2 * 2**16 + 5, 4)])
-    def test_in_process_matches_pool(self, tmp_path, monkeypatch, kind, n, rank):
-        # the run's chunk turn takes a fork context too, so count the pools
-        pools = []
-        executor = concurrent.futures.ProcessPoolExecutor
-        monkeypatch.setattr(
-            concurrent.futures,
-            "ProcessPoolExecutor",
-            lambda *args, **kw: pools.append(kw["mp_context"].get_start_method())
-            or executor(*args, **kw),
-        )
+    def test_in_process_matches_pool(self, tmp_path, monkeypatch, forks, kind, n, rank):
         path = tmp_path / "s.csv"
         outputs = []
         for cpus in ({0, 1}, {0}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             report = cli.run_sample(kind, n, seed=9, out_path=str(path), rank=rank)
             outputs.append((path.read_bytes(), report.to_json()))
-        assert pools == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        assert len(forks) == 2  # the two-CPU run forked two workers, the one-CPU run none
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
@@ -539,8 +586,7 @@ class TestSamplePool:
     def test_dead_worker_raises_instead_of_hanging(self, tmp_path):
         code = textwrap.dedent(
             """
-            import multiprocessing, os, sys
-            from concurrent.futures.process import BrokenProcessPool
+            import os, sys
             from qcausal import cli
             from qcausal import correlation as corr
 
@@ -553,24 +599,29 @@ class TestSamplePool:
 
             os.sched_getaffinity = lambda pid: {0, 1}
             corr.correlation_matrix_batch = dies_in_a_worker
+            status = cli.main(["sample", "DC", "--n", str(3 * 2**16 + 7), "--seed", "3",
+                               "--csv", sys.argv[1], "--out", sys.argv[1] + ".json"])
             try:
-                cli.run_sample("DC", 3 * 2**16 + 7, seed=3, out_path=sys.argv[1])
-            except BrokenProcessPool:
-                print("broken", len(multiprocessing.active_children()))
+                os.waitpid(-1, os.WNOHANG)
+                print(status, "a child is left")
+            except ChildProcessError:
+                print(status, "no child")
             """
         )
         out = subprocess.run(
             [sys.executable, "-c", code, str(tmp_path / "s.csv")],
             env=src_env(), capture_output=True, text=True, timeout=120, check=True,
         )
-        assert out.stdout.split() == ["broken", "0"]
+        assert out.stdout.split() == ["2", "no", "child"]
+        assert out.stderr.startswith("consistency violation: ") and out.stderr.count("\n") == 1
+        assert not (tmp_path / "s.csv.json").exists()
 
     def test_failed_chunk_passes_its_turn_on(self, tmp_path):
         # chunk 1 raises only once chunk 2 has its points, so chunk 2 is done and
         # waits for chunk 1's turn: the run must end with the error, not hang
         code = textwrap.dedent(
             """
-            import multiprocessing, os, sys, time
+            import os, sys, time
             from qcausal import cli, samplers
             from qcausal import correlation as corr
             from qcausal.errors import ValidationError
@@ -600,7 +651,12 @@ class TestSamplePool:
             try:
                 cli.run_sample("DC", 4 * 2**16, seed=3, out_path=sys.argv[1])
             except ValidationError as exc:
-                print(exc, "|", os.path.exists(marker), len(multiprocessing.active_children()))
+                try:
+                    os.waitpid(-1, os.WNOHANG)
+                    children = 1
+                except ChildProcessError:
+                    children = 0
+                print(exc, "|", os.path.exists(marker), children)
             """
         )
         csv = tmp_path / "s.csv"
@@ -687,43 +743,57 @@ class TestTable2Command:
         assert dc_of_42 != cc_of_542
         assert len({state for _, state in starts}) == 4
 
+    def test_n_past_a_quarter_of_the_budget_refused_before_any_draw(
+        self, tmp_path, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(basis_change, "_region_chunks", lambda *args: pytest.fail("drew"))
+        argv = ["table2", "--n", "2500001", "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 1
+        assert capfd.readouterr().err == (
+            "validation error: n must be <= 2500000, a quarter of the rejection budget\n"
+        )
+        assert not (tmp_path / "r.json").exists()
+
+    def test_largest_n_fits_the_dc_budget(self):
+        # DC, the kind with the lower overlap acceptance, over 400 draw chunks: at its
+        # measured rate the largest n spends less than 95% of the budget
+        cfg = SamplerConfig(seed=1, density_rank=1)
+        chunks = cli.samplers._region_chunks(cfg, "DC", "O", 10**9, cfg.worker_rng(1), 1e-9)
+        accepted = sum(next(chunks)[0].size for _ in range(400))
+        rate = accepted / (400 * cli.samplers._CHUNK)
+        assert 0.26 < rate < 0.29
+        assert cli._TABLE2_MAX_N / rate < 0.95 * cfg.max_rejections
+
     def test_deterministic(self):
         a = cli.run_table2(n=300, seed=23)
         b = cli.run_table2(n=300, seed=23)
         assert a.to_json() == b.to_json()
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method"
-)
+@needs_fork
 class TestTable2Pool:
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
         yield
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    def _in_process_and_pooled(self, monkeypatch, **kwargs):
-        contexts = []
-        get_context = multiprocessing.get_context
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m)
-        )
+    def _in_process_and_pooled(self, monkeypatch, forks, **kwargs):
         reports = []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             reports.append(cli.run_table2(**kwargs).to_json())
-        assert contexts == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        assert len(forks) == 2  # the two-CPU run forked two workers, the one-CPU run none
         return reports
 
-    def test_in_process_matches_pool(self, monkeypatch):
-        in_process, pooled = self._in_process_and_pooled(monkeypatch, n=4097, seed=5)
+    def test_in_process_matches_pool(self, monkeypatch, forks):
+        in_process, pooled = self._in_process_and_pooled(monkeypatch, forks, n=4097, seed=5)
         assert in_process == pooled
 
-    def test_custom_rotation_in_process_matches_pool(self, tmp_path, monkeypatch):
+    def test_custom_rotation_in_process_matches_pool(self, tmp_path, monkeypatch, forks):
         v = sample_unitary(np.random.default_rng(13))
         path = write_doc(tmp_path, "v.json", cli.document_from_array("unitary", v))
         in_process, pooled = self._in_process_and_pooled(
-            monkeypatch, n=300, seed=6, v_docs=[path]
+            monkeypatch, forks, n=300, seed=6, v_docs=[path]
         )
         assert in_process == pooled
         assert json.loads(pooled)["parameters"]["custom_v"] is True
@@ -772,24 +842,14 @@ class TestBoundsPool:
     @pytest.fixture(autouse=True)
     def no_worker_left(self):
         yield
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
 
-    @pytest.fixture
-    def contexts(self, monkeypatch):
-        """The start method of each pool that ``_ordered_map`` creates."""
-        contexts = []
-        get_context = multiprocessing.get_context
-        monkeypatch.setattr(
-            multiprocessing, "get_context", lambda m: contexts.append(m) or get_context(m)
-        )
-        return contexts
-
-    def test_in_process_matches_pool(self, monkeypatch, contexts):
+    def test_in_process_matches_pool(self, monkeypatch, forks):
         reports = []
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             reports.append(cli.run_bounds(grid_step=0.05, starts=7, seed=3).to_json())
-        assert contexts == ["fork"]  # the two-CPU run pooled, the one-CPU run did not
+        assert len(forks) == 2  # the two-CPU run forked two workers, the one-CPU run none
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("cpus", [{0, 1}, {0}])
@@ -819,13 +879,13 @@ class TestBoundsPool:
         ],
     )
     def test_bad_argument_refused_before_the_pool(
-        self, tmp_path, monkeypatch, capfd, contexts, cpus, argv, message
+        self, tmp_path, monkeypatch, capfd, forks, cpus, argv, message
     ):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         assert cli.main(["bounds", *argv, "--out", str(tmp_path / "r.json")]) == 1
         captured = capfd.readouterr()
         assert (captured.out, captured.err) == ("", f"validation error: {message}\n")
-        assert contexts == []
+        assert forks == []
         assert not (tmp_path / "r.json").exists()
 
 
@@ -901,7 +961,7 @@ class TestMainEntry:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "command, bound", [("table2", "10,000,000"), ("bounds", "7 kB"), ("sample", "2.3 kB")]
+        "command, bound", [("table2", "2,500,000"), ("bounds", "7 kB"), ("sample", "0.26 kB")]
     )
     def test_help_states_size_bound(self, capsys, command, bound):
         with pytest.raises(SystemExit):

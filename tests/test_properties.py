@@ -2,8 +2,9 @@
 rotated measurement axes against the transformed objects, the stacked
 predicates against their one-object calls, the correlation
 kernels and the unitary assembly giving a row the same bits alone, in any
-stack and through the scalar API, and the exact escape test against the
-random search."""
+stack and through the scalar API, the exact escape test against the
+random search, the rotated points' six products against nine, and the
+region tests' shared face sums against one plain sum per face."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from qcausal import basis_change as bc
 from qcausal import correlation as corr
+from qcausal import geometry as geo
 from qcausal import qmath
 from qcausal.samplers import (
     SamplerConfig,
@@ -128,6 +130,70 @@ def test_rotated_axes_equal_transformed_objects(seed, rank):
         np.testing.assert_allclose(corr.rotated_pvector_batch(m, q), oracle, rtol=0, atol=1e-12)
         rotated = oracles._rotated_points(kind, objs, v)
         np.testing.assert_allclose(rotated, oracle, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=seeds, rank=ranks)
+def test_six_products_match_nine(seed, rank):
+    # diag(Q^T M Q) from the symmetric part of M against the nine-product sum,
+    # for a sampled rotation and the four reference rotations
+    rng = np.random.default_rng(seed)
+    rotations = [sample_unitary(rng), *bc.ESCAPE_V_SET]
+    for components in (cc_components(density_blocks(rng, rank, 512)),
+                       sample_unitary_params(rng, 512)):
+        kind = "CC" if len(components) != 5 else "DC"
+        m = corr.correlation_matrix_batch(kind, components)
+        for v in rotations:
+            q = bc._transfer_matrix(v)
+            np.testing.assert_allclose(
+                corr.rotated_pvector_batch(m, q), oracles.rotated_pvector_oracle(m, q),
+                rtol=0, atol=1e-15,
+            )
+
+
+# Face tables with their runs: the eight sign faces (each run the package reads),
+# the corners that no rotation reaches (zero entries) and a tetrahedron whose
+# normals are not +-1/0.
+_ODD = geo.Tetrahedron([[0.9, 0.1, -0.3], [-0.7, 0.8, 0.2], [0.1, -0.9, 0.6], [0.3, 0.2, -0.95]])
+_FACE_TABLES = [
+    (geo._SIGNS, np.ones(8), [(slice(None),), (geo._ROWS["TCC"], geo._ROWS["TDC"]),
+                              (geo._ROWS["OTC"],), (geo._ROWS["OTD"],),
+                              geo._ESCAPE_RUNS["CC"], geo._ESCAPE_RUNS["DC"]]),
+    *[(t.halfspaces, t.offsets, [(slice(None),), (slice(0, 2), slice(1, 4))])
+      for t in (oracles.dug_tcc(), oracles.dug_tdc(), _ODD)],
+]
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 1 / 3, np.inf, -np.inf, np.nan])
+_coordinate = st.floats(-1.5, 1.5) | _SPECIAL
+
+
+@st.composite
+def _points_near_faces(draw):
+    """A point drawn whole, or moved onto a face plane of a table and then a
+    few ulps off it, coordinate by coordinate."""
+    point = np.array(draw(st.tuples(_coordinate, _coordinate, _coordinate)))
+    if np.isfinite(point).all() and draw(st.booleans()):
+        normals, offsets, _ = draw(st.sampled_from(_FACE_TABLES))
+        j = draw(st.integers(0, len(normals) - 1))
+        point += (offsets[j] - normals[j] @ point) / (normals[j] @ normals[j]) * normals[j]
+        steps = draw(st.tuples(*[st.integers(-4, 4)] * 3))
+        point += np.array(steps) * np.spacing(np.abs(point))
+    return point
+
+
+@settings(max_examples=400, deadline=None)
+@given(points=st.lists(_points_near_faces(), min_size=1, max_size=24),
+       table=st.sampled_from(range(len(_FACE_TABLES))),
+       tol=st.sampled_from([0.0, 1e-12, 1e-9]))
+def test_shared_face_sums_match_plain_sums(points, table, tol):
+    # one decision per face and point, also on signed zeros, infinities and NaN
+    normals, offsets, run_sets = _FACE_TABLES[table]
+    pts = np.array(points)
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf in some sums
+        for runs in run_sets:
+            expected = oracles.face_masks_oracle(pts, normals, offsets, tol, runs)
+            for got, want in zip(geo._face_masks(pts, normals, offsets, tol, runs), expected,
+                                 strict=True):
+                assert np.array_equal(got, want)
 
 
 @settings(max_examples=60, deadline=None)
