@@ -3,12 +3,13 @@
 Rotating all measurement bases by a single-qubit unitary v maps the
 correlation point of a preparation rho to that of (v (x) v)^dag rho
 (v (x) v), and the point of an evolution u to that of v^dag u v. Both map
-the correlation matrix M to Q^T M Q, Q the transfer matrix of v, so the
-escape experiment never builds an object: it takes M from the drawn
+the correlation matrix M to Q^T M Q, Q the transfer matrix of v, so no
+rotated object is ever built. The escape experiment takes M from the drawn
 components of the overlap sample, a block of rows at a time, and the
 points diag(Q^T M Q) of every rotation asked for, each Q built once per
-call. The transformed objects are the tests' independent route to the
-same points.
+call. The escape witness takes M of one object by the correlation module's
+object route, and its moved point the same way. The transformed objects
+are the tests' independent route to the same points.
 
 A point in the octahedral overlap is ambiguous. :func:`escape_witness`
 decides exactly whether a rotation moves one object's point out of it;
@@ -26,22 +27,14 @@ to rank 1.
 from __future__ import annotations
 
 import contextlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import (
-    _cc_pvector_residue_batch,
-    _check_residue,
-    correlation_matrix_batch,
-    dc_pvector_batch,
-    dc_transfer_matrix,
-    rotated_pvector_batch,
-)
+from .correlation import _object_matrix, correlation_matrix_batch, rotated_pvector_batch
 from .errors import ConsistencyError, ValidationError
 from .geometry import _ESCAPE_RUNS, _SIGNS, RegionLabel, _face_masks, classify
-from .qmath import is_density, is_unitary, pauli, require_density, require_unitary
+from .qmath import is_density, is_unitary, require_density, require_unitary
 from .samplers import SamplerConfig, _region_chunks
 
 __all__ = [
@@ -65,8 +58,6 @@ _BLOCK = 2**14
 # The rounding slack of the escape witness, whose point reaches 1 + margin only
 # up to a few ulps of 1: at a smaller tol, rounding alone would decide its exit.
 _WITNESS_SLACK = 1e-12
-# sigma_1, sigma_2, sigma_3 as one (3, 2, 2) stack.
-_SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
 
 
 def _pinned(entries) -> np.ndarray:
@@ -120,8 +111,8 @@ def transform_unitary(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-# The batch transforms broadcast over leading axes; the witness checks itself with
-# them, and the tests use them as the oracle of the escape experiment's axes.
+# The batch transforms broadcast over leading axes; the tests use them as the oracle
+# of the escape experiment's axes and of the escape witness.
 
 
 def _transform_density_batch(rhos: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -130,17 +121,12 @@ def _transform_density_batch(rhos: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
 
 def _transform_unitary_batch(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    return np.einsum("...ji,...jk,...kl->...il", vs.conj(), us, vs)
+    return vs.conj().swapaxes(-1, -2) @ us @ vs
 
 
 def _transfer_matrix(v: np.ndarray) -> list[list[float]]:
-    """Q_ij = tr(sigma_i v sigma_j v^dag) / 2 of one unitary, in real arithmetic:
-    the first row of v and the phase of its determinant are its parameters."""
-    (p, q), (r, t) = np.asarray(v, dtype=complex).tolist()
-    det_re = (p.real * t.real - p.imag * t.imag) - (q.real * r.real - q.imag * r.imag)
-    det_im = (p.real * t.imag + p.imag * t.real) - (q.real * r.imag + q.imag * r.real)
-    modulus = math.hypot(det_re, det_im)
-    return dc_transfer_matrix(p.real, p.imag, q.real, q.imag, det_im / modulus, det_re / modulus)
+    """Q_ij = tr(sigma_i v sigma_j v^dag) / 2 of one unitary, as 3x3 floats: its M."""
+    return _object_matrix("DC", v)
 
 
 def escape_experiment(
@@ -220,15 +206,6 @@ def _lift(q: np.ndarray) -> np.ndarray:
     return np.array([[w - 1j * z, -y - 1j * x], [y - 1j * x, w + 1j * z]])
 
 
-def _point(kind: str, obj: np.ndarray) -> np.ndarray:
-    """The batch kernel's point of one trusted object, its residue checked."""
-    if kind == "DC":
-        return dc_pvector_batch(obj[None])[0]
-    point, residue = _cc_pvector_residue_batch(obj[None])
-    _check_residue(residue)
-    return point[0]
-
-
 def escape_witness(
     kind: str, target, tol: float = _MEMBERSHIP_TOL
 ) -> tuple[float, np.ndarray | None]:
@@ -240,37 +217,32 @@ def escape_witness(
     Q^T M Q, Q the transfer matrix of v, so by Schur-Horn the largest
     |c11| + |c22| + |c33| reached is sum |lambda(S)|, S = (M + M^T)/2, at the
     Q that diagonalises S. Returns (margin = sum |lambda(S)| - 1, v): v lifts
-    that Q if :func:`classify` labels the moved object's point CC_ONLY (for
-    'CC') or DC_ONLY (for 'DC') at ``tol``, or at the rounding slack 1e-12
-    if ``tol`` is smaller, else None. The points are the batch kernel's, and
-    the target's must be labelled AMBIGUOUS at ``tol``.
-    ``ConsistencyError`` if a check of the scalar API fails on v or the moved
-    object, or a margin past ``tol`` does not escape.
+    that Q if :func:`classify` labels the moved point diag(Q'^T M Q'), Q' the
+    transfer matrix of v, CC_ONLY (for 'CC') or DC_ONLY (for 'DC') at ``tol``,
+    or at the rounding slack 1e-12 if ``tol`` is smaller, else None. M is the
+    point kernel's, read from the Hermitian part of a density operator, and the
+    target's point diag(M) must be labelled AMBIGUOUS at ``tol``.
+    ``ConsistencyError`` if v fails the unitarity predicate, or a margin past
+    ``tol`` does not escape.
     """
     if kind == "CC":
-        target = require_density(target)
-        m = np.einsum("iab,jcd,bdac->ij", _SIGMA, _SIGMA, target.reshape(2, 2, 2, 2)).real
+        target, own = require_density(target), RegionLabel.CC_ONLY
     elif kind == "DC":
-        target = require_unitary(target)
-        m = np.einsum("iab,bc,jcd,ad->ij", _SIGMA, target, _SIGMA, target.conj()).real / 2.0
+        target, own = require_unitary(target), RegionLabel.DC_ONLY
     else:
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    if classify(_point(kind, target), tol) is not RegionLabel.AMBIGUOUS:
+    s = np.array(_object_matrix(kind, target))
+    if classify(np.diag(s), tol) is not RegionLabel.AMBIGUOUS:
         raise ValidationError("target's correlation point is already outside the overlap")
-    lam, q = np.linalg.eigh((m + m.T) / 2.0)
+    lam, q = np.linalg.eigh((s + s.T) / 2.0)
     q[:, 0] *= np.sign(np.linalg.det(q))
     margin = float(np.abs(lam).sum() - 1.0)
     v = _lift(q)
-    if kind == "CC":
-        moved = _transform_density_batch(target, v)
-        ok, own = is_density(moved, 1e-9), RegionLabel.CC_ONLY
-    else:
-        moved = _transform_unitary_batch(target, v)
-        ok, own = is_unitary(moved, 1e-10), RegionLabel.DC_ONLY
-    if not (is_unitary(v) and ok):
-        raise ConsistencyError("escape witness: the rotation or moved object failed a predicate")
+    if not is_unitary(v):
+        raise ConsistencyError("escape witness: the rotation failed the unitarity predicate")
+    moved = rotated_pvector_batch(s[..., None], _transfer_matrix(v))[0]
     with contextlib.suppress(ValidationError):  # rounded out of the cube: no escape
-        if classify(_point(kind, moved), max(tol, _WITNESS_SLACK)) is own:
+        if classify(moved, max(tol, _WITNESS_SLACK)) is own:
             return margin, v
     if margin > tol + _WITNESS_SLACK:
         raise ConsistencyError(f"escape witness: margin {margin:.3e}, but no escape")

@@ -28,8 +28,10 @@ module makes no BLAS call and its values do not depend on the BLAS kernel.
 
 Reported witnesses always reproduce the reported value through the
 correlation layer; that closure is part of the contract and is asserted
-in the tests. Multistart reports also carry the number of objective
-evaluations and of starts stopped by the iteration cap.
+in the tests. A multistart value is the objective's own at the best end
+point, which real arithmetic alone decides. Multistart reports also carry
+the number of objective evaluations and of starts stopped by the iteration
+cap.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import cc_pvector, dc_pvector, dc_pvector_params_batch
-from .correlation import statistic_c, statistic_c_batch
+from .correlation import dc_pvector, dc_pvector_params_batch, statistic_c_batch
 from .errors import ValidationError
 from .geometry import (
     Tetrahedron,
@@ -49,7 +50,7 @@ from .geometry import (
     tdc,
     unitary_from_probs,
 )
-from .qmath import bell, projector
+from .qmath import bell
 from .samplers import SamplerConfig, unitaries_from_params
 
 __all__ = [
@@ -109,10 +110,6 @@ def _witness_object(target: str, weights: np.ndarray) -> np.ndarray:
     if target.startswith("CC"):
         return state_from_weights(weights)
     return unitary_from_probs(weights)
-
-
-def _evaluate_witness(target: str, obj: np.ndarray) -> float:
-    return statistic_c(cc_pvector(projector(obj)) if target.startswith("CC") else dc_pvector(obj))
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -396,7 +393,8 @@ def _multistart_extrema(
     The starts are drawn once from ``cfg.rng()`` and every direction runs
     them all, minimizing -C for MAX and C for MIN; each start's path has the
     same bits as in a one-direction batch. Returns a report per target, from
-    the best end point of its starts (the first on ties).
+    the best end point of its starts (the first on ties): its value is the
+    objective's own there, sign * f, and its witness object reproduces it.
     """
     if starts < 1:
         raise ValidationError("starts must be >= 1")
@@ -414,7 +412,8 @@ def _multistart_extrema(
     reports = {}
     for k, direction in enumerate(directions):
         part, target = slice(k * starts, (k + 1) * starts), f"{kind}_{direction}"
-        best = res.x[part][int(np.argmin(res.fun[part]))]
+        at = part.start + int(np.argmin(res.fun[part]))
+        best = res.x[at]
         if kind == "CC":
             z = best / np.sqrt(_sum_rows(best[None] ** 2))
             weights, obj = z * z, sum(zj * bell(j) for j, zj in enumerate(z, start=1))
@@ -423,7 +422,7 @@ def _multistart_extrema(
             obj = unitaries_from_params(v[0], v[1], v[2], v[3], best[4])
             weights = barycentric(tdc(), dc_pvector(obj).as_array(), tol=1e-6)
         reports[target] = BoundReport(
-            target, _evaluate_witness(target, obj), weights, obj, starts=starts,
+            target, float(signs[at] * res.fun[at]), weights, obj, starts=starts,
             evaluations=int(res.evaluations[part].sum()),
             nonconverged=int((~res.converged[part]).sum()),
         )

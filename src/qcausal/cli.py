@@ -39,8 +39,6 @@ __all__ = [
     "MatrixDocument",
     "RunReport",
     "load_document",
-    "document_from_array",
-    "parse_report",
     "run_classify",
     "run_bounds",
     "run_sample",
@@ -76,23 +74,6 @@ class MatrixDocument:
             return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
         except ValueError as exc:
             raise ValidationError(f"{self.kind} document has a non-finite entry") from exc
-
-
-def document_from_array(kind: str, values: np.ndarray) -> MatrixDocument:
-    """Build a document from a density operator, unitary, or correlation point."""
-    if kind == "pvector":
-        return MatrixDocument(
-            kind="pvector", dim=3, entries=tuple(correlation.PPoint.from_array(values))
-        )
-    arr = np.asarray(values, dtype=complex)
-    if kind == "density":
-        require_density(arr)
-    elif kind == "unitary":
-        require_unitary(arr)
-    else:
-        raise ValidationError(f"unknown document kind {kind!r}")
-    entries = tuple((float(z.real), float(z.imag)) for z in arr.reshape(-1))
-    return MatrixDocument(kind=kind, dim=arr.shape[0], entries=entries)
 
 
 def _real(value, what: str) -> float:
@@ -196,17 +177,6 @@ def _listify_tree(obj):
     return obj
 
 
-def parse_report(text: str) -> RunReport:
-    raw = json.loads(text)
-    return RunReport(
-        command=raw["command"],
-        seed=raw["seed"],
-        parameters=raw["parameters"],
-        results=raw["results"],
-        violations=raw["violations"],
-    )
-
-
 def _complex_entries(matrix: np.ndarray):
     return [[float(z.real), float(z.imag)] for z in np.asarray(matrix).reshape(-1)]
 
@@ -232,11 +202,7 @@ def run_classify(doc: MatrixDocument, seed: int = 42, tol: float = 1e-9) -> RunR
     _check_tol(tol)
     samplers.SamplerConfig(seed=seed)  # refuses a seed that no other command would take
     payload = doc.payload()
-    if doc.kind == "density":
-        # the Hermitian part, exactly Hermitian in floating point and equal to rho
-        # when rho is: a rotation keeps the operator norm of rho - rho^dag, not its
-        # largest entry, so the moved object could leave DENSITY_TOL
-        payload = (payload + payload.conj().T) / 2
+    if doc.kind == "density":  # the kernels read only its Hermitian part
         point = correlation.cc_pvector(payload)
     elif doc.kind == "unitary":
         point = correlation.dc_pvector(payload)

@@ -12,17 +12,24 @@ Three scenarios are covered:
   with a 2x2 unitary and measuring again;
 * a probabilistic mixture of the two.
 
-Probabilities are computed exactly, so every result is deterministic. An
-object's point has one implementation, a batch kernel over a stack of
-objects; the scalar functions validate their input once and take row 0 of
-that kernel, so a scalar call and a row of any stack give the same bits.
+Every point is read off one quantity, the correlation matrix M: T_ij =
+tr(rho sigma_i (x) sigma_j) for a preparation, the transfer matrix R_ij =
+tr(sigma_i u sigma_j u^dag) / 2 for an evolution (Horodecki & Horodecki,
+PRA 54:1838, 1996). The point is diag(M); along axes rotated by v it is
+diag(Q^T M Q), Q the transfer matrix of v (:func:`rotated_pvector_batch`).
+M has one implementation in real arithmetic, whose bits do not depend on
+numpy's SIMD loops, and two ways in:
 
-Sampled draws skip the objects: :func:`correlation_matrix_batch` takes the
-correlation matrix M (T_ij = tr(rho sigma_i (x) sigma_j), or the transfer
-matrix R_ij = tr(sigma_i u sigma_j u^dag) / 2) straight from the drawn
-components in real arithmetic, whose bits do not depend on numpy's SIMD
-loops. The point is diag(M); along axes rotated by v it is diag(Q^T M Q),
-Q the transfer matrix of v (:func:`rotated_pvector_batch`).
+* sampled draws: :func:`correlation_matrix_batch` takes M straight from
+  the drawn components, without building an object;
+* objects: a density operator gives the same CC formula the real and
+  imaginary parts of its Hermitian part, read entry by entry, so the
+  anti-Hermitian part that validation tolerates never reaches a point; a
+  unitary gives the DC formula its first row and the phase of its
+  determinant (:func:`_object_matrix`).
+
+The scalar functions validate their input once and take row 0 of the batch
+kernel, so a scalar call and a row of any stack give the same bits.
 """
 
 from __future__ import annotations
@@ -32,15 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
-from .qmath import (
-    DENSITY_TOL,
-    pauli_eigenbasis,
-    projector,
-    require_density,
-    require_unitary,
-    tensor_product,
-)
+from .errors import ValidationError
+from .qmath import require_density, require_unitary
 
 __all__ = [
     "PPoint",
@@ -58,12 +58,8 @@ __all__ = [
     "correlation_matrix_batch",
     "dc_transfer_matrix",
     "rotated_pvector_batch",
-    "IMAG_TOL",
 ]
 
-# |Im tr(rho P)| <= 2 * DENSITY_TOL for every rho that require_density accepts,
-# as the entries of each P sum to at most 4 in magnitude; 1e-14 covers rounding.
-IMAG_TOL = 2.0 * DENSITY_TOL + 1e-14
 _COMPONENT_SLACK = 1e-9
 
 
@@ -105,30 +101,10 @@ class MixtureScenario:
         return self
 
 
-# The fixed measurement axes 1..3: the equal-outcome projectors
-# |m0 m0><m0 m0| + |m1 m1><m1 m1|, and the +1 eigenvectors m0.
-_EQUAL_PROJ = tuple(
-    projector(tensor_product(m0, m0)) + projector(tensor_product(m1, m1))
-    for m0, m1 in map(pauli_eigenbasis, (1, 2, 3))
-)
-_PLUS_EIGVEC = tuple(pauli_eigenbasis(i)[0] for i in (1, 2, 3))
-for _m in _EQUAL_PROJ:
-    _m.setflags(write=False)
-
-
 def _check_axis(i: int) -> int:
     if i not in (1, 2, 3):
         raise ValidationError(f"measurement axis must be in 1..3, got {i!r}")
     return i
-
-
-def _check_residue(imag) -> None:
-    worst = float(np.max(np.abs(imag)))
-    if worst > IMAG_TOL:
-        raise ConsistencyError(
-            f"equal-outcome probability: imaginary residue {worst:.3e} exceeds "
-            f"{IMAG_TOL:g}; the input is likely corrupted"
-        )
 
 
 def cc_corr_index(rho: np.ndarray, i: int) -> float:
@@ -138,9 +114,7 @@ def cc_corr_index(rho: np.ndarray, i: int) -> float:
 
 def cc_pvector(rho: np.ndarray) -> PPoint:
     """Correlation point of a joint preparation."""
-    points, residues = _cc_pvector_residue_batch(require_density(rho)[None])
-    _check_residue(residues)
-    return PPoint(*points[0].tolist())
+    return PPoint(*cc_pvector_batch(require_density(rho)[None])[0].tolist())
 
 
 def statistic_c(p) -> float:
@@ -164,9 +138,8 @@ def dc_pvector(u: np.ndarray) -> PPoint:
 def mixture_pvector(s: MixtureScenario) -> PPoint:
     """Convex combination p*P(rho) + (1-p)*P(u) of the two scenario points."""
     s.validate()
-    cc, residue = _cc_pvector_residue_batch(np.asarray(s.rho)[None])
-    _check_residue(residue)
-    return PPoint(*(s.p * cc[0] + (1.0 - s.p) * dc_pvector_batch(np.asarray(s.u)[None])[0]))
+    cc, dc = cc_pvector_batch(np.asarray(s.rho)[None]), dc_pvector_batch(np.asarray(s.u)[None])
+    return PPoint(*(s.p * cc[0] + (1.0 - s.p) * dc[0]))
 
 
 # -- batch kernels -----------------------------------------------------------
@@ -177,20 +150,9 @@ def mixture_pvector(s: MixtureScenario) -> PPoint:
 # the size of the stack, which the tests check.
 
 
-def _cc_pvector_residue_batch(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Points of a stack of density operators, shape (n, 3), and the imaginary
-    residues of the traces tr(rho P_i), which :func:`cc_pvector` checks against
-    ``IMAG_TOL``."""
-    rhos = np.asarray(rhos, dtype=complex)
-    traces = np.empty((len(rhos), 3), dtype=complex)
-    for k, proj in enumerate(_EQUAL_PROJ):
-        np.einsum("nij,ji->n", rhos, proj, out=traces[:, k])
-    return 2.0 * traces.real - 1.0, traces.imag
-
-
 def cc_pvector_batch(rhos: np.ndarray) -> np.ndarray:
     """Correlation points of a stack of density operators, shape (n, 3)."""
-    return _cc_pvector_residue_batch(rhos)[0]
+    return np.stack(_object_matrix("CC", rhos, diagonal=True), axis=1)
 
 
 def statistic_c_batch(points: np.ndarray) -> np.ndarray:
@@ -229,19 +191,15 @@ def dc_transfer_matrix(a1, a2, b1, b2, sa, ca) -> list:
     ]
 
 
-def _cc_matrix(re: np.ndarray, im: np.ndarray, lam, diagonal: bool) -> list:
-    """[T11, T22, T33], or the rows of (T + T^T) / 2, of sum_r lam_r |psi_r><psi_r|,
-    psi_r = (re_r + i im_r) / norm. Each entry sums bilinears g_ab = Re(conj(psi_a)
-    psi_b) and h_ab = Im(...) of the unnormalized components, divides by the
-    squared norm ((g_00 + g_11) + g_22) + g_33, then takes the weight lam_r."""
+def _cc_matrix(bilinears, lam, diagonal: bool) -> list:
+    """[T11, T22, T33], or the rows of (T + T^T) / 2, of sum_r lam_r rho_r (one
+    term of weight 1 if ``lam`` is None). Term r comes as its bilinears (g, h):
+    g(a, b) + i h(a, b) is (rho_r)_ba times a positive scale, which the term's
+    trace ((g(0, 0) + g(1, 1)) + g(2, 2)) + g(3, 3) divides out before the
+    weight lam_r. Only the Hermitian part of rho_r enters: g is symmetric, and
+    h is read only above the diagonal."""
     total = None
-    for r, (x, y) in enumerate(zip(re, im)):
-        def g(a, b):
-            return x[a] * x[b] + y[a] * y[b]
-
-        def h(a, b):
-            return x[a] * y[b] - y[a] * x[b]
-
+    for r, (g, h) in enumerate(bilinears):
         g00, g11, g22, g33 = (g(a, a) for a in range(4))
         g03, g12 = g(0, 3), g(1, 2)
         terms = [2.0 * (g03 + g12), 2.0 * (g12 - g03), (g00 + g33) - (g11 + g22)]
@@ -257,6 +215,11 @@ def _cc_matrix(re: np.ndarray, im: np.ndarray, lam, diagonal: bool) -> list:
     return [[t11, s12, s13], [s12, t22, s23], [s13, s23, t33]]
 
 
+def _pure_bilinears(x, y):
+    """(g, h) of the pure state psi = x + i y: g_ab + i h_ab = conj(psi_a) psi_b."""
+    return (lambda a, b: x[a] * x[b] + y[a] * y[b]), (lambda a, b: x[a] * y[b] - y[a] * x[b])
+
+
 def correlation_matrix_batch(kind: str, components: tuple, diagonal: bool = False) -> list:
     """Rows of (n,) entries of M, symmetrized for 'CC' (only that part reaches a
     point), or with ``diagonal`` the point [M11, M22, M33], from the drawn
@@ -265,12 +228,33 @@ def correlation_matrix_batch(kind: str, components: tuple, diagonal: bool = Fals
     their weights, (rank, n); for 'DC' the rows (a1, a2, b1, b2, alpha)."""
     if kind == "CC":
         lam = components[2] if len(components) > 2 else None
-        return _cc_matrix(components[0], components[1], lam, diagonal)
+        return _cc_matrix(map(_pure_bilinears, components[0], components[1]), lam, diagonal)
     a1, a2, b1, b2, alpha = components
     sa, ca = np.sin(alpha), np.cos(alpha)
     if diagonal:
         return list(_dc_diagonal(a1, a2, b1, b2, sa, ca))
     return dc_transfer_matrix(a1, a2, b1, b2, sa, ca)
+
+
+def _object_matrix(kind: str, objs: np.ndarray, diagonal: bool = False) -> list:
+    """:func:`correlation_matrix_batch` of a stack of objects, its entries (n,) arrays,
+    or of one object, its entries floats: density operators for 'CC', read as their
+    Hermitian parts, g_ab = (Re rho_ab + Re rho_ba) / 2 and h_ab = (Im rho_ba -
+    Im rho_ab) / 2; 2x2 unitaries for 'DC', as the parameters of :func:`_dc_diagonal`,
+    from the first row and the phase of the determinant."""
+    objs = np.asarray(objs, dtype=complex)
+    # entry (a, b) of every object at [b, a]: a float for one object, else an (n,) array
+    re, im = objs.real.T, objs.imag.T
+    if kind == "CC":
+        g, h = (re + re.swapaxes(0, 1)) / 2.0, (im - im.swapaxes(0, 1)) / 2.0
+        return _cc_matrix([(lambda a, b: g[a, b], lambda a, b: h[a, b])], None, diagonal)
+    (p1, r1), (q1, t1) = re
+    (p2, r2), (q2, t2) = im
+    det_re = (p1 * t1 - p2 * t2) - (q1 * r1 - q2 * r2)
+    det_im = (p1 * t2 + p2 * t1) - (q1 * r2 + q2 * r1)
+    modulus = np.sqrt(det_re * det_re + det_im * det_im)
+    params = p1, p2, q1, q2, det_im / modulus, det_re / modulus
+    return list(_dc_diagonal(*params)) if diagonal else dc_transfer_matrix(*params)
 
 
 def rotated_pvector_batch(m: list, q) -> np.ndarray:
@@ -287,16 +271,5 @@ def rotated_pvector_batch(m: list, q) -> np.ndarray:
 
 
 def dc_pvector_batch(us: np.ndarray) -> np.ndarray:
-    """Correlation points of a stack of 2x2 unitaries, shape (n, 3).
-
-    Each amplitude <m0| u |m0> is summed elementwise in row-major (i, j)
-    order, so a one-row stack gives the bits of the same row in any stack.
-    """
-    us = np.asarray(us, dtype=complex)
-    u00, u01, u10, u11 = us[:, 0, 0], us[:, 0, 1], us[:, 1, 0], us[:, 1, 1]
-    cols = []
-    for b in _PLUS_EIGVEC:
-        a = b.conj()
-        amp = a[0] * u00 * b[0] + a[0] * u01 * b[1] + a[1] * u10 * b[0] + a[1] * u11 * b[1]
-        cols.append(2.0 * np.abs(amp) ** 2 - 1.0)
-    return np.stack(cols, axis=1)
+    """Correlation points of a stack of 2x2 unitaries, shape (n, 3)."""
+    return np.stack(_object_matrix("DC", us, diagonal=True), axis=1)

@@ -1,18 +1,20 @@
 """Second routes to the correlation points and the escape counts, kept as the
 tests' independent oracles.
 
-The package measures along rotated axes in real arithmetic from the drawn
-components (``correlation.rotated_pvector_batch``). The routes here build the
-objects and take complex traces instead: the projectors onto v|m_k> (x) v|m_k>,
-or the amplitudes <m'_0| u |m'_0> of the rotated +1 eigenvectors m'_0 = v m_0.
-The per-axis probabilities and the closed form from a unitary's parameters
-check the fixed-axis points and their mixtures. The SVD's polar projection of
-the printed reference rotations checks their pinned floats, and the explicit
-corner tetrahedra check the cut regions. ``sample``'s draw, held whole, checks
-the CSV that its chunks write one at a time. The one-move-at-a-time compass
-search checks the batched polish of the bound certificates. One plain sum per
-face checks the region tests' shared sums, and nine products per entry the
-rotated points' six.
+The package reads every point off the correlation matrix M in real arithmetic:
+from the drawn components, from a density operator's Hermitian part entry by
+entry, or from a unitary's first row and determinant phase. The routes here
+take complex traces of the objects instead: tr(rho P_i) with the equal-outcome
+projectors P_i, the amplitudes <m_0| u |m_0> of the +1 eigenvectors, and M as
+the traces tr(rho sigma_i (x) sigma_j) and tr(sigma_i u sigma_j u^dag) / 2; along
+rotated axes, the projectors onto v|m_k> (x) v|m_k> or the eigenvectors v m_0.
+The per-axis probabilities check the fixed-axis points and their mixtures. The
+SVD's polar projection of the printed reference rotations checks their pinned
+floats, and the explicit corner tetrahedra check the cut regions. ``sample``'s
+draw, held whole, checks the CSV that its chunks write one at a time. The
+one-move-at-a-time compass search checks the batched polish of the bound
+certificates. One plain sum per face checks the region tests' shared sums, and
+nine products per entry the rotated points' six.
 """
 
 from __future__ import annotations
@@ -20,20 +22,12 @@ from __future__ import annotations
 import numpy as np
 
 from qcausal import bounds
-from qcausal.correlation import (
-    _EQUAL_PROJ,
-    _PLUS_EIGVEC,
-    MixtureScenario,
-    PPoint,
-    _check_axis,
-    _check_residue,
-    cc_pvector_batch,
-    dc_pvector_batch,
-    dc_pvector_params_batch,
-)
+from qcausal.correlation import MixtureScenario, PPoint, _check_axis
 from qcausal.errors import ConsistencyError, ValidationError
 from qcausal.geometry import _ESCAPE_RUNS, _SIGNS, Tetrahedron, _face_masks
 from qcausal.qmath import (
+    DENSITY_TOL,
+    pauli,
     pauli_eigenbasis,
     projector,
     require_density,
@@ -50,6 +44,19 @@ from qcausal.samplers import (
 )
 
 SAMPLE_CHUNK_ROWS = 1 << 16
+
+# The fixed measurement axes 1..3: the equal-outcome projectors
+# |m0 m0><m0 m0| + |m1 m1><m1 m1|, and the +1 eigenvectors m0.
+_EQUAL_PROJ = tuple(
+    projector(tensor_product(m0, m0)) + projector(tensor_product(m1, m1))
+    for m0, m1 in map(pauli_eigenbasis, (1, 2, 3))
+)
+_PLUS_EIGVEC = tuple(pauli_eigenbasis(i)[0] for i in (1, 2, 3))
+# sigma_1, sigma_2, sigma_3 as one (3, 2, 2) stack.
+_SIGMA = np.stack([pauli(i) for i in (1, 2, 3)])
+# |Im tr(rho P)| <= 2 * DENSITY_TOL for every rho that require_density accepts,
+# as the entries of each P sum to at most 4 in magnitude; 1e-14 covers rounding.
+_IMAG_TOL = 2.0 * DENSITY_TOL + 1e-14
 
 # The corners of tcc() and tdc() beyond the mirror faces across (-1, -1, -1) and
 # (1, 1, 1), as explicit tetrahedra: the check of the cut regions' face rows.
@@ -132,6 +139,27 @@ def _rotated_points(kind: str, objs: np.ndarray, v: np.ndarray) -> np.ndarray:
     return 2.0 * np.abs(np.stack(amps, axis=1)) ** 2 - 1.0
 
 
+def cc_pvector_batch_oracle(rhos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Points 2 Re tr(rho P_i) - 1 of a stack of density operators, shape (n, 3), and
+    the imaginary parts of the traces, which no accepted density takes past 2e-9."""
+    traces = np.stack([np.einsum("nij,ji->n", rhos, proj) for proj in _EQUAL_PROJ], axis=1)
+    return 2.0 * traces.real - 1.0, traces.imag
+
+
+def dc_pvector_batch_oracle(us: np.ndarray) -> np.ndarray:
+    """Points 2 |<m_0| u |m_0>|^2 - 1 of a stack of 2x2 unitaries, shape (n, 3)."""
+    amps = [np.einsum("i,nij,j->n", m0.conj(), us, m0) for m0 in _PLUS_EIGVEC]
+    return 2.0 * np.abs(np.stack(amps, axis=1)) ** 2 - 1.0
+
+
+def correlation_matrix_oracle(kind: str, obj: np.ndarray) -> np.ndarray:
+    """M of one object as complex traces: T_ij = tr(rho sigma_i (x) sigma_j) for 'CC',
+    R_ij = tr(sigma_i u sigma_j u^dag) / 2 for 'DC', 3x3 floats."""
+    if kind == "CC":
+        return np.einsum("iab,jcd,bdac->ij", _SIGMA, _SIGMA, obj.reshape(2, 2, 2, 2)).real
+    return np.einsum("iab,bc,jcd,ad->ij", _SIGMA, obj, _SIGMA, obj.conj()).real / 2.0
+
+
 def face_masks_oracle(arr, normals, offsets, tol: float, runs=(slice(None),)) -> list:
     """``geometry._face_masks`` with one plain sum ``(a x + b y) + c z <= offset + tol``
     per face, every coefficient a multiply and no sum shared between faces."""
@@ -164,10 +192,10 @@ def overlap_objects_oracle(kind: str, rank: int, n: int, rng: np.random.Generato
     while count < n:
         if kind == "CC":
             objs = sample_density(rng, rank=rank, size=_CHUNK)
-            pts = cc_pvector_batch(objs)
+            pts = cc_pvector_batch_oracle(objs)[0]
         else:
             objs = sample_unitary(rng, size=_CHUNK)
-            pts = dc_pvector_batch(objs)
+            pts = dc_pvector_batch_oracle(objs)
         (inside,) = _face_masks(pts, _SIGNS, 1.0, 1e-9)
         kept.append(objs[inside])
         count += int(inside.sum())
@@ -192,7 +220,8 @@ def cc_equal_prob(rho: np.ndarray, i: int) -> float:
     rho = require_density(rho)
     _check_axis(i)
     value = complex(np.trace(rho @ _EQUAL_PROJ[i - 1]))
-    _check_residue(value.imag)
+    if abs(value.imag) > _IMAG_TOL:
+        raise ConsistencyError(f"equal-outcome probability: imaginary residue {value.imag:.3e}")
     return float(value.real)
 
 
@@ -211,30 +240,13 @@ def dc_cond_prob(u: np.ndarray, i: int, k: int) -> float:
     return float(abs(amp) ** 2)
 
 
-def _unitary_params(u: np.ndarray) -> tuple[float, float, float, float, float]:
-    """Recover (a1, a2, b1, b2, alpha) with u = [[a1+i a2, b1+i b2],
-    [-e^{i alpha}(b1-i b2), e^{i alpha}(a1-i a2)]].
-
-    Every 2x2 unitary has this form: the second row is the conjugate
-    first row rotated by the determinant phase. alpha is taken as the
-    phase of det(u); the remaining parameters read off the first row.
-    """
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    alpha = float(np.angle(det))
-    a1, a2 = float(u[0, 0].real), float(u[0, 0].imag)
-    b1, b2 = float(u[0, 1].real), float(u[0, 1].imag)
-    return a1, a2, b1, b2, alpha
-
-
 def dc_pvector_oracle(u: np.ndarray) -> PPoint:
-    """Correlation point of a unitary via its sphere-plus-phase parameters.
+    """Correlation point of a unitary via its complex amplitudes <m_0| u |m_0>.
 
-    The closed form of ``dc_pvector_params_batch``, a route independent
-    of ``dc_pvector``; the tests require the two to agree to 1e-10.
+    A route independent of ``dc_pvector``, which reads u's first row and the
+    phase of its determinant; the tests require the two to agree.
     """
-    u = require_unitary(u)
-    point = dc_pvector_params_batch(np.array([_unitary_params(u)]))[0]
-    return PPoint(*point.tolist())
+    return PPoint(*dc_pvector_batch_oracle(require_unitary(u)[None])[0].tolist())
 
 
 def mixture_pvector_oracle(s: MixtureScenario) -> PPoint:

@@ -429,30 +429,31 @@ class TestSearchEscape:
 
 
 class TestSearchChecks:
-    """The checks made on the witness rotation and its image."""
+    """The checks made on the witness rotation, and its image through the objects."""
 
     def _corrupt(self, monkeypatch, name, damage):
         kernel = getattr(bc, name)
         monkeypatch.setattr(bc, name, lambda *args: damage(kernel(*args)))
 
-    def test_non_density_image_raises(self, monkeypatch):
-        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: 2.0 * out)
-        with pytest.raises(ConsistencyError, match="predicate"):
-            bc.escape_witness("CC", np.eye(4) / 4)
-
-    def test_non_unitary_image_raises(self, monkeypatch):
-        self._corrupt(monkeypatch, "_transform_unitary_batch", lambda out: 2.0 * out)
-        with pytest.raises(ConsistencyError, match="predicate"):
-            bc.escape_witness("DC", HADAMARD)
-
-    def test_imaginary_residue_raises(self, monkeypatch):
-        # tr(rho P_1) gains 4e-9j, past a density predicate that fails to see it
-        skew = np.zeros((4, 4), dtype=complex)
-        skew[0, 3] = skew[3, 0] = 4e-9j
-        self._corrupt(monkeypatch, "_transform_density_batch", lambda out: out + skew)
-        monkeypatch.setattr(bc, "is_density", lambda m, tol: True)
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            bc.escape_witness("CC", np.eye(4) / 4)
+    @pytest.mark.parametrize("name", _TARGET_NAMES)
+    def test_witness_moves_the_object_out(self, name):
+        # the witness takes its moved point from M; the rotated object, built and
+        # checked by the scalar API, must be a density or unitary with that point
+        kind, target = _search_targets()[name]
+        margin, v = bc.escape_witness(kind, target)
+        if v is None:
+            return
+        if kind == "CC":
+            moved, own = bc.transform_density(target, v), geo.RegionLabel.CC_ONLY
+            point = oracles.cc_pvector_batch_oracle(moved[None])[0][0]
+        else:
+            moved, own = bc.transform_unitary(target, v), geo.RegionLabel.DC_ONLY
+            point = oracles.dc_pvector_batch_oracle(moved[None])[0]
+        m = corr._object_matrix(kind, target[None])
+        got = corr.rotated_pvector_batch(m, bc._transfer_matrix(v))[0]
+        np.testing.assert_allclose(got, point, rtol=0, atol=1e-14)
+        assert geo.classify(point, 1e-9) is own
+        assert np.abs(point).sum() == pytest.approx(1.0 + margin, abs=1e-12)
 
     def test_non_unitary_rotation_raises(self, monkeypatch):
         self._corrupt(monkeypatch, "_lift", lambda v: 1.5 * v)

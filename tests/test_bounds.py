@@ -502,6 +502,17 @@ class TestMergedDirections:
         ).to_json()
 
 
+class TestMultistartValue:
+    @pytest.mark.parametrize("kind", ["CC", "DC"])
+    def test_value_is_the_objective_and_the_witness_reproduces_it(self, kind):
+        # the reported value is sign * f at the best end point; the witness object,
+        # taken through the correlation module, gives the same C
+        reports = bounds._multistart_extrema(kind, ["MAX", "MIN"], 20, SamplerConfig(seed=42))
+        for target, report in reports.items():
+            assert abs(witness_value(report) - report.value) <= 1e-12, target
+            assert abs(report.value - bounds.TARGET_VALUES[target]) <= 1e-6, target
+
+
 class TestMultistartCounts:
     def test_report_carries_counts(self):
         report = cli.run_bounds(grid_step=0.05, starts=10, seed=11)

@@ -61,6 +61,30 @@ def forks(monkeypatch):
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 
+def document_from_array(kind: str, values: np.ndarray) -> cli.MatrixDocument:
+    """Build a document from a density operator, unitary, or correlation point."""
+    if kind == "pvector":
+        return cli.MatrixDocument(
+            kind="pvector", dim=3, entries=tuple(corr.PPoint.from_array(values))
+        )
+    arr = np.asarray(values, dtype=complex)
+    if kind == "density":
+        qmath.require_density(arr)
+    elif kind == "unitary":
+        qmath.require_unitary(arr)
+    else:
+        raise ValidationError(f"unknown document kind {kind!r}")
+    entries = tuple((float(z.real), float(z.imag)) for z in arr.reshape(-1))
+    return cli.MatrixDocument(kind=kind, dim=arr.shape[0], entries=entries)
+
+
+def parse_report(text: str) -> cli.RunReport:
+    """The report whose ``to_json`` is ``text``."""
+    raw = json.loads(text)
+    return cli.RunReport(**{key: raw[key] for key in (
+        "command", "seed", "parameters", "results", "violations")})
+
+
 def write_doc(tmp_path, name, doc):
     path = tmp_path / name
     path.write_text(doc.to_json(), encoding="utf-8")
@@ -70,22 +94,22 @@ def write_doc(tmp_path, name, doc):
 class TestDocuments:
     def test_density_round_trip(self, tmp_path):
         rho = qmath.projector(qmath.bell(4))
-        doc = cli.document_from_array("density", rho)
+        doc = document_from_array("density", rho)
         loaded = cli.load_document(write_doc(tmp_path, "rho.json", doc))
         np.testing.assert_allclose(loaded.payload(), rho, atol=1e-15)
 
     def test_unitary_round_trip(self, tmp_path):
-        doc = cli.document_from_array("unitary", qmath.pauli(2))
+        doc = document_from_array("unitary", qmath.pauli(2))
         loaded = cli.load_document(write_doc(tmp_path, "u.json", doc))
         np.testing.assert_allclose(loaded.payload(), qmath.pauli(2), atol=1e-15)
 
     @pytest.mark.parametrize("values", [[5.0, 0.0, 0.0], [0.1, np.nan, 0.2], [0.1, 0.2]])
     def test_pvector_from_array_validated(self, values):
         with pytest.raises(ValidationError):
-            cli.document_from_array("pvector", np.array(values))
+            document_from_array("pvector", np.array(values))
 
     def test_pvector_round_trip(self, tmp_path):
-        doc = cli.document_from_array("pvector", np.array([0.1, -0.2, 0.3]))
+        doc = document_from_array("pvector", np.array([0.1, -0.2, 0.3]))
         loaded = cli.load_document(write_doc(tmp_path, "p.json", doc))
         np.testing.assert_allclose(loaded.payload(), [0.1, -0.2, 0.3])
 
@@ -125,10 +149,10 @@ class TestDocuments:
 
         rng = SamplerConfig(seed=100).rng()
         for idx in range(20):
-            doc = cli.document_from_array("density", sample_density(rng))
+            doc = document_from_array("density", sample_density(rng))
             cli.run_classify(cli.load_document(write_doc(tmp_path, f"d{idx}.json", doc)))
         for idx in range(20):
-            doc = cli.document_from_array("unitary", sample_unitary(rng))
+            doc = document_from_array("unitary", sample_unitary(rng))
             cli.run_classify(cli.load_document(write_doc(tmp_path, f"u{idx}.json", doc)))
 
 
@@ -141,7 +165,7 @@ class TestReports:
             results={"x": [1.0, 2.5], "flag": True},
             violations=[],
         )
-        parsed = cli.parse_report(report.to_json())
+        parsed = parse_report(report.to_json())
         assert parsed == report
 
     def test_stable_key_order(self):
@@ -152,25 +176,25 @@ class TestReports:
 
 class TestClassifyCommand:
     def test_bell4_density(self):
-        doc = cli.document_from_array("density", qmath.projector(qmath.bell(4)))
+        doc = document_from_array("density", qmath.projector(qmath.bell(4)))
         report = cli.run_classify(doc)
         assert report.results["label"] == "CC_ONLY"
         assert report.results["statistic"]["value"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_sigma2_unitary(self):
-        doc = cli.document_from_array("unitary", qmath.pauli(2))
+        doc = document_from_array("unitary", qmath.pauli(2))
         report = cli.run_classify(doc)
         assert report.results["label"] == "DC_ONLY"
         assert report.results["statistic"]["value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_mixture_required_pvector(self):
-        doc = cli.document_from_array("pvector", np.array([0.9, 0.9, 0.0]))
+        doc = document_from_array("pvector", np.array([0.9, 0.9, 0.0]))
         report = cli.run_classify(doc)
         assert report.results["label"] == "MIXTURE_REQUIRED"
 
     def test_ambiguous_density_reports_escape(self):
         rho = 0.5 * qmath.projector(qmath.bell(1)) + 0.5 * qmath.projector(qmath.bell(3))
-        doc = cli.document_from_array("density", rho)
+        doc = document_from_array("density", rho)
         report = cli.run_classify(doc, seed=5)
         assert report.results["label"] == "AMBIGUOUS"
         assert report.results["escape"]["applicable"] is True
@@ -191,7 +215,7 @@ class TestClassifyCommand:
             kind, target = "CC", sample_in_region_batch(cfg, "CC", "O", 1)[0]
         else:
             kind, target = "DC", sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 1)[0]
-        doc = cli.document_from_array("density" if kind == "CC" else "unitary", target)
+        doc = document_from_array("density" if kind == "CC" else "unitary", target)
         escape = cli.run_classify(doc, seed=seed).results["escape"]
         found = _search_escape_oracle(kind, target, 300, SamplerConfig(seed=seed))
         assert escape["found"] is escapes is (found is not None)
@@ -208,7 +232,7 @@ class TestClassifyCommand:
         monkeypatch.setattr(SamplerConfig, "rng", refuse)
         for kind, target in (("unitary", np.diag([1, 1j])), ("unitary", qmath.pauli(0)),
                              ("density", np.eye(4) / 4)):
-            path = write_doc(tmp_path, "doc.json", cli.document_from_array(kind, target))
+            path = write_doc(tmp_path, "doc.json", document_from_array(kind, target))
             assert cli.main(["classify", path, "--seed", "9", "--out", str(tmp_path / "r")]) == 0
 
     def test_loose_tol_reaches_the_escape_test(self, tmp_path, capsys):
@@ -216,7 +240,7 @@ class TestClassifyCommand:
         # must judge the overlap at that tol too, and margin 2 cos(theta) stays below it.
         cos = 0.0025
         u = np.diag([1.0, complex(cos, np.sqrt(1.0 - cos**2))])
-        path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", u))
+        path = write_doc(tmp_path, "u.json", document_from_array("unitary", u))
         assert cli.main(["classify", path, "--tol", "0.01"]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["label"] == "AMBIGUOUS"
@@ -226,9 +250,10 @@ class TestClassifyCommand:
     def test_point_on_the_overlap_face_gets_a_report(self, tmp_path, capsys):
         # |c11|+|c22|+|c33| lands on 1 + tol: the label and the escape test must read
         # the same point, or the document is labelled AMBIGUOUS and then refused.
-        p = 0.33333333366666684
+        # (The one such p within 400 ulps of (1 + tol) / 3 for the point's kernel.)
+        p = 0.33333333366666673
         rho = p * qmath.projector(qmath.bell(1)) + (1 - p) * np.eye(4) / 4
-        path = write_doc(tmp_path, "rho.json", cli.document_from_array("density", rho))
+        path = write_doc(tmp_path, "rho.json", document_from_array("density", rho))
         assert cli.main(["classify", path]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["label"] == "AMBIGUOUS"
@@ -240,7 +265,7 @@ class TestClassifyCommand:
         for k in range(-200, 201):
             p = (1 + 1e-9) / 3 + k * 1e-17
             rho = p * qmath.projector(qmath.bell(bell)) + (1 - p) * np.eye(4) / 4
-            results = cli.run_classify(cli.document_from_array("density", rho)).results
+            results = cli.run_classify(document_from_array("density", rho)).results
             assert ("escape" in results) is (results["label"] == "AMBIGUOUS")
             labels.add(results["label"])
         assert labels == {"AMBIGUOUS", "CC_ONLY"}
@@ -266,19 +291,19 @@ class TestClassifyCommand:
         for v in basis_change.ESCAPE_V_SET:
             for theta in np.linspace(0.3, 2.8, 14):
                 u = v @ np.diag([1, np.exp(1j * theta)]) @ v.conj().T
-                results = cli.run_classify(cli.document_from_array("unitary", u), tol=0.0).results
+                results = cli.run_classify(document_from_array("unitary", u), tol=0.0).results
                 if results["label"] == "AMBIGUOUS":
                     ambiguous += 1
                     assert results["escape"]["found"] is (results["escape"]["margin"] > 0)
         assert ambiguous == 15
 
     def test_max_tries_flag_is_gone(self, tmp_path):
-        path = write_doc(tmp_path, "u.json", cli.document_from_array("unitary", qmath.pauli(1)))
+        path = write_doc(tmp_path, "u.json", document_from_array("unitary", qmath.pauli(1)))
         with pytest.raises(SystemExit):
             cli.main(["classify", path, "--max-tries", "5"])
 
     def test_ambiguous_pvector_escape_not_applicable(self):
-        doc = cli.document_from_array("pvector", np.array([0.1, 0.1, 0.1]))
+        doc = document_from_array("pvector", np.array([0.1, 0.1, 0.1]))
         report = cli.run_classify(doc)
         assert report.results["label"] == "AMBIGUOUS"
         assert report.results["escape"]["applicable"] is False
@@ -715,7 +740,7 @@ class TestTable2Command:
                 assert "printed_percent" in entry
 
     def test_custom_identity_rotation(self, tmp_path):
-        doc = cli.document_from_array("unitary", qmath.pauli(0))
+        doc = document_from_array("unitary", qmath.pauli(0))
         path = write_doc(tmp_path, "id.json", doc)
         report = cli.run_table2(n=300, seed=22, v_docs=[path])
         entry = report.results["v1"]
@@ -791,7 +816,7 @@ class TestTable2Pool:
 
     def test_custom_rotation_in_process_matches_pool(self, tmp_path, monkeypatch, forks):
         v = sample_unitary(np.random.default_rng(13))
-        path = write_doc(tmp_path, "v.json", cli.document_from_array("unitary", v))
+        path = write_doc(tmp_path, "v.json", document_from_array("unitary", v))
         in_process, pooled = self._in_process_and_pooled(
             monkeypatch, forks, n=300, seed=6, v_docs=[path]
         )
@@ -891,7 +916,7 @@ class TestBoundsPool:
 
 class TestMainEntry:
     def test_classify_exit_zero(self, tmp_path, capsys):
-        doc = cli.document_from_array("unitary", qmath.pauli(1))
+        doc = document_from_array("unitary", qmath.pauli(1))
         path = write_doc(tmp_path, "x.json", doc)
         assert cli.main(["classify", path]) == 0
         out = capsys.readouterr().out
@@ -908,7 +933,7 @@ class TestMainEntry:
     def test_bad_tol_exit_one(self, tmp_path, capsys, command, tol):
         args = [command, "--tol", tol]
         if command == "classify":
-            doc = cli.document_from_array("unitary", np.diag([1, 1j]))
+            doc = document_from_array("unitary", np.diag([1, 1j]))
             args.insert(1, write_doc(tmp_path, "u.json", doc))
         assert cli.main(args) == 1
         captured = capsys.readouterr()
@@ -920,7 +945,7 @@ class TestMainEntry:
     @pytest.mark.parametrize("command", ["classify", "bounds", "sample", "table2"])
     def test_negative_seed_exit_one(self, tmp_path, capfd, command):
         args = {
-            "classify": [write_doc(tmp_path, "u.json", cli.document_from_array(
+            "classify": [write_doc(tmp_path, "u.json", document_from_array(
                 "unitary", qmath.pauli(1)))],
             "bounds": ["--starts", "2", "--grid-step", "0.1"],
             "sample": ["DC", "--n", "10", "--csv", str(tmp_path / "s.csv")],
@@ -969,23 +994,25 @@ class TestMainEntry:
         assert bound in " ".join(capsys.readouterr().out.split())
 
     def test_io_exit_three(self, tmp_path, capsys):
-        doc = cli.document_from_array("unitary", qmath.pauli(1))
+        doc = document_from_array("unitary", qmath.pauli(1))
         path = write_doc(tmp_path, "x.json", doc)
         missing_dir = str(tmp_path / "nope" / "out.csv")
         assert cli.main(["sample", "CC", "--n", "10", "--csv", missing_dir]) == 3
 
     def test_violations_exit_two(self, tmp_path):
-        # a zero tolerance turns the float epsilon in the signature rows
-        # into reported violations, exercising the consistency exit path
-        out = tmp_path / "t1.json"
-        assert cli.main(["table1", "--tol", "0", "--out", str(out)]) == 2
-        parsed = cli.parse_report(out.read_text())
+        # a zero tolerance turns the float epsilon in the bound certificates
+        # into reported violations, exercising the consistency exit path (the
+        # signature rows of table1 are exact, so they no longer can)
+        out = tmp_path / "b.json"
+        argv = ["bounds", "--grid-step", "0.1", "--starts", "4", "--tol", "0", "--out", str(out)]
+        assert cli.main(argv) == 2
+        parsed = parse_report(out.read_text())
         assert parsed.violations
 
     def test_table1_exit_zero(self, tmp_path):
         out = tmp_path / "t1.json"
         assert cli.main(["table1", "--out", str(out)]) == 0
-        parsed = cli.parse_report(out.read_text())
+        parsed = parse_report(out.read_text())
         assert parsed.violations == []
 
     def test_report_written_to_file(self, tmp_path):
@@ -994,7 +1021,7 @@ class TestMainEntry:
         assert cli.main(
             ["sample", "DC", "--n", "50", "--seed", "3", "--csv", str(csv), "--out", str(out)]
         ) == 0
-        parsed = cli.parse_report(out.read_text())
+        parsed = parse_report(out.read_text())
         assert parsed.command == "sample"
         assert parsed.results["csv_rows"] == 50
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from qcausal import correlation as corr
 from qcausal import qmath
-from qcausal.errors import ConsistencyError, ValidationError
+from qcausal.errors import ValidationError
 from qcausal.samplers import sample_complex_pure, sample_density, sample_unitary
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -42,28 +44,6 @@ class TestCommonCauseIndices:
     def test_invalid_density_rejected(self):
         with pytest.raises(ValidationError):
             corr.cc_corr_index(np.eye(4, dtype=complex), 1)
-
-    def test_corrupted_input_trips_residue_guard(self, monkeypatch):
-        # a non-Hermitian input that a faulty density predicate lets through
-        monkeypatch.setattr(corr, "require_density", lambda rho: rho)
-        rho = np.eye(4, dtype=complex) / 4
-        rho[0, 3] += 4e-9j
-        rho[3, 0] += 4e-9j
-        assert not qmath.is_density(rho)
-        with pytest.raises(ConsistencyError, match="imaginary residue"):
-            corr.cc_corr_index(rho, 1)
-
-    @pytest.mark.parametrize("axis", [1, 2])
-    def test_accepted_density_passes_residue_guard(self, axis):
-        # the off-diagonal skew that adds most to Im tr(rho P) of the axis while
-        # the density predicate still accepts rho
-        proj = corr._EQUAL_PROJ[axis - 1]
-        off = ~np.eye(4, dtype=bool) & (np.abs(proj) > 0)
-        rho = np.eye(4, dtype=complex) / 4
-        rho[off] += 0.99j * qmath.DENSITY_TOL / 2 * proj[off] / np.abs(proj[off])
-        assert qmath.is_density(rho)
-        assert abs(np.trace(rho @ proj).imag) > 0.9 * qmath.DENSITY_TOL
-        assert corr.cc_corr_index(rho, axis) == pytest.approx(0.0, abs=1e-12)
 
     def test_invalid_axis_rejected(self):
         with pytest.raises(ValidationError):
@@ -285,6 +265,67 @@ class TestTable1:
             point = corr.cc_pvector(bell_projector(index))
         np.testing.assert_allclose(point.as_array(), pattern, atol=1e-12)
         assert corr.statistic_c(point) == pytest.approx(cval, abs=1e-12)
+
+    @pytest.mark.parametrize("kind,index,pattern,cval", TABLE1)
+    def test_row_is_exact(self, kind, index, pattern, cval):
+        # a Bell projector's trace divides out of its point, and a Pauli
+        # matrix's first row and determinant are exact: every entry is +-1
+        if kind == "unitary":
+            point = corr.dc_pvector(qmath.pauli(index))
+        else:
+            point = corr.cc_pvector(bell_projector(index))
+        assert list(point) == list(pattern)
+        assert corr.statistic_c(point) == cval
+
+
+def anti_hermitian(rng, scale):
+    """A random traceless anti-Hermitian 4x4 matrix whose largest entry has modulus ``scale``."""
+    a = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+    a = (a - a.conj().T) / 2
+    a -= np.trace(a) / 4 * np.eye(4)
+    return scale * a / np.abs(a).max()
+
+
+class TestComplexOracles:
+    """The real-arithmetic kernels against the complex traces of tests/oracles.py."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([1, 2, 3, 4]))
+    def test_density_kernel_matches_traces(self, seed, rank):
+        rhos = sample_density(np.random.default_rng(seed), rank=rank, size=8)
+        points, residues = oracles.cc_pvector_batch_oracle(rhos)
+        np.testing.assert_allclose(corr.cc_pvector_batch(rhos), points, rtol=0, atol=1e-14)
+        assert np.abs(residues).max() <= 1e-15
+        for rho in rhos:
+            m = corr._object_matrix("CC", rho[None])
+            t = oracles.correlation_matrix_oracle("CC", rho)
+            np.testing.assert_allclose(np.array(m)[..., 0], (t + t.T) / 2, rtol=0, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_unitary_kernel_matches_amplitudes(self, seed):
+        us = sample_unitary(np.random.default_rng(seed), size=8)
+        got = corr.dc_pvector_batch(us)
+        np.testing.assert_allclose(got, oracles.dc_pvector_batch_oracle(us), rtol=0, atol=1e-14)
+        for u in us:
+            m = np.array(corr._object_matrix("DC", u[None]))[..., 0]
+            np.testing.assert_allclose(m, oracles.correlation_matrix_oracle("DC", u),
+                                       rtol=0, atol=1e-14)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([1, 2, 3, 4]),
+           share=st.floats(0.0, 1.0))
+    def test_point_reads_only_the_hermitian_part(self, seed, rank, share):
+        # an anti-Hermitian part below DENSITY_TOL / 2 per entry keeps rho - rho^dag
+        # within DENSITY_TOL, so validation accepts it; the point does not see it
+        rng = np.random.default_rng(seed)
+        rho = sample_density(rng, rank=rank)
+        rho = 0.5 * rho + 0.5 * np.eye(4) / 4  # eigenvalues >= 1/8: the skew cannot make one negative
+        skewed = rho + anti_hermitian(rng, 0.99 * share * qmath.DENSITY_TOL / 2)
+        assert qmath.is_density(skewed)
+        hermitian = (skewed + skewed.conj().T) / 2
+        assert corr.cc_pvector(skewed).as_array().tobytes() == (
+            corr.cc_pvector(hermitian).as_array().tobytes())
 
 
 class TestBatchKernels:

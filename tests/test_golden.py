@@ -1,6 +1,6 @@
 """Every golden CLI run reproduces its committed report and CSV digest byte for byte,
-also with numpy's AVX-512 loops disabled and under each OpenBLAS kernel the CPU runs;
-the sample and table2 goldens also with numpy's baseline X86_V2 loops alone."""
+also with numpy's AVX-512 loops disabled, with numpy's baseline X86_V2 loops alone,
+and under each OpenBLAS kernel the CPU runs."""
 
 import os
 import subprocess
@@ -78,20 +78,13 @@ def test_goldens_without_avx512_loops(tmp_path):
     assert changed_in_child(tmp_path, list(CASES), NPY_DISABLE_CPU_FEATURES=disabled) == []
 
 
-# The sample points and the table2 counts come from real arithmetic alone on the
-# drawn components (sqrt, sin, cos, +, -, *, /), whose bits numpy's X86_V2 loops
-# share with its X86_V3 and X86_V4 ones.
-REAL_ARITHMETIC_CASES = [
-    "sample-dc", "sample-dc-n70000", "sample-cc-rank1", "sample-cc-rank4",
-    "sample-cc-rank4-n70000", "table2-n2000", "table2-n4097",
-]
-
-
+# Every reported point comes from real arithmetic alone on the drawn components or
+# on an object's entries (sqrt, sin, cos, +, -, *, /), whose bits numpy's X86_V2
+# loops share with its X86_V3 and X86_V4 ones; so does every multistart value.
 @pytest.mark.skipif(not numpy_dispatches("X86_V3"), reason="numpy runs no X86_V3 loops here")
 def test_real_arithmetic_goldens_with_baseline_loops(tmp_path):
     disabled = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
-    changed = changed_in_child(tmp_path, REAL_ARITHMETIC_CASES, NPY_DISABLE_CPU_FEATURES=disabled)
-    assert changed == []
+    assert changed_in_child(tmp_path, list(CASES), NPY_DISABLE_CPU_FEATURES=disabled) == []
 
 
 def openblas_dynamic_arch() -> bool:
