@@ -124,11 +124,6 @@ def _transform_unitary_batch(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return vs.conj().swapaxes(-1, -2) @ us @ vs
 
 
-def _transfer_matrix(v: np.ndarray) -> list[list[float]]:
-    """Q_ij = tr(sigma_i v sigma_j v^dag) / 2 of one unitary, as 3x3 floats: its M."""
-    return _object_matrix("DC", v)
-
-
 def escape_experiment(
     kind: str,
     v: np.ndarray,
@@ -174,7 +169,7 @@ def _escape_counts(kind: str, rotations: list, n: int, cfg: SamplerConfig, rng) 
     if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     rotations = [require_unitary(v) for v in rotations]
-    qs = [_transfer_matrix(v) for v in rotations]
+    qs = [_object_matrix("DC", v) for v in rotations]
     escaped, inside = [0] * len(qs), [True] * len(qs)
     runs = _ESCAPE_RUNS[kind]
     for block in _blocks(_region_chunks(cfg, kind, "O", n, rng, _MEMBERSHIP_TOL), _BLOCK):
@@ -240,7 +235,7 @@ def escape_witness(
     v = _lift(q)
     if not is_unitary(v):
         raise ConsistencyError("escape witness: the rotation failed the unitarity predicate")
-    moved = rotated_pvector_batch(s[..., None], _transfer_matrix(v))[0]
+    moved = rotated_pvector_batch(s[..., None], _object_matrix("DC", v))[0]
     with contextlib.suppress(ValidationError):  # rounded out of the cube: no escape
         if classify(moved, max(tol, _WITNESS_SLACK)) is own:
             return margin, v

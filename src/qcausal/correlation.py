@@ -223,7 +223,7 @@ def _pure_bilinears(x, y):
 def correlation_matrix_batch(kind: str, components: tuple, diagonal: bool = False) -> list:
     """Rows of (n,) entries of M, symmetrized for 'CC' (only that part reaches a
     point), or with ``diagonal`` the point [M11, M22, M33], from the drawn
-    ``components``: for 'CC' (``samplers.cc_components``) the real and
+    ``components`` (``samplers.kernel_components``): for 'CC' the real and
     imaginary parts of the pure components, (rank, 4, n) each, and above rank 1
     their weights, (rank, n); for 'DC' the rows (a1, a2, b1, b2, alpha)."""
     if kind == "CC":

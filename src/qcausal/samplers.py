@@ -13,16 +13,14 @@ Samplers accept an optional ``size``: ``None`` returns a single object,
 an integer returns a stacked batch (leading axis). Rejection sampling for
 region-conditioned draws works on fixed-size chunks, which keeps the
 stream deterministic for a given seed. It tests each chunk's correlation
-points in real arithmetic from the drawn components (the unitary parameters,
-or the density draw's blocks as ``cc_components`` lays them out) and yields
-the components of each chunk's accepted rows alone, so a caller that
-consumes them chunk by chunk never holds the whole sample.
+points in real arithmetic from the drawn components and yields the
+components of each chunk's accepted rows alone, so a caller that consumes
+them chunk by chunk never holds the whole sample.
 
-The density and unitary-parameter draws are each defined once
-(:func:`density_blocks`, :func:`sample_unitary_params`), for the whole-n
-samplers and the rejection sampler. A ``sample`` chunk draws its own
-generator's block straight in the layout the point kernel reads
-(:func:`kernel_components`).
+The density draw and the unitary draw are each defined once, in
+:func:`kernel_components`, straight in the layout the point kernel reads:
+``sample``'s chunks, the rejection sampler and the whole-n object samplers
+all draw with it.
 """
 
 from __future__ import annotations
@@ -37,14 +35,11 @@ from .geometry import region_test
 
 __all__ = [
     "SamplerConfig",
-    "density_blocks",
     "sample_real_pure",
     "sample_complex_pure",
     "sample_density",
     "sample_unitary",
-    "sample_unitary_params",
     "unitaries_from_params",
-    "cc_components",
     "kernel_components",
     "SAMPLE_CHUNK_KEY",
     "sample_region_components",
@@ -63,6 +58,10 @@ _CHUNK = 4096
 SAMPLE_CHUNK_KEY = 0x73616D70  # "samp" in ASCII
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Seed and knobs for the sampling layer.
@@ -77,9 +76,8 @@ class SamplerConfig:
     max_rejections: int = 10_000_000
 
     def __post_init__(self):
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not 1 <= self.density_rank <= 4:
             raise ValidationError(f"density_rank must be in 1..4, got {self.density_rank}")
         if self.max_rejections < 1:
@@ -113,50 +111,26 @@ def sample_complex_pure(rng: np.random.Generator, size=None) -> np.ndarray:
     return _squeeze(v, size)
 
 
-def density_blocks(rng: np.random.Generator, rank: int, n: int):
-    """The draw of :func:`sample_density`, a block at a time, each drawn only when
-    taken: real then imaginary normals of the ``rank`` pure components, (n, rank, 4)
-    each, then (above rank 1) their Dirichlet weights, (n, rank)."""
-    if not 1 <= rank <= 4:
-        raise ValidationError(f"rank must be in 1..4, got {rank}")
-    yield rng.standard_normal((n, rank, 4))
-    yield rng.standard_normal((n, rank, 4))
-    if rank > 1:
-        yield rng.dirichlet(np.ones(rank), size=n)
-
-
-def _density_from_blocks(blocks) -> np.ndarray:
-    states = next(blocks) + 1j * next(blocks)
-    states /= np.linalg.norm(states, axis=2, keepdims=True)
-    lam = next(blocks, None)
-    if lam is None:
-        lam = np.ones((len(states), 1))
-    return np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
-
-
-def _sphere_and_phase(rng: np.random.Generator, v: np.ndarray) -> tuple:
-    """(a1, a2, b1, b2, alpha): the four rows of the normals ``v``, (4, n),
-    projected on the unit sphere, then n uniform phases drawn from ``rng``."""
-    v /= np.sqrt(((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]) + v[3] * v[3])
-    return (*v, rng.uniform(0.0, 2.0 * np.pi, size=v.shape[1]))
+def _densities(components) -> np.ndarray:
+    """The density operators, (n, 4, 4), of 'CC' components in the layout of
+    :func:`kernel_components`: sum_r lam_r |psi_r><psi_r|, psi_r = x_r + i y_r
+    normalised, with weight 1 at rank 1."""
+    states = components[0] + 1j * components[1]
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    lam = components[2] if len(components) > 2 else np.ones(states.shape[::2])
+    return np.einsum("rn,rin,rjn->nij", lam, states, states.conj())
 
 
 def sample_density(rng: np.random.Generator, rank: int = 4, size=None) -> np.ndarray:
     """Mixtures of ``rank`` unitarily-invariant pure states with flat simplex weights."""
-    blocks = density_blocks(rng, rank, 1 if size is None else int(size))
-    return _squeeze(_density_from_blocks(blocks), size)
+    components = kernel_components(rng, "CC", rank, 1 if size is None else size)
+    return _squeeze(_densities(components), size)
 
 
 def sample_unitary(rng: np.random.Generator, size=None) -> np.ndarray:
     """2x2 unitaries from the uniform 3-sphere x phase parameterization."""
-    params = sample_unitary_params(rng, 1 if size is None else int(size))
+    params = kernel_components(rng, "DC", 1, 1 if size is None else size)
     return _squeeze(unitaries_from_params(*params), size)
-
-
-def sample_unitary_params(rng: np.random.Generator, n: int):
-    """Raw parameters (a1, a2, b1, b2, alpha): uniform sphere and uniform phase,
-    from (n, 4) sphere normals, then n phases."""
-    return _sphere_and_phase(rng, rng.standard_normal((n, 4)).T.copy())
 
 
 def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
@@ -175,24 +149,26 @@ def unitaries_from_params(a1, a2, b1, b2, alpha) -> np.ndarray:
     return u
 
 
-def cc_components(blocks) -> tuple:
-    """The density draw's blocks as the contiguous component columns that
-    ``correlation.correlation_matrix_batch`` takes: the real and imaginary normals,
-    (rank, 4, n) each, then (above rank 1) the weights, (rank, n), from the
-    blocks of :func:`density_blocks`."""
-    return tuple(np.ascontiguousarray(np.moveaxis(block, 0, -1)) for block in blocks)
-
-
 def kernel_components(rng: np.random.Generator, kind: str, rank: int, size: int) -> tuple:
     """``size`` objects' components drawn straight in the layout that
     ``correlation.correlation_matrix_batch`` reads, rows last. 'CC': the real,
     then the imaginary normals of ``rank`` pure components, (rank, 4, size)
     each, then, above rank 1, flat Dirichlet weights, (rank, size), drawn as
-    standard exponentials and divided by their sum. 'DC': (a1, a2, b1, b2) from
-    (4, size) normals projected on the unit sphere, then ``size`` uniform phases.
-    Column i of each depends only on the generator and ``size``."""
+    standard exponentials and divided by their sum. 'DC', which reads no rank:
+    (a1, a2, b1, b2) from (4, size) normals projected on the unit sphere, then
+    ``size`` uniform phases. Column i of each depends only on the generator and
+    ``size``. ``ValidationError``, before any draw, unless ``kind`` is 'CC' or
+    'DC', ``rank`` an integer in 1..4 and ``size`` an integer >= 1."""
+    if kind not in REGIONS_BY_KIND:
+        raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
+    if not _is_integer(rank) or not 1 <= rank <= 4:
+        raise ValidationError(f"rank must be an integer in 1..4, got {rank!r}")
+    if not _is_integer(size) or size < 1:
+        raise ValidationError(f"size must be an integer >= 1, got {size!r}")
     if kind == "DC":
-        return _sphere_and_phase(rng, rng.standard_normal((4, size)))
+        v = rng.standard_normal((4, size))
+        v /= np.sqrt(((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]) + v[3] * v[3])
+        return (*v, rng.uniform(0.0, 2.0 * np.pi, size=size))
     components = (rng.standard_normal((rank, 4, size)), rng.standard_normal((rank, 4, size)))
     if rank == 1:
         return components
@@ -216,10 +192,7 @@ def _region_chunks(cfg: SamplerConfig, kind: str, region: str, size: int, rng, t
                 accepted=n_accepted,
                 attempts=attempts,
             )
-        if kind == "CC":
-            components = cc_components(density_blocks(rng, cfg.density_rank, _CHUNK))
-        else:
-            components = sample_unitary_params(rng, _CHUNK)
+        components = kernel_components(rng, kind, cfg.density_rank, _CHUNK)
         attempts += _CHUNK
         pts = np.stack(correlation_matrix_batch(kind, components, diagonal=True), axis=1)
         keep = np.flatnonzero(member(pts, tol))[: size - n_accepted]
@@ -236,9 +209,8 @@ def sample_region_components(
     tol: float = 1e-9,
 ) -> tuple:
     """Rejection-sample the drawn components of ``size`` objects whose correlation
-    point lies in ``region``: those of :func:`cc_components` ('CC') or of
-    :func:`sample_unitary_params` ('DC'), each with the rows last, as the chunks of
-    ``_region_chunks`` concatenated.
+    point lies in ``region``: those of :func:`kernel_components`, each with the rows
+    last, as the chunks of ``_region_chunks`` concatenated.
 
     Draws always come in full chunks of ``_CHUNK`` objects, so the accepted
     stream depends only on the generator, not on ``cfg.max_rejections``. The
@@ -271,7 +243,7 @@ def sample_in_region_batch(
     components = sample_region_components(cfg, kind, region, size, rng, tol)
     if kind == "DC":
         return unitaries_from_params(*components)
-    return _density_from_blocks(np.moveaxis(column, -1, 0) for column in components)
+    return _densities(components)
 
 
 def sample_in_region(

@@ -65,21 +65,33 @@ def _search_escape_oracle(kind, target, max_tries=2000, cfg=None, rng=None):
     return None
 
 
+def _first_escaping(kind, cfg, tries, search_cfg):
+    """The first overlap object of ``cfg``'s stream that :func:`_search_escape_oracle`
+    moves out in ``tries`` rotations from ``search_cfg``, and the object after it."""
+    objs = sample_in_region_batch(cfg, kind, "O", 64)
+    for k, target in enumerate(objs[:-1]):
+        if _search_escape_oracle(kind, target, tries, search_cfg) is not None:
+            return objs[k], objs[k + 1]
+    raise AssertionError(f"no escaping {kind} object in the first 63 of seed {cfg.seed}")
+
+
 @functools.cache
 def _search_targets():
     """Ambiguous objects: CC at ranks 1-4 and DC, some escaping early, some
-    late (the DC one nearest |tr u|^2/4 = 1/2) and some never."""
+    late (the DC one nearest |tr u|^2/4 = 1/2) and some never. Each stream's
+    "-0" object is its first one that the random search moves out, and "-1" the
+    next one."""
     targets = {
         "cc-maximally-mixed": ("CC", np.eye(4, dtype=complex) / 4),
         "cc-separable-rank2": ("CC", np.diag([0.5, 0, 0, 0.5]).astype(complex)),
         "dc-phase-gate": ("DC", np.diag([1, 1j])),
     }
-    for rank in (1, 2, 3, 4):
-        cfg = SamplerConfig(seed=600 + rank, density_rank=rank)
-        for k, rho in enumerate(sample_in_region_batch(cfg, "CC", "O", 2)):
-            targets[f"cc-rank{rank}-{k}"] = ("CC", rho)
-    for k, u in enumerate(sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 2)):
-        targets[f"dc-{k}"] = ("DC", u)
+    streams = {f"cc-rank{rank}": ("CC", SamplerConfig(seed=600 + rank, density_rank=rank))
+               for rank in (1, 2, 3, 4)}
+    streams["dc"] = ("DC", SamplerConfig(seed=700))
+    for name, (kind, cfg) in streams.items():
+        for k, obj in enumerate(_first_escaping(kind, cfg, 515, SamplerConfig(seed=1))):
+            targets[f"{name}-{k}"] = (kind, obj)
     us = sample_in_region_batch(SamplerConfig(seed=701), "DC", "O", 200)
     targets["dc-late"] = ("DC", us[np.argmax(np.abs(np.trace(us, axis1=1, axis2=2)))])
     return targets
@@ -296,7 +308,7 @@ class TestEscapeExperiment:
             oracle = corr.dc_pvector_batch(bc._transform_unitary_batch(objs, v))
             cut = geo.in_otd
         m = corr.correlation_matrix_batch(kind, components)
-        got = corr.rotated_pvector_batch(m, bc._transfer_matrix(v))
+        got = corr.rotated_pvector_batch(m, corr._object_matrix("DC", v))
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-14)
         escaped = int((cut(oracle, 1e-9) & ~geo.in_overlap(oracle, 1e-9)).sum())
         assert bc.escape_experiment(kind, v, 3_000, cfg).escaped == escaped
@@ -336,7 +348,7 @@ class TestEscapeExperiment:
                 for field in ("kind", "n_samples", "escaped", "proportion", "image_in_target"):
                     assert getattr(single, field) == getattr(res, field), (n, field)
                 assert np.array_equal(single.v, res.v) and np.array_equal(res.v, v)
-                pts = corr.rotated_pvector_batch(m, bc._transfer_matrix(v))
+                pts = corr.rotated_pvector_batch(m, corr._object_matrix("DC", v))
                 cut = geo.in_otc if kind == "CC" else geo.in_otd
                 assert res.escaped == int((cut(pts, 1e-9) & ~geo.in_overlap(pts, 1e-9)).sum())
         assert made >= 2  # the last n crossed a block boundary
@@ -358,7 +370,9 @@ class TestEscapeExperiment:
     def test_transfer_matrix_of_the_reference_rotations(self):
         sampled = sample_unitary(np.random.default_rng(7))
         for v in (*bc.ESCAPE_V_SET, HADAMARD, qmath.pauli(0), sampled):
-            np.testing.assert_allclose(bc._transfer_matrix(v), _adjoint(v), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(
+                corr._object_matrix("DC", v), _adjoint(v), rtol=0, atol=1e-15
+            )
 
 
 def _adjoint(v):
@@ -450,7 +464,7 @@ class TestSearchChecks:
             moved, own = bc.transform_unitary(target, v), geo.RegionLabel.DC_ONLY
             point = oracles.dc_pvector_batch_oracle(moved[None])[0]
         m = corr._object_matrix(kind, target[None])
-        got = corr.rotated_pvector_batch(m, bc._transfer_matrix(v))[0]
+        got = corr.rotated_pvector_batch(m, corr._object_matrix("DC", v))[0]
         np.testing.assert_allclose(got, point, rtol=0, atol=1e-14)
         assert geo.classify(point, 1e-9) is own
         assert np.abs(point).sum() == pytest.approx(1.0 + margin, abs=1e-12)

@@ -23,14 +23,14 @@ from qcausal import geometry as geo
 from qcausal.errors import ConsistencyError, ValidationError
 from qcausal.samplers import (
     SamplerConfig,
-    _density_from_blocks,
+    _densities,
     sample_in_region_batch,
     sample_unitary,
     unitaries_from_params,
 )
 from golden.cases import INPUTS
 from oracles import sample_components_oracle
-from test_basis_change import _search_escape_oracle
+from test_basis_change import _first_escaping, _search_escape_oracle
 from test_geometry import near_face_points
 
 
@@ -208,13 +208,16 @@ class TestClassifyCommand:
         "name, escapes", [("stuck-density", False), ("density", True), ("unitary", True)]
     )
     def test_escape_report_matches_oracle(self, seed, name, escapes):
+        # the escaping targets: the first object of a seeded overlap stream that the
+        # random search moves out
         if name == "stuck-density":
             kind, target = "CC", np.eye(4, dtype=complex) / 4
         elif name == "density":
             cfg = SamplerConfig(seed=601, density_rank=1)
-            kind, target = "CC", sample_in_region_batch(cfg, "CC", "O", 1)[0]
+            kind, target = "CC", _first_escaping("CC", cfg, 300, SamplerConfig(seed=seed))[0]
         else:
-            kind, target = "DC", sample_in_region_batch(SamplerConfig(seed=700), "DC", "O", 1)[0]
+            cfg = SamplerConfig(seed=700)
+            kind, target = "DC", _first_escaping("DC", cfg, 300, SamplerConfig(seed=seed))[0]
         doc = document_from_array("density" if kind == "CC" else "unitary", target)
         escape = cli.run_classify(doc, seed=seed).results["escape"]
         found = _search_escape_oracle(kind, target, 300, SamplerConfig(seed=seed))
@@ -446,7 +449,7 @@ class TestSampleStreaming:
         cli.run_sample("CC", n, seed=5, out_path=str(path), rank=rank)
         rows = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1, 2))
         components = sample_components_oracle("CC", n, 5, rank)
-        rhos = _density_from_blocks(np.moveaxis(column, -1, 0) for column in components)
+        rhos = _densities(components)
         assert np.abs(rows - corr.cc_pvector_batch(rhos)).max() <= 1e-12
 
     @pytest.mark.parametrize("kind", ["DC", "CC"])

@@ -16,12 +16,11 @@ from qcausal import geometry as geo
 from qcausal import qmath
 from qcausal.samplers import (
     SamplerConfig,
-    cc_components,
-    density_blocks,
+    _densities,
+    kernel_components,
     sample_density,
     sample_in_region_batch,
     sample_unitary,
-    sample_unitary_params,
     unitaries_from_params,
 )
 import oracles
@@ -111,20 +110,19 @@ def perturbed_unitaries(rng, tol):
 @settings(max_examples=60, deadline=None)
 @given(seed=seeds, rank=ranks)
 def test_rotated_axes_equal_transformed_objects(seed, rank):
-    # the kernel's components and the objects come from one draw, twice
+    # the kernel's components and the objects come from one draw, twice: the
+    # object samplers build their objects from those very components, bit for bit
     v = sample_unitary(np.random.default_rng(seed))
-    q = bc._transfer_matrix(v)
+    q = corr._object_matrix("DC", v)
     for kind in ("CC", "DC"):
-        rng = np.random.default_rng(seed)
-        if kind == "CC":
-            components = cc_components(density_blocks(rng, rank, 16))
-        else:
-            components = sample_unitary_params(rng, 16)
+        components = kernel_components(np.random.default_rng(seed), kind, rank, 16)
         if kind == "CC":
             objs = sample_density(np.random.default_rng(seed), rank=rank, size=16)
+            assert objs.tobytes() == _densities(components).tobytes()
             oracle = corr.cc_pvector_batch(bc._transform_density_batch(objs, v))
         else:
             objs = sample_unitary(np.random.default_rng(seed), size=16)
+            assert objs.tobytes() == unitaries_from_params(*components).tobytes()
             oracle = corr.dc_pvector_batch(bc._transform_unitary_batch(objs, v))
         m = corr.correlation_matrix_batch(kind, components)
         np.testing.assert_allclose(corr.rotated_pvector_batch(m, q), oracle, rtol=0, atol=1e-12)
@@ -139,12 +137,12 @@ def test_six_products_match_nine(seed, rank):
     # for a sampled rotation and the four reference rotations
     rng = np.random.default_rng(seed)
     rotations = [sample_unitary(rng), *bc.ESCAPE_V_SET]
-    for components in (cc_components(density_blocks(rng, rank, 512)),
-                       sample_unitary_params(rng, 512)):
+    for components in (kernel_components(rng, "CC", rank, 512),
+                       kernel_components(rng, "DC", rank, 512)):
         kind = "CC" if len(components) != 5 else "DC"
         m = corr.correlation_matrix_batch(kind, components)
         for v in rotations:
-            q = bc._transfer_matrix(v)
+            q = corr._object_matrix("DC", v)
             np.testing.assert_allclose(
                 corr.rotated_pvector_batch(m, q), oracles.rotated_pvector_oracle(m, q),
                 rtol=0, atol=1e-15,
@@ -220,7 +218,7 @@ def test_stacked_is_unitary_agrees_with_scalar(seed):
 def test_point_bits_do_not_depend_on_the_stack(seed, rank, size, data):
     rng = np.random.default_rng(seed)
     rhos = sample_density(rng, rank=rank, size=size)
-    params = sample_unitary_params(rng, size)  # the draw of sample_unitary(rng, size)
+    params = kernel_components(rng, "DC", 1, size)  # the draw of sample_unitary(rng, size)
     us = unitaries_from_params(*params)
     cc, dc = corr.cc_pvector_batch(rhos), corr.dc_pvector_batch(us)
     axis = data.draw(st.sampled_from([1, 2, 3]))

@@ -226,11 +226,15 @@ class TestConfigValidation:
 
 
 def direct_density_oracle(rng, rank, n):
-    """sample_density written out as one expression per step."""
-    states = rng.standard_normal((n, rank, 4)) + 1j * rng.standard_normal((n, rank, 4))
-    states /= np.linalg.norm(states, axis=2, keepdims=True)
-    lam = np.ones((n, 1)) if rank == 1 else rng.dirichlet(np.ones(rank), size=n)
-    return np.einsum("nr,nri,nrj->nij", lam, states, states.conj())
+    """sample_density written out as one expression per step: the real and the
+    imaginary normals, (rank, 4, n) each, then standard exponentials over their sum."""
+    real = rng.standard_normal((rank, 4, n))
+    imag = rng.standard_normal((rank, 4, n))
+    states = real + 1j * imag
+    states = states / np.linalg.norm(states, axis=1, keepdims=True)
+    exponentials = np.ones((rank, n)) if rank == 1 else rng.standard_exponential((rank, n))
+    lam = exponentials / exponentials.sum(axis=0)
+    return np.einsum("rn,rin,rjn->nij", lam, states, states.conj())
 
 
 class TestDraws:
@@ -246,12 +250,35 @@ class TestDraws:
     def test_unitary_params_match_the_direct_formula(self):
         cfg = samplers.SamplerConfig(seed=18)
         rng, oracle_rng = cfg.rng(), cfg.rng()
-        v = oracle_rng.standard_normal((5000, 4))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        v = oracle_rng.standard_normal((4, 5000))
+        v = v / np.sqrt((v * v).sum(axis=0))
         alpha = oracle_rng.uniform(0.0, 2.0 * np.pi, size=5000)
-        got = samplers.sample_unitary_params(rng, 5000)
-        for a, b in zip(got, (*v.T, alpha)):
+        got = samplers.kernel_components(rng, "DC", 1, 5000)
+        assert len(got) == 5
+        for a, b in zip(got, (*v, alpha)):
             assert a.tobytes() == b.tobytes()
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: samplers.kernel_components(rng, "dc", 4, 3),
+            lambda rng: samplers.kernel_components(rng, "CC", 0, 3),
+            lambda rng: samplers.kernel_components(rng, "CC", 5, 3),
+            lambda rng: samplers.kernel_components(rng, "DC", True, 3),
+            lambda rng: samplers.kernel_components(rng, "DC", 4, 0),
+            lambda rng: samplers.sample_density(rng, size=-1),
+            lambda rng: samplers.sample_unitary(rng, size=2.5),
+        ],
+        ids=["lowercase-kind", "rank-0", "rank-5", "bool-rank", "size-0", "size-minus-1",
+             "size-2.5"],
+    )
+    def test_bad_arguments_raise_before_drawing(self, draw):
+        rng = samplers.SamplerConfig(seed=19).rng()
+        state = rng.bit_generator.state
+        with pytest.raises(ValidationError):
+            draw(rng)
+        assert rng.bit_generator.state == state
 
 
 class TestKernelComponents:
