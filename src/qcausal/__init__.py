@@ -17,9 +17,6 @@ from .basis_change import (
 )
 from .bounds import (
     BoundReport,
-    grid_extremum,
-    multistart_state_extremum,
-    multistart_unitary_extremum,
     polish_extremum,
 )
 from .correlation import (
@@ -60,7 +57,6 @@ from .samplers import (
     SamplerConfig,
     sample_complex_pure,
     sample_density,
-    sample_in_region,
     sample_real_pure,
     sample_unitary,
 )

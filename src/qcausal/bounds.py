@@ -55,10 +55,7 @@ from .samplers import SamplerConfig, unitaries_from_params
 
 __all__ = [
     "BoundReport",
-    "grid_extremum",
     "polish_extremum",
-    "multistart_state_extremum",
-    "multistart_unitary_extremum",
     "TARGET_VALUES",
 ]
 
@@ -90,20 +87,9 @@ class BoundReport:
     value: float
     witness: np.ndarray
     witness_object: np.ndarray
-    starts: int | None = None
     converged: bool = True
     evaluations: int | None = None
     nonconverged: int | None = None
-
-
-def _target_for(t: Tetrahedron, direction: str) -> str:
-    if direction not in ("MIN", "MAX"):
-        raise ValidationError(f"direction must be 'MIN' or 'MAX', got {direction!r}")
-    if t is tcc():
-        return f"CC_{direction}"
-    if t is tdc():
-        return f"DC_{direction}"
-    raise ValidationError("bounds run over the two canonical tetrahedra only")
 
 
 def _witness_object(target: str, weights: np.ndarray) -> np.ndarray:
@@ -155,13 +141,6 @@ def _grid_extrema(targets, step: float) -> dict[str, BoundReport]:
         target: BoundReport(target, float(value), w, _witness_object(target, w))
         for target, (value, w) in best.items()
     }
-
-
-def grid_extremum(t: Tetrahedron, direction: str, step: float) -> BoundReport:
-    """Extremum over the weights (i, j, k, n-i-j-k)/n, n = 1/step; the first in
-    lexicographic (i, j, k) order wins a tie."""
-    target = _target_for(t, direction)
-    return _grid_extrema([target], step)[target]
 
 
 # The compass moves in sweep order, each taking weight from _MOVE_FROM to _MOVE_TO.
@@ -422,30 +401,8 @@ def _multistart_extrema(
             obj = unitaries_from_params(v[0], v[1], v[2], v[3], best[4])
             weights = barycentric(tdc(), dc_pvector(obj).as_array(), tol=1e-6)
         reports[target] = BoundReport(
-            target, float(signs[at] * res.fun[at]), weights, obj, starts=starts,
+            target, float(signs[at] * res.fun[at]), weights, obj,
             evaluations=int(res.evaluations[part].sum()),
             nonconverged=int((~res.converged[part]).sum()),
         )
     return reports
-
-
-def multistart_state_extremum(
-    direction: str, starts: int, cfg: SamplerConfig
-) -> BoundReport:
-    """Multi-start Nelder-Mead over real dimension-4 states.
-
-    Optimizes the statistic of the state's correlation point; coordinates
-    are coefficients in the entangled basis (an orthogonal change of
-    basis), normalized inside the objective so the search is effectively
-    on the unit sphere.
-    """
-    target = _target_for(tcc(), direction)
-    return _multistart_extrema("CC", [direction], starts, cfg)[target]
-
-
-def multistart_unitary_extremum(
-    direction: str, starts: int, cfg: SamplerConfig
-) -> BoundReport:
-    """Multi-start Nelder-Mead over sphere-plus-phase unitary parameters."""
-    target = _target_for(tdc(), direction)
-    return _multistart_extrema("DC", [direction], starts, cfg)[target]

@@ -341,7 +341,7 @@ def _encode_rows(rows: np.ndarray, codes: np.ndarray) -> bytes:
 
 
 def _sample_chunk(
-    kind: str, cfg: samplers.SamplerConfig, fd: int, turn, written, item: tuple[int, tuple]
+    kind: str, cfg: samplers.SamplerConfig, fd: int, item: tuple[int, tuple]
 ) -> tuple[int, float, float]:
     """Bound violations and the min and max of C of chunk k of ``sample``, whose
     CSV rows ``lo:hi`` it writes to ``fd`` on its turn; ``item`` is (k, (lo, hi)).
@@ -349,42 +349,26 @@ def _sample_chunk(
     The chunk draws a full ``_CHUNK_ROWS`` rows, in the kernel's layout, from
     ``cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k)`` and keeps the first hi - lo,
     so a row depends only on the seed and its index. The points take them in
-    real arithmetic, whose bits do not depend on numpy's SIMD loops. The turn
-    comes when the counter ``written``, under the Condition ``turn``, reaches k.
-    Each worker computes its chunks in order (``_ordered_map``), so each chunk
-    before k is done or next in a live worker's turn. A chunk that fails still
-    takes its turn and sets the counter to -1, so no chunk waits for good and
-    none after it writes: the CSV of a failed run is a prefix of the whole one."""
+    real arithmetic, whose bits do not depend on numpy's SIMD loops."""
     k, (lo, hi) = item
-    encoded = None
-    try:
-        rng = cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k)
-        drawn = samplers.kernel_components(rng, kind, cfg.density_rank, _CHUNK_ROWS)
-        diagonal = correlation.correlation_matrix_batch(
-            kind, tuple(column[..., : hi - lo] for column in drawn), diagonal=True
-        )
-        rows = np.empty((hi - lo, 4))
-        pts, cvals = rows[:, :3], rows[:, 3]
-        np.stack(diagonal, axis=1, out=pts)
-        cvals[:] = correlation.statistic_c_batch(pts)
-        if kind == "CC":
-            violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
-        else:
-            violations = int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
-        encoded = _encode_rows(rows, geometry._classify_codes(pts, tol=1e-9))
-        return violations, cvals.min(), cvals.max()
-    finally:
-        with turn:
-            try:
-                turn.wait_for(lambda: written.value in (k, -1))  # -1 once a chunk has failed
-                ours = written.value == k and encoded is not None
-                written.value = -1  # until this chunk's rows are out
-                if ours:
-                    with open(fd, "wb", closefd=False) as out:
-                        out.write(encoded)
-                    written.value = k + 1
-            finally:
-                turn.notify_all()
+    rng = cfg.worker_rng(samplers.SAMPLE_CHUNK_KEY, k)
+    drawn = samplers.kernel_components(rng, kind, cfg.density_rank, _CHUNK_ROWS)
+    diagonal = correlation.correlation_matrix_batch(
+        kind, tuple(column[..., : hi - lo] for column in drawn), diagonal=True
+    )
+    rows = np.empty((hi - lo, 4))
+    pts, cvals = rows[:, :3], rows[:, 3]
+    np.stack(diagonal, axis=1, out=pts)
+    cvals[:] = correlation.statistic_c_batch(pts)
+    if kind == "CC":
+        violations = int((cvals > bounds.TARGET_VALUES["CC_MAX"] + BOUND_SLACK).sum())
+    else:
+        violations = int((cvals < bounds.TARGET_VALUES["DC_MIN"] - BOUND_SLACK).sum())
+    encoded = _encode_rows(rows, geometry._classify_codes(pts, tol=1e-9))
+    _take_turn()
+    with open(fd, "wb", closefd=False) as out:
+        out.write(encoded)
+    return violations, cvals.min(), cvals.max()
 
 
 def _exit_with_parent(parent: int) -> None:
@@ -394,21 +378,38 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _work(call, items: list, out, parent: int) -> None:
-    """Pickle ``(True, call(item))`` or ``(False, exception)`` per item to ``out``, then exit."""
+# In a worker of ``_ordered_map``: its turn pipe's read end while the item's turn is due.
+_turn_due = None
+
+
+def _take_turn() -> None:
+    """Wait for the current item's turn (see ``_ordered_map``); at most once per item."""
+    global _turn_due
+    if _turn_due is not None:
+        os.read(_turn_due, 1)
+        _turn_due = None
+
+
+def _work(call, items: list, out, turn: int, parent: int) -> None:
+    """Pickle ``(True, call(item))`` or ``(False, exception)`` per item to ``out``
+    and take the item's turn from ``turn`` if the call did not, then exit."""
+    global _turn_due
     try:
         threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
         for item in items:
+            _turn_due = turn
             try:
                 pickle.dump((True, call(item)), out)
             except Exception as exc:
                 pickle.dump((False, exc), out)
             out.flush()
+            _take_turn()
     finally:
         os._exit(0)
 
 
-def _receive(pipe, index: int):
+def _receive(pipe, turn: int, index: int):
+    os.write(turn, b"\0")  # item index's turn
     try:
         ok, value = pickle.load(pipe)
     except (EOFError, pickle.UnpicklingError):
@@ -428,6 +429,13 @@ def _ordered_map(task, shared: tuple, items: list):
     read from pipe i mod W: a worker's exception is raised there, and a dead
     worker is a ``ConsistencyError``. Leaving the block kills and reaps every
     worker. Forking is safe here: the CLI starts no thread.
+
+    A task writes what must come out in item order after ``_take_turn()``. Item
+    i's turn comes when this process starts to read item i, so after every
+    earlier item has returned: one byte on worker i mod W's turn pipe, whose two
+    ends this process holds open. A worker takes the turn of an item whose task
+    did not, after sending its result, so the grants never fill a pipe. No item
+    after a failed one gets its turn. Here ``_take_turn`` returns at once.
     """
     call = functools.partial(task, *shared)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -435,23 +443,26 @@ def _ordered_map(task, shared: tuple, items: list):
     if workers < 2 or not hasattr(os, "fork"):
         yield map(call, items)
         return
-    parent, pids, pipes = os.getpid(), [], []
+    parent, pids, pipes, turns = os.getpid(), [], [], []
     try:
         for w in range(workers):
             read, write = os.pipe()
             pipes.append(open(read, "rb"))
+            turns.append(os.pipe())
             with open(write, "wb") as out:  # this process's copy closes once forked
                 pid = os.fork()
                 if pid == 0:
-                    _work(call, items[w::workers], out, parent)
+                    _work(call, items[w::workers], out, turns[w][0], parent)
             pids.append(pid)
-        yield (_receive(pipes[i % workers], i) for i in range(len(items)))
+        yield (_receive(pipes[i % workers], turns[i % workers][1], i) for i in range(len(items)))
     finally:
         for pid in pids:
             os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+        for fd in sum(turns, ()):
+            os.close(fd)
 
 
 def run_sample(
@@ -463,8 +474,8 @@ def run_sample(
     draws from its own generator, so row i depends only on the seed and i, and
     computes, encodes and writes its own rows (``_sample_chunk``), with no
     density operator or unitary built and each float as ``repr`` writes it
-    (``_encode_rows``). The chunks run on every usable CPU (``_ordered_map``)
-    and write, in chunk order, to the CSV's file descriptor, which the workers
+    (``_encode_rows``). The chunks run on every usable CPU and write on their
+    turn (``_ordered_map``) to the CSV's file descriptor, which the workers
     inherit. This process writes the header first; it draws nothing, and of
     each chunk it receives only the bound violations and the min and max of C.
     """
@@ -475,17 +486,12 @@ def run_sample(
     cfg = samplers.SamplerConfig(seed=seed, density_rank=rank)
     # each chunk's item: here, and copied on write in each worker that reads it
     _check_memory(-(-n // _CHUNK_ROWS), 260 + 170 * (os.cpu_count() or 1), f"--n {n}")
-    import multiprocessing  # here, not at the top: it adds about 20 ms to importing the CLI
-
-    context = multiprocessing.get_context("fork" if hasattr(os, "fork") else None)
-    turn, written = context.Condition(), context.RawValue("q", 0)  # the chunks' write turn
-
     n_violations = 0
     min_c, max_c = np.inf, -np.inf
     with open(out_path, "wb") as handle:
         handle.write(_CSV_HEADER.encode("ascii") + b"\n")
         handle.flush()
-        shared = (kind, cfg, handle.fileno(), turn, written)
+        shared = (kind, cfg, handle.fileno())
         with _ordered_map(_sample_chunk, shared, list(enumerate(_chunk_bounds(n)))) as results:
             for violations, lo_c, hi_c in results:
                 n_violations += violations

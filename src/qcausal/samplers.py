@@ -43,7 +43,6 @@ __all__ = [
     "kernel_components",
     "SAMPLE_CHUNK_KEY",
     "sample_region_components",
-    "sample_in_region",
     "sample_in_region_batch",
     "REGIONS_BY_KIND",
 ]
@@ -78,10 +77,14 @@ class SamplerConfig:
     def __post_init__(self):
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if not 1 <= self.density_rank <= 4:
-            raise ValidationError(f"density_rank must be in 1..4, got {self.density_rank}")
-        if self.max_rejections < 1:
-            raise ValidationError("max_rejections must be >= 1")
+        if not _is_integer(self.density_rank) or not 1 <= self.density_rank <= 4:
+            raise ValidationError(
+                f"density_rank must be an integer in 1..4, got {self.density_rank!r}"
+            )
+        if not _is_integer(self.max_rejections) or self.max_rejections < 1:
+            raise ValidationError(
+                f"max_rejections must be an integer >= 1, got {self.max_rejections!r}"
+            )
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence(self.seed))
@@ -91,21 +94,27 @@ class SamplerConfig:
         return np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=key))
 
 
+def _rows(size) -> int:
+    """``size``, refused with ``ValidationError`` unless an integer >= 1."""
+    if not _is_integer(size) or size < 1:
+        raise ValidationError(f"size must be an integer >= 1, got {size!r}")
+    return size
+
+
 def _squeeze(batch: np.ndarray, size):
     return batch[0] if size is None else batch
 
 
 def sample_real_pure(rng: np.random.Generator, size=None) -> np.ndarray:
     """Real unit vectors in dimension 4, uniform on the 3-sphere."""
-    n = 1 if size is None else int(size)
-    v = rng.standard_normal((n, 4))
+    v = rng.standard_normal((1 if size is None else _rows(size), 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return _squeeze(v.astype(complex), size)
 
 
 def sample_complex_pure(rng: np.random.Generator, size=None) -> np.ndarray:
     """Complex unit vectors in dimension 4, unitarily invariant."""
-    n = 1 if size is None else int(size)
+    n = 1 if size is None else _rows(size)
     v = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return _squeeze(v, size)
@@ -163,8 +172,7 @@ def kernel_components(rng: np.random.Generator, kind: str, rank: int, size: int)
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     if not _is_integer(rank) or not 1 <= rank <= 4:
         raise ValidationError(f"rank must be an integer in 1..4, got {rank!r}")
-    if not _is_integer(size) or size < 1:
-        raise ValidationError(f"size must be an integer >= 1, got {size!r}")
+    _rows(size)
     if kind == "DC":
         v = rng.standard_normal((4, size))
         v /= np.sqrt(((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2]) + v[3] * v[3])
@@ -224,8 +232,7 @@ def sample_region_components(
             f"region {region!r} is not compatible with kind {kind!r}; "
             f"expected one of {REGIONS_BY_KIND[kind]}"
         )
-    if size < 1:
-        raise ValidationError("size must be >= 1")
+    _rows(size)
     chunks = _region_chunks(cfg, kind, region, size, cfg.rng() if rng is None else rng, tol)
     return tuple(np.concatenate(columns, axis=-1) for columns in zip(*chunks))
 
@@ -244,15 +251,3 @@ def sample_in_region_batch(
     if kind == "DC":
         return unitaries_from_params(*components)
     return _densities(components)
-
-
-def sample_in_region(
-    cfg: SamplerConfig,
-    kind: str,
-    region: str,
-    size=None,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Single-object (or batched) region-conditioned draw."""
-    batch = sample_in_region_batch(cfg, kind, region, 1 if size is None else int(size), rng)
-    return _squeeze(batch, size)

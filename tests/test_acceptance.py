@@ -123,14 +123,14 @@ def test_criterion_05_bound_certification():
     start = time.perf_counter()
     cfg = SamplerConfig(seed=SEED + 2)
 
-    grid_cc = bounds.polish_extremum(bounds.grid_extremum(geo.tcc(), "MAX", 0.01))
-    multi_cc = bounds.multistart_state_extremum("MAX", 200, cfg)
+    grid_cc = bounds.polish_extremum(bounds._grid_extrema(["CC_MAX"], 0.01)["CC_MAX"])
+    multi_cc = bounds._multistart_extrema("CC", ["MAX"], 200, cfg)["CC_MAX"]
     assert abs(grid_cc.value - CC_MAX) <= 1e-6
     assert abs(multi_cc.value - CC_MAX) <= 1e-6
     assert abs(grid_cc.value - multi_cc.value) <= 1e-6
 
-    grid_dc = bounds.polish_extremum(bounds.grid_extremum(geo.tdc(), "MIN", 0.01))
-    multi_dc = bounds.multistart_unitary_extremum("MIN", 200, cfg)
+    grid_dc = bounds.polish_extremum(bounds._grid_extrema(["DC_MIN"], 0.01)["DC_MIN"])
+    multi_dc = bounds._multistart_extrema("DC", ["MIN"], 200, cfg)["DC_MIN"]
     assert abs(grid_dc.value - DC_MIN) <= 1e-6
     assert abs(multi_dc.value - DC_MIN) <= 1e-6
     assert abs(grid_dc.value - multi_dc.value) <= 1e-6

@@ -42,35 +42,33 @@ class TestGrid:
         weights = simplex_grid_oracle(round(1 / step))
         values = (weights @ tetra.vertices).prod(axis=1)
         best = int(values.argmax() if direction == "MAX" else values.argmin())
-        report = bounds.grid_extremum(tetra, direction, step)
+        report = bounds._grid_extrema([target], step)[target]
         assert report.target == target
         assert np.float64(report.value).tobytes() == values[best].tobytes()
         assert report.witness.tobytes() == weights[best].tobytes()
 
     def test_dc_min(self):
-        report = bounds.grid_extremum(geo.tdc(), "MIN", 0.01)
+        report = bounds._grid_extrema(["DC_MIN"], 0.01)["DC_MIN"]
         assert abs(report.value - DC_MIN) <= 1e-3
         np.testing.assert_allclose(sorted(report.witness), [0, 1 / 3, 1 / 3, 1 / 3], atol=0.02)
 
     def test_cc_max(self):
-        report = bounds.grid_extremum(geo.tcc(), "MAX", 0.01)
+        report = bounds._grid_extrema(["CC_MAX"], 0.01)["CC_MAX"]
         assert abs(report.value - CC_MAX) <= 1e-3
 
     def test_cc_min_exact_at_vertex(self):
-        report = bounds.grid_extremum(geo.tcc(), "MIN", 0.01)
+        report = bounds._grid_extrema(["CC_MIN"], 0.01)["CC_MIN"]
         assert report.value == -1.0
         assert sorted(report.witness) == [0, 0, 0, 1]
 
     def test_dc_max_exact_at_vertex(self):
-        report = bounds.grid_extremum(geo.tdc(), "MAX", 0.01)
+        report = bounds._grid_extrema(["DC_MAX"], 0.01)["DC_MAX"]
         assert report.value == 1.0
 
     def test_step_validation(self):
         for step in [0.5, 0.11, 0.0009, 0.0, -0.01, math.nan, math.inf]:
             with pytest.raises(ValidationError, match=r"grid step must be in \[0.001, 0.1\]"):
-                bounds.grid_extremum(geo.tcc(), "MAX", step)
-        with pytest.raises(ValidationError):
-            bounds.grid_extremum(geo.tcc(), "UP", 0.01)
+                bounds._grid_extrema(["CC_MAX"], step)
 
     @pytest.mark.parametrize("step", ["1e-300", "0.0005", "nan"])
     def test_bad_step_exit_one(self, capfd, step):
@@ -106,8 +104,8 @@ class TestGrid:
         assert kib / 1024 < 100, f"peak RSS {kib / 1024:.1f} MB"
 
     def test_witness_object_reproduces_value(self):
-        for tetra, direction in [(geo.tcc(), "MAX"), (geo.tdc(), "MIN")]:
-            report = bounds.grid_extremum(tetra, direction, 0.02)
+        for target in ["CC_MAX", "DC_MIN"]:
+            report = bounds._grid_extrema([target], 0.02)[target]
             assert abs(witness_value(report) - report.value) <= 1e-8
 
     @pytest.mark.parametrize("step", [0.1, 0.05, 0.01])
@@ -117,8 +115,7 @@ class TestGrid:
         ties = {}
         for target, report in shared.items():
             tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
-            direction = target.split("_")[1]
-            alone = bounds.grid_extremum(tetra, direction, step)
+            alone = bounds._grid_extrema([target], step)[target]
             assert report.target == alone.target == target
             assert np.float64(report.value).tobytes() == np.float64(alone.value).tobytes()
             assert report.witness.tobytes() == alone.witness.tobytes()
@@ -134,26 +131,25 @@ class TestGrid:
 
 class TestPolish:
     def test_cc_max_to_high_accuracy(self):
-        report = bounds.polish_extremum(bounds.grid_extremum(geo.tcc(), "MAX", 0.01))
+        report = bounds.polish_extremum(bounds._grid_extrema(["CC_MAX"], 0.01)["CC_MAX"])
         assert abs(report.value - CC_MAX) <= 1e-8
         assert report.converged
 
     def test_dc_min_to_high_accuracy(self):
-        report = bounds.polish_extremum(bounds.grid_extremum(geo.tdc(), "MIN", 0.01))
+        report = bounds.polish_extremum(bounds._grid_extrema(["DC_MIN"], 0.01)["DC_MIN"])
         assert abs(report.value - DC_MIN) <= 1e-8
 
     def test_vertex_start_already_extremal(self):
-        report = bounds.grid_extremum(geo.tcc(), "MIN", 0.01)
+        report = bounds._grid_extrema(["CC_MIN"], 0.01)["CC_MIN"]
         polished = bounds.polish_extremum(report)
         assert polished.value == -1.0
         np.testing.assert_allclose(polished.witness, report.witness, atol=1e-12)
 
     def test_never_worsens(self):
-        for tetra, direction in [(geo.tcc(), "MAX"), (geo.tcc(), "MIN"),
-                                 (geo.tdc(), "MAX"), (geo.tdc(), "MIN")]:
-            coarse = bounds.grid_extremum(tetra, direction, 0.1)
+        for target in ["CC_MAX", "CC_MIN", "DC_MAX", "DC_MIN"]:
+            coarse = bounds._grid_extrema([target], 0.1)[target]
             polished = bounds.polish_extremum(coarse)
-            if direction == "MAX":
+            if target.endswith("MAX"):
                 assert polished.value >= coarse.value - 1e-15
             else:
                 assert polished.value <= coarse.value + 1e-15
@@ -165,7 +161,7 @@ class TestCompassBatch:
     def test_polish_equals_one_candidate_oracle(self, target, step):
         tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
         sign = 1.0 if target.endswith("MAX") else -1.0
-        grid = bounds.grid_extremum(tetra, target.split("_")[1], step)
+        grid = bounds._grid_extrema([target], step)[target]
         polished = bounds.polish_extremum(grid)
         w, value, converged = oracles.simplex_compass_oracle(tetra, sign, grid.witness, 1e-10)
         assert np.float64(polished.value).tobytes() == np.float64(value).tobytes()
@@ -186,7 +182,7 @@ class TestCompassBatch:
 
     def test_capped_polish_equals_oracle(self, monkeypatch):
         monkeypatch.setattr(bounds, "_POLISH_MAX_ITER", 3)
-        grid = bounds.grid_extremum(geo.tcc(), "MAX", 0.1)
+        grid = bounds._grid_extrema(["CC_MAX"], 0.1)["CC_MAX"]
         polished = bounds.polish_extremum(grid)
         w, value, converged = oracles.simplex_compass_oracle(geo.tcc(), 1.0, grid.witness, 1e-10)
         assert not polished.converged and not converged
@@ -195,15 +191,15 @@ class TestCompassBatch:
 
 class TestMultistartState:
     def test_max_reaches_bound(self):
-        report = bounds.multistart_state_extremum("MAX", 100, SamplerConfig(seed=70))
+        report = bounds._multistart_extrema("CC", ["MAX"], 100, SamplerConfig(seed=70))["CC_MAX"]
         assert abs(report.value - CC_MAX) <= 1e-6
 
     def test_min_reaches_bell_floor(self):
-        report = bounds.multistart_state_extremum("MIN", 100, SamplerConfig(seed=71))
+        report = bounds._multistart_extrema("CC", ["MIN"], 100, SamplerConfig(seed=71))["CC_MIN"]
         assert abs(report.value - (-1.0)) <= 1e-9
 
     def test_witness_consistency(self):
-        report = bounds.multistart_state_extremum("MAX", 50, SamplerConfig(seed=72))
+        report = bounds._multistart_extrema("CC", ["MAX"], 50, SamplerConfig(seed=72))["CC_MAX"]
         assert abs(witness_value(report) - report.value) <= 1e-10
         point = corr.cc_pvector(qmath.projector(report.witness_object)).as_array()
         assert geo.contains(geo.tcc(), point, 1e-9)
@@ -221,23 +217,23 @@ class TestMultistartState:
 
 class TestMultistartUnitary:
     def test_min_reaches_bound(self):
-        report = bounds.multistart_unitary_extremum("MIN", 100, SamplerConfig(seed=73))
+        report = bounds._multistart_extrema("DC", ["MIN"], 100, SamplerConfig(seed=73))["DC_MIN"]
         assert abs(report.value - DC_MIN) <= 1e-6
 
     def test_max_at_pauli_vertex(self):
-        report = bounds.multistart_unitary_extremum("MAX", 100, SamplerConfig(seed=74))
+        report = bounds._multistart_extrema("DC", ["MAX"], 100, SamplerConfig(seed=74))["DC_MAX"]
         assert abs(report.value - 1.0) <= 1e-9
         point = corr.dc_pvector(report.witness_object).as_array()
         distances = np.abs(geo.tdc().vertices - point).max(axis=1)
         assert distances.min() <= 1e-4
 
     def test_agrees_with_grid(self):
-        grid = bounds.grid_extremum(geo.tdc(), "MIN", 0.01)
-        multi = bounds.multistart_unitary_extremum("MIN", 60, SamplerConfig(seed=75))
+        grid = bounds._grid_extrema(["DC_MIN"], 0.01)["DC_MIN"]
+        multi = bounds._multistart_extrema("DC", ["MIN"], 60, SamplerConfig(seed=75))["DC_MIN"]
         assert multi.value >= grid.value - 1e-3
 
     def test_witness_in_tetrahedron(self):
-        report = bounds.multistart_unitary_extremum("MIN", 40, SamplerConfig(seed=76))
+        report = bounds._multistart_extrema("DC", ["MIN"], 40, SamplerConfig(seed=76))["DC_MIN"]
         point = corr.dc_pvector(report.witness_object).as_array()
         assert geo.contains(geo.tdc(), point, 1e-9)
         assert abs(witness_value(report) - report.value) <= 1e-10
@@ -249,14 +245,9 @@ class TestOracleAgreement:
         [("CC_MAX", CC_MAX), ("CC_MIN", -1.0), ("DC_MAX", 1.0), ("DC_MIN", DC_MIN)],
     )
     def test_both_routes_agree(self, target, reference):
-        tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
-        direction = target.split("_")[1]
-        polished = bounds.polish_extremum(bounds.grid_extremum(tetra, direction, 0.01))
-        cfg = SamplerConfig(seed=77)
-        if target.startswith("CC"):
-            multi = bounds.multistart_state_extremum(direction, 80, cfg)
-        else:
-            multi = bounds.multistart_unitary_extremum(direction, 80, cfg)
+        kind, direction = target.split("_")
+        polished = bounds.polish_extremum(bounds._grid_extrema([target], 0.01)[target])
+        multi = bounds._multistart_extrema(kind, [direction], 80, SamplerConfig(seed=77))[target]
         assert abs(polished.value - multi.value) <= 1e-6
         assert abs(polished.value - reference) <= 1e-6
 
@@ -443,7 +434,7 @@ class TestMergedDirections:
     @pytest.mark.parametrize("kind", ["CC", "DC"])
     def test_capped_batch_equals_one_direction(self, monkeypatch, kind):
         # every run of the shared kernel, one batch for both directions and
-        # one per direction through the public functions, stopped at 40 iterations
+        # one per direction, stopped at 40 iterations
         runs = []
 
         def recording(*args):
@@ -455,9 +446,8 @@ class TestMergedDirections:
         monkeypatch.setattr(bounds, "_NM_MAX_ITER", 40)
         cfg = SamplerConfig(seed=5)
         merged = bounds._multistart_extrema(kind, ["MAX", "MIN"], 6, cfg)
-        one = (bounds.multistart_state_extremum if kind == "CC"
-               else bounds.multistart_unitary_extremum)
-        alone = [one(direction, 6, cfg) for direction in ("MAX", "MIN")]
+        alone = [bounds._multistart_extrema(kind, [direction], 6, cfg)[f"{kind}_{direction}"]
+                 for direction in ("MAX", "MIN")]
         assert len(runs) == 3 and not runs[0].converged.all()
         for k, report in enumerate(alone):
             _assert_same_starts(runs[0], runs[k + 1], 6 * k)
@@ -473,13 +463,9 @@ class TestMergedDirections:
         cfg = SamplerConfig(seed=seed)
         expected, violations = {}, []
         for target, reference in bounds.TARGET_VALUES.items():
-            tetra = geo.tcc() if target.startswith("CC") else geo.tdc()
-            direction = target.split("_")[1]
-            polished = bounds.polish_extremum(bounds.grid_extremum(tetra, direction, 0.05))
-            if target.startswith("CC"):
-                multi = bounds.multistart_state_extremum(direction, 12, cfg)
-            else:
-                multi = bounds.multistart_unitary_extremum(direction, 12, cfg)
+            kind, direction = target.split("_")
+            polished = bounds.polish_extremum(bounds._grid_extrema([target], 0.05)[target])
+            multi = bounds._multistart_extrema(kind, [direction], 12, cfg)[target]
             expected[target] = {
                 "reference": reference,
                 "grid_polished": polished.value,
@@ -522,10 +508,9 @@ class TestMultistartCounts:
             assert entry["multistart_evaluations"] > 10 * 5
 
     def test_counts_deterministic(self):
-        a = bounds.multistart_unitary_extremum("MIN", 15, SamplerConfig(seed=12))
-        b = bounds.multistart_unitary_extremum("MIN", 15, SamplerConfig(seed=12))
+        a = bounds._multistart_extrema("DC", ["MIN"], 15, SamplerConfig(seed=12))["DC_MIN"]
+        b = bounds._multistart_extrema("DC", ["MIN"], 15, SamplerConfig(seed=12))["DC_MIN"]
         assert (a.value, a.evaluations, a.nonconverged) == (b.value, b.evaluations, b.nonconverged)
-        assert a.starts == 15
 
 
 def test_import_loads_no_scipy():

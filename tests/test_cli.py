@@ -356,8 +356,8 @@ class TestSampleCommand:
         )
         assert out.stdout.strip() == "False"
 
-    def test_only_sample_imports_multiprocessing(self, tmp_path):
-        # table2 and bounds fork their workers bare, on two CPUs here
+    def test_no_command_imports_multiprocessing(self, tmp_path):
+        # every command forks its workers bare, on two CPUs here
         code = textwrap.dedent(
             """
             import os, sys
@@ -373,7 +373,7 @@ class TestSampleCommand:
         )
         out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=src_env(),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "[[], [], ['multiprocessing']]"
+        assert out.stdout.strip() == "[[], [], []]"
 
 
 def repr_rows_oracle(pts: np.ndarray, cvals: np.ndarray, codes: np.ndarray) -> bytes:
@@ -570,6 +570,43 @@ class TestOrderedMap:
                     seen.append(value)
         assert seen == [0, 10, 20]
         assert len(forks) == 3
+        assert no_child_left()
+
+    def test_writes_after_the_turn_come_in_item_order(self, tmp_path, monkeypatch, forks):
+        # the first worker's items cost the most and the third's nothing, so
+        # without turns the third worker's items would append first
+        path = tmp_path / "out.txt"
+
+        def task(path, item):
+            time.sleep((0.2, 0.1, 0.0)[item % 3])
+            cli._take_turn()
+            with open(path, "a") as out:
+                out.write(f"{item}\n")
+            return item
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        with cli._ordered_map(task, (str(path),), list(range(12))) as results:
+            assert list(results) == list(range(12))
+        assert path.read_text().split() == [str(item) for item in range(12)]
+        assert len(forks) == 3
+        assert no_child_left()
+
+    def test_untaken_turns_never_fill_a_pipe(self, monkeypatch):
+        # 70,000 items per worker, none of which takes its turn: more grants
+        # than a 64 KiB pipe holds, so each must be read after its item
+        def stalled(signum, frame):
+            raise TimeoutError("the map stalled")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        items = list(range(140_000))
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(60)
+        try:
+            with cli._ordered_map(abs, (), items) as results:
+                assert sum(results) == sum(items)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
         assert no_child_left()
 
 

@@ -145,16 +145,16 @@ class TestRegionConditioning:
 
     def test_single_draw(self):
         cfg = samplers.SamplerConfig(seed=56)
-        rho = samplers.sample_in_region(cfg, "CC", "OTC")
+        rho = samplers.sample_in_region_batch(cfg, "CC", "OTC", 1)[0]
         assert rho.shape == (4, 4)
         assert geo.in_otc(corr.cc_pvector(rho).as_array(), 1e-9)
 
     def test_incompatible_region_rejected(self):
         cfg = samplers.SamplerConfig(seed=57)
         with pytest.raises(ValidationError):
-            samplers.sample_in_region(cfg, "CC", "TDC")
+            samplers.sample_in_region_batch(cfg, "CC", "TDC", 1)
         with pytest.raises(ValidationError):
-            samplers.sample_in_region(cfg, "DC", "OTC")
+            samplers.sample_in_region_batch(cfg, "DC", "OTC", 1)
 
     def test_exhaustion_reports_rate(self):
         cfg = samplers.SamplerConfig(seed=58, max_rejections=64)
@@ -269,9 +269,18 @@ class TestDraws:
             lambda rng: samplers.kernel_components(rng, "DC", 4, 0),
             lambda rng: samplers.sample_density(rng, size=-1),
             lambda rng: samplers.sample_unitary(rng, size=2.5),
+            lambda rng: samplers.sample_real_pure(rng, size=2.5),
+            lambda rng: samplers.sample_complex_pure(rng, size=-0.5),
+            lambda rng: samplers.sample_region_components(
+                samplers.SamplerConfig(), "CC", "O", size=2.5, rng=rng),
+            lambda rng: samplers.sample_region_components(
+                samplers.SamplerConfig(density_rank=2.5), "CC", "O", size=3, rng=rng),
+            lambda rng: samplers.sample_region_components(
+                samplers.SamplerConfig(max_rejections=2.5), "CC", "O", size=3, rng=rng),
         ],
         ids=["lowercase-kind", "rank-0", "rank-5", "bool-rank", "size-0", "size-minus-1",
-             "size-2.5"],
+             "size-2.5", "real-pure-size-2.5", "complex-pure-size-minus-0.5",
+             "region-size-2.5", "config-rank-2.5", "config-max-rejections-2.5"],
     )
     def test_bad_arguments_raise_before_drawing(self, draw):
         rng = samplers.SamplerConfig(seed=19).rng()
