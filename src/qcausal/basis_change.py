@@ -35,7 +35,7 @@ from .correlation import _object_matrix, correlation_matrix_batch, rotated_pvect
 from .errors import ConsistencyError, ValidationError
 from .geometry import _ESCAPE_RUNS, _SIGNS, RegionLabel, _face_masks, classify
 from .qmath import is_density, is_unitary, require_density, require_unitary
-from .samplers import SamplerConfig, _region_chunks
+from .samplers import _MEMBERSHIP_TOL, SamplerConfig, _overlap_blocks
 
 __all__ = [
     "EscapeResult",
@@ -51,7 +51,6 @@ __all__ = [
     "REFERENCE_PROPORTIONS",
 ]
 
-_MEMBERSHIP_TOL = 1e-9
 # Accepted rows per block of the escape kernel: M is built for one block at a time,
 # so the kernel's memory does not grow with n.
 _BLOCK = 2**14
@@ -145,19 +144,6 @@ def escape_experiment(
     return _escape_counts(kind, [v], n, cfg, cfg.rng() if rng is None else rng)[0]
 
 
-def _blocks(chunks, rows: int):
-    """The chunks' columns joined into blocks of ``rows`` rows or more, the last one less."""
-    pending, count = [], 0
-    for chunk in chunks:
-        pending.append(chunk)
-        count += chunk[-1].shape[-1]
-        if count >= rows:
-            yield tuple(np.concatenate(columns, axis=-1) for columns in zip(*pending))
-            pending, count = [], 0
-    if pending:
-        yield tuple(np.concatenate(columns, axis=-1) for columns in zip(*pending))
-
-
 def _escape_counts(kind: str, rotations: list, n: int, cfg: SamplerConfig, rng) -> list:
     """The escape experiment of each of ``rotations`` on one stream of ``n`` overlap
     objects of ``kind`` drawn from ``rng``. M is built once per block of about
@@ -172,7 +158,7 @@ def _escape_counts(kind: str, rotations: list, n: int, cfg: SamplerConfig, rng) 
     qs = [_object_matrix("DC", v) for v in rotations]
     escaped, inside = [0] * len(qs), [True] * len(qs)
     runs = _ESCAPE_RUNS[kind]
-    for block in _blocks(_region_chunks(cfg, kind, "O", n, rng, _MEMBERSHIP_TOL), _BLOCK):
+    for block in _overlap_blocks(cfg, kind, n, rng, _BLOCK):
         m = correlation_matrix_batch(kind, block)
         for k, q in enumerate(qs):
             pts = rotated_pvector_batch(m, q)

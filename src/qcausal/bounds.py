@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .correlation import dc_pvector, dc_pvector_params_batch, statistic_c_batch
+from .correlation import correlation_matrix_batch, dc_pvector, statistic_c_batch
 from .errors import ValidationError
 from .geometry import (
     Tetrahedron,
@@ -192,7 +192,10 @@ def polish_extremum(report: BoundReport, tol: float = 1e-10) -> BoundReport:
     Never worsens the objective: the search only takes improvements on its
     start, whose value the grid took from the same evaluator. Returns
     ``converged=False`` when the iteration cap is hit before the step threshold.
+    ``ValidationError`` unless ``tol`` is finite and > 0.
     """
+    if not 0.0 < tol < np.inf:
+        raise ValidationError(f"polish tolerance must be finite and > 0, got {tol!r}")
     t = tcc() if report.target.startswith("CC") else tdc()
     sign = 1.0 if report.target.endswith("MAX") else -1.0
     w, value, converged = _simplex_compass(t, sign, np.asarray(report.witness, float), tol)
@@ -355,9 +358,9 @@ def _unitary_objective(signs: np.ndarray):
         v = x[:, :4]
         n2 = _sum_rows(v * v)
         tiny = n2 < _TINY_NORM2
-        params = x.copy()
-        params[:, :4] = v / np.sqrt(np.where(tiny, 1.0, n2))[:, None]
-        value = signs[start] * statistic_c_batch(dc_pvector_params_batch(params))
+        v = v / np.sqrt(np.where(tiny, 1.0, n2))[:, None]
+        r11, r22, r33 = correlation_matrix_batch("DC", (*v.T, x[:, 4]), diagonal=True)
+        value = signs[start] * (r11 * r22 * r33)
         return np.where(tiny, 1.0, value)
 
     return objective

@@ -54,7 +54,6 @@ __all__ = [
     "mixture_pvector",
     "cc_pvector_batch",
     "dc_pvector_batch",
-    "dc_pvector_params_batch",
     "correlation_matrix_batch",
     "dc_transfer_matrix",
     "rotated_pvector_batch",
@@ -168,13 +167,6 @@ def _dc_diagonal(a1, a2, b1, b2, sa, ca):
     c = 0.5 + a1 * a2 * sa + half_ca * (a11 - a22)
     d = b1 * b2 * sa + half_ca * (b1 * b1 - b2 * b2)
     return 2.0 * (c - d) - 1.0, 2.0 * (c + d) - 1.0, 2.0 * (a11 + a22) - 1.0
-
-
-def dc_pvector_params_batch(params: np.ndarray) -> np.ndarray:
-    """Correlation points from rows (a1, a2, b1, b2, alpha) (see :func:`_dc_diagonal`),
-    shape (n, 3); a row's point does not depend on the other rows."""
-    a1, a2, b1, b2, alpha = np.asarray(params, dtype=float).T
-    return np.stack(_dc_diagonal(a1, a2, b1, b2, np.sin(alpha), np.cos(alpha)), axis=1)
 
 
 def dc_transfer_matrix(a1, a2, b1, b2, sa, ca) -> list:

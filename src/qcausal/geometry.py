@@ -45,7 +45,6 @@ __all__ = [
     "barycentric",
     "state_from_weights",
     "unitary_from_probs",
-    "region_test",
 ]
 
 WEIGHT_NEG_TOL = 1e-12
@@ -116,8 +115,7 @@ _TDC = Tetrahedron([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
 # tdc()'s (1, 1, 1) is row 3. Every canonical region is a run of rows.
 _SIGNS = np.vstack([_TCC.halfspaces, _TDC.halfspaces])
 _SIGNS.setflags(write=False)
-_ROWS = {"O": slice(0, 8), "TCC": slice(0, 4), "TDC": slice(4, 8),
-         "OTC": slice(0, 5), "OTD": slice(3, 8)}
+_ROWS = {"TCC": slice(0, 4), "TDC": slice(4, 8), "OTC": slice(0, 5), "OTD": slice(3, 8)}
 # The escape experiment's one pass, by kind: the tetrahedron's rows, its cut face,
 # and the other three mirror rows.
 _ESCAPE_RUNS = {"CC": (slice(0, 4), slice(4, 5), slice(5, 8)),
@@ -141,6 +139,12 @@ def _points(p) -> np.ndarray:
     return arr
 
 
+def _check_tol(tol: float) -> None:
+    """``ValidationError`` unless ``tol >= 0``; NaN fails it, as no comparison with NaN holds."""
+    if not tol >= 0:
+        raise ValidationError(f"tolerance must be >= 0, got {tol!r}")
+
+
 def _face_masks(arr: np.ndarray, normals: np.ndarray, offsets, tol: float, runs=(slice(None),)):
     """One mask per run of faces: ``normal . p <= offset + tol`` for every face in the run.
 
@@ -151,8 +155,7 @@ def _face_masks(arr: np.ndarray, normals: np.ndarray, offsets, tol: float, runs=
     or subtracts its column, exactly for any normals: eight sign faces, four sums. A
     single point takes the same sums in Python floats, a fifth of the array calls' cost.
     """
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    _check_tol(tol)
     faces = list(zip(normals.tolist(), np.full(len(normals), offsets + tol).tolist()))
     if arr.size == 3:
         x, y, z = arr.ravel().tolist()
@@ -184,15 +187,6 @@ def contains(t: Tetrahedron, p, tol: float = 0.0):
     return _member(t.halfspaces, t.offsets, p, tol)
 
 
-def region_test(name: str):
-    """Return the membership predicate ``(p, tol=0.0)`` for a named region."""
-    if name not in _ROWS:
-        raise ValidationError(f"unknown region {name!r}; expected one of {sorted(_ROWS)}")
-    if name == "O":
-        return in_overlap
-    return functools.partial(_member, _SIGNS[_ROWS[name]], 1.0)
-
-
 def in_overlap(p, tol: float = 0.0):
     """Membership in the octahedral overlap: all eight sign faces, as one comparison.
 
@@ -200,8 +194,7 @@ def in_overlap(p, tol: float = 0.0):
     ``(a x + b y) + c z <= 1 + tol``: multiplying by +-1 is exact and rounding
     is monotone, so the face whose signs match the point's gives the largest sum.
     """
-    if tol < 0:
-        raise ValidationError("tolerance must be >= 0")
+    _check_tol(tol)
     arr = np.abs(_points(p))
     inside = (arr[..., 0] + arr[..., 1]) + arr[..., 2] <= 1.0 + tol
     return bool(inside) if arr.ndim == 1 else inside
@@ -239,6 +232,7 @@ _CODE = {label: code for code, label in enumerate(_LABELS)}
 def _classify_codes(pts: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Vectorized :func:`classify` as uint8 codes into ``_LABEL_NAMES``: one pass
     over each tetrahedron's four faces, and the overlap is inside both."""
+    _check_tol(tol)
     arr = _points(pts)
     if not np.isfinite(arr).all():
         raise ValidationError("a correlation point has a non-finite component")

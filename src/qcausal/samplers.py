@@ -10,12 +10,13 @@ chunk ``k`` uses the two-word key ``(SAMPLE_CHUNK_KEY, k)``, so no chunk
 shares a generator with ``table2``.
 
 Samplers accept an optional ``size``: ``None`` returns a single object,
-an integer returns a stacked batch (leading axis). Rejection sampling for
-region-conditioned draws works on fixed-size chunks, which keeps the
-stream deterministic for a given seed. It tests each chunk's correlation
-points in real arithmetic from the drawn components and yields the
-components of each chunk's accepted rows alone, so a caller that consumes
-them chunk by chunk never holds the whole sample.
+an integer returns a stacked batch (leading axis). Rejection sampling
+conditioned on the octahedral overlap works on fixed-size chunks, which
+keeps the stream deterministic for a given seed. It tests each chunk's
+correlation points in real arithmetic from the drawn components, keeps
+the components of the accepted rows alone and yields them in blocks of a
+caller's size, so a caller that consumes them block by block never holds
+the whole sample.
 
 The density draw and the unitary draw are each defined once, in
 :func:`kernel_components`, straight in the layout the point kernel reads:
@@ -31,7 +32,7 @@ import numpy as np
 
 from .correlation import correlation_matrix_batch
 from .errors import SamplingExhaustedError, ValidationError
-from .geometry import region_test
+from .geometry import in_overlap
 
 __all__ = [
     "SamplerConfig",
@@ -44,12 +45,12 @@ __all__ = [
     "SAMPLE_CHUNK_KEY",
     "sample_region_components",
     "sample_in_region_batch",
-    "REGIONS_BY_KIND",
 ]
 
-REGIONS_BY_KIND = {"CC": ("O", "TCC", "OTC"), "DC": ("O", "TDC", "OTD")}
-
 _CHUNK = 4096
+# The tolerance of every overlap test on sampled points: the rejection sampler's,
+# and the escape experiment's face masks.
+_MEMBERSHIP_TOL = 1e-9
 
 # The first spawn-key word of every ``sample`` chunk's generator, a tag: with the
 # chunk index as the second word, a chunk's key is two words long, and each of
@@ -67,7 +68,7 @@ class SamplerConfig:
 
     ``density_rank`` is the number of pure components mixed into a sampled
     density operator; ``max_rejections`` bounds the total number of raw
-    draws a region-conditioned sampler may spend.
+    draws the overlap-conditioned sampler may spend.
     """
 
     seed: int = 42
@@ -168,7 +169,7 @@ def kernel_components(rng: np.random.Generator, kind: str, rank: int, size: int)
     ``size`` uniform phases. Column i of each depends only on the generator and
     ``size``. ``ValidationError``, before any draw, unless ``kind`` is 'CC' or
     'DC', ``rank`` an integer in 1..4 and ``size`` an integer >= 1."""
-    if kind not in REGIONS_BY_KIND:
+    if kind not in ("CC", "DC"):
         raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
     if not _is_integer(rank) or not 1 <= rank <= 4:
         raise ValidationError(f"rank must be an integer in 1..4, got {rank!r}")
@@ -185,17 +186,23 @@ def kernel_components(rng: np.random.Generator, kind: str, rank: int, size: int)
     return (*components, weights)
 
 
-def _region_chunks(cfg: SamplerConfig, kind: str, region: str, size: int, rng, tol: float):
-    """The loop of :func:`sample_region_components`, arguments unchecked: the accepted
-    columns of each ``_CHUNK``-object draw until ``size`` rows, the last chunk's cut to fit."""
-    member = region_test(region)
-    n_accepted = 0
-    attempts = 0
+def _overlap_blocks(cfg: SamplerConfig, kind: str, size: int, rng, rows: int):
+    """The drawn components of ``size`` objects of ``kind`` whose correlation points
+    lie in the overlap at ``_MEMBERSHIP_TOL``, arguments unchecked: the accepted
+    columns of ``_CHUNK``-object draws from ``rng``, the last draw's cut to fit,
+    joined into blocks of ``rows`` rows or more, the last block less.
+
+    Draws always come in full chunks, so the accepted stream depends only on the
+    generator, not on ``cfg.max_rejections`` or ``rows``. The budget is checked
+    before each chunk, so the raw draws spent may pass ``max_rejections`` by less
+    than one chunk.
+    """
+    pending, n_pending, n_accepted, attempts = [], 0, 0, 0
     while n_accepted < size:
         if attempts >= cfg.max_rejections:
             raise SamplingExhaustedError(
                 f"rejection budget {cfg.max_rejections} exhausted for "
-                f"({kind}, {region}): {n_accepted}/{size} accepted "
+                f"{kind} overlap: {n_accepted}/{size} accepted "
                 f"(acceptance rate {n_accepted / max(attempts, 1):.3g})",
                 accepted=n_accepted,
                 attempts=attempts,
@@ -203,51 +210,32 @@ def _region_chunks(cfg: SamplerConfig, kind: str, region: str, size: int, rng, t
         components = kernel_components(rng, kind, cfg.density_rank, _CHUNK)
         attempts += _CHUNK
         pts = np.stack(correlation_matrix_batch(kind, components, diagonal=True), axis=1)
-        keep = np.flatnonzero(member(pts, tol))[: size - n_accepted]
+        keep = np.flatnonzero(in_overlap(pts, _MEMBERSHIP_TOL))[: size - n_accepted]
         n_accepted += len(keep)
-        yield tuple(column[..., keep] for column in components)
+        n_pending += len(keep)
+        pending.append(tuple(column[..., keep] for column in components))
+        if n_pending >= rows or n_accepted == size:
+            yield tuple(np.concatenate(columns, axis=-1) for columns in zip(*pending))
+            pending, n_pending = [], 0
 
 
 def sample_region_components(
-    cfg: SamplerConfig,
-    kind: str,
-    region: str,
-    size: int,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
+    cfg: SamplerConfig, kind: str, size: int, rng: np.random.Generator | None = None
 ) -> tuple:
     """Rejection-sample the drawn components of ``size`` objects whose correlation
-    point lies in ``region``: those of :func:`kernel_components`, each with the rows
-    last, as the chunks of ``_region_chunks`` concatenated.
-
-    Draws always come in full chunks of ``_CHUNK`` objects, so the accepted
-    stream depends only on the generator, not on ``cfg.max_rejections``. The
-    budget is checked before each chunk, so the raw draws spent may pass
-    ``max_rejections`` by less than one chunk.
+    point lies in the overlap: those of :func:`kernel_components`, each with the rows
+    last, as the one block of ``_overlap_blocks`` from ``rng``, by default ``cfg.rng()``.
     """
-    if kind not in REGIONS_BY_KIND:
-        raise ValidationError(f"kind must be 'CC' or 'DC', got {kind!r}")
-    if region not in REGIONS_BY_KIND[kind]:
-        raise ValidationError(
-            f"region {region!r} is not compatible with kind {kind!r}; "
-            f"expected one of {REGIONS_BY_KIND[kind]}"
-        )
     _rows(size)
-    chunks = _region_chunks(cfg, kind, region, size, cfg.rng() if rng is None else rng, tol)
-    return tuple(np.concatenate(columns, axis=-1) for columns in zip(*chunks))
+    return next(_overlap_blocks(cfg, kind, size, cfg.rng() if rng is None else rng, size))
 
 
 def sample_in_region_batch(
-    cfg: SamplerConfig,
-    kind: str,
-    region: str,
-    size: int,
-    rng: np.random.Generator | None = None,
-    tol: float = 1e-9,
+    cfg: SamplerConfig, kind: str, size: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """Rejection-sample ``size`` objects whose correlation point lies in ``region``:
+    """Rejection-sample ``size`` objects whose correlation point lies in the overlap:
     the objects of the components that :func:`sample_region_components` keeps."""
-    components = sample_region_components(cfg, kind, region, size, rng, tol)
+    components = sample_region_components(cfg, kind, size, rng)
     if kind == "DC":
         return unitaries_from_params(*components)
     return _densities(components)

@@ -68,7 +68,7 @@ def _search_escape_oracle(kind, target, max_tries=2000, cfg=None, rng=None):
 def _first_escaping(kind, cfg, tries, search_cfg):
     """The first overlap object of ``cfg``'s stream that :func:`_search_escape_oracle`
     moves out in ``tries`` rotations from ``search_cfg``, and the object after it."""
-    objs = sample_in_region_batch(cfg, kind, "O", 64)
+    objs = sample_in_region_batch(cfg, kind, 64)
     for k, target in enumerate(objs[:-1]):
         if _search_escape_oracle(kind, target, tries, search_cfg) is not None:
             return objs[k], objs[k + 1]
@@ -92,7 +92,7 @@ def _search_targets():
     for name, (kind, cfg) in streams.items():
         for k, obj in enumerate(_first_escaping(kind, cfg, 515, SamplerConfig(seed=1))):
             targets[f"{name}-{k}"] = (kind, obj)
-    us = sample_in_region_batch(SamplerConfig(seed=701), "DC", "O", 200)
+    us = sample_in_region_batch(SamplerConfig(seed=701), "DC", 200)
     targets["dc-late"] = ("DC", us[np.argmax(np.abs(np.trace(us, axis1=1, axis2=2)))])
     return targets
 
@@ -299,8 +299,8 @@ class TestEscapeExperiment:
         else:
             v = bc.ESCAPE_V_SET[int(which[1]) - 1]
         cfg = SamplerConfig(seed=98, density_rank=rank)
-        components = sample_region_components(cfg, kind, "O", 3_000)
-        objs = sample_in_region_batch(cfg, kind, "O", 3_000)
+        components = sample_region_components(cfg, kind, 3_000)
+        objs = sample_in_region_batch(cfg, kind, 3_000)
         if kind == "CC":
             oracle = corr.cc_pvector_batch(bc._transform_density_batch(objs, v))
             cut = geo.in_otc
@@ -341,7 +341,7 @@ class TestEscapeExperiment:
             blocks.clear()
             results = bc._escape_counts(kind, list(bc.ESCAPE_V_SET), n, cfg, cfg.worker_rng(7))
             made = len(blocks)
-            components = sample_region_components(cfg, kind, "O", n, rng=cfg.worker_rng(7))
+            components = sample_region_components(cfg, kind, n, rng=cfg.worker_rng(7))
             m = matrices(kind, components)
             for v, res in zip(bc.ESCAPE_V_SET, results, strict=True):
                 single = bc.escape_experiment(kind, v, n, cfg, rng=cfg.worker_rng(7))
@@ -414,6 +414,12 @@ class TestSearchEscape:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValidationError):
             bc.escape_witness("XX", HADAMARD)
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN once read as "already outside the overlap"
+        with pytest.raises(ValidationError, match="tolerance must be >= 0"):
+            bc.escape_witness("DC", HADAMARD, tol)
 
     @pytest.mark.parametrize("kind", ["CC", "DC"])
     def test_validates_once(self, monkeypatch, kind):

@@ -154,6 +154,13 @@ class TestPolish:
             else:
                 assert polished.value <= coarse.value + 1e-15
 
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, float("inf")])
+    def test_bad_tolerance_rejected(self, tol):
+        # NaN would return the unpolished grid value, and tol <= 0 run to the cap
+        report = bounds._grid_extrema(["CC_MAX"], 0.1)["CC_MAX"]
+        with pytest.raises(ValidationError, match="finite and > 0"):
+            bounds.polish_extremum(report, tol)
+
 
 class TestCompassBatch:
     @pytest.mark.parametrize("step", [0.1, 0.05, 0.01])

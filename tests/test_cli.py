@@ -811,7 +811,7 @@ class TestTable2Command:
     def test_n_past_a_quarter_of_the_budget_refused_before_any_draw(
         self, tmp_path, monkeypatch, capfd
     ):
-        monkeypatch.setattr(basis_change, "_region_chunks", lambda *args: pytest.fail("drew"))
+        monkeypatch.setattr(basis_change, "_overlap_blocks", lambda *args: pytest.fail("drew"))
         argv = ["table2", "--n", "2500001", "--out", str(tmp_path / "r.json")]
         assert cli.main(argv) == 1
         assert capfd.readouterr().err == (
@@ -823,7 +823,7 @@ class TestTable2Command:
         # DC, the kind with the lower overlap acceptance, over 400 draw chunks: at its
         # measured rate the largest n spends less than 95% of the budget
         cfg = SamplerConfig(seed=1, density_rank=1)
-        chunks = cli.samplers._region_chunks(cfg, "DC", "O", 10**9, cfg.worker_rng(1), 1e-9)
+        chunks = cli.samplers._overlap_blocks(cfg, "DC", 10**9, cfg.worker_rng(1), rows=1)
         accepted = sum(next(chunks)[0].size for _ in range(400))
         rate = accepted / (400 * cli.samplers._CHUNK)
         assert 0.26 < rate < 0.29
@@ -1202,7 +1202,7 @@ def _skewed_overlap_densities(draw):
     entries, scaled so that max |rho - rho^dag| is 0.5 to 1.5 times DENSITY_TOL."""
     seed, rank = draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 4))
     cfg = SamplerConfig(seed=seed, density_rank=rank)
-    rho = sample_in_region_batch(cfg, "CC", "O", 1)[0]
+    rho = sample_in_region_batch(cfg, "CC", 1)[0]
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     skew = a - a.conj().T

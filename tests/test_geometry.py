@@ -189,13 +189,20 @@ class TestOverlap:
         with np.errstate(invalid="ignore"):  # inf - inf in the mixed-sign faces
             (eight,) = geo._face_masks(pts, geo._SIGNS, 1.0, tol)
         assert np.array_equal(geo.in_overlap(pts, tol), eight)
-        assert np.array_equal(geo.region_test("O")(pts, tol), eight)
         assert [geo.in_overlap(p, tol) for p in pts[::97]] == eight[::97].tolist()
         assert eight.any() and not eight.all()
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValidationError):
-            geo.in_overlap(np.zeros(3), -1e-9)
+        # NaN fails every comparison, so it is refused with the negative tolerances
+        one, stack = np.zeros(3), np.zeros((5, 3))
+        tcc_contains = functools.partial(geo.contains, geo.tcc())
+        calls = [(test, pts) for test in (geo.in_overlap, geo.in_otc, geo.in_otd, tcc_contains)
+                 for pts in (one, stack)]
+        calls += [(geo.classify, one), (geo.classify_batch, stack)]
+        for tol in (-1e-9, float("nan")):
+            for test, pts in calls:
+                with pytest.raises(ValidationError, match="tolerance must be >= 0"):
+                    test(pts, tol)
 
 
 class TestCornerCutRegions:

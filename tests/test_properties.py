@@ -241,7 +241,7 @@ TOL = 1e-9
 
 
 def overlap_object(seed, kind, rank):
-    return sample_in_region_batch(SamplerConfig(seed=seed, density_rank=rank), kind, "O", 1)[0]
+    return sample_in_region_batch(SamplerConfig(seed=seed, density_rank=rank), kind, 1)[0]
 
 
 def moved_points(kind, target, vs):

@@ -133,33 +133,20 @@ class TestUnitary:
 class TestRegionConditioning:
     def test_cc_overlap_members(self):
         cfg = samplers.SamplerConfig(seed=54)
-        rhos = samplers.sample_in_region_batch(cfg, "CC", "O", 500)
+        rhos = samplers.sample_in_region_batch(cfg, "CC", 500)
         pts = corr.cc_pvector_batch(rhos)
         assert geo.in_overlap(pts, 1e-9).all()
 
     def test_dc_overlap_members(self):
         cfg = samplers.SamplerConfig(seed=55)
-        us = samplers.sample_in_region_batch(cfg, "DC", "O", 500)
+        us = samplers.sample_in_region_batch(cfg, "DC", 500)
         pts = corr.dc_pvector_batch(us)
         assert geo.in_overlap(pts, 1e-9).all()
-
-    def test_single_draw(self):
-        cfg = samplers.SamplerConfig(seed=56)
-        rho = samplers.sample_in_region_batch(cfg, "CC", "OTC", 1)[0]
-        assert rho.shape == (4, 4)
-        assert geo.in_otc(corr.cc_pvector(rho).as_array(), 1e-9)
-
-    def test_incompatible_region_rejected(self):
-        cfg = samplers.SamplerConfig(seed=57)
-        with pytest.raises(ValidationError):
-            samplers.sample_in_region_batch(cfg, "CC", "TDC", 1)
-        with pytest.raises(ValidationError):
-            samplers.sample_in_region_batch(cfg, "DC", "OTC", 1)
 
     def test_exhaustion_reports_rate(self):
         cfg = samplers.SamplerConfig(seed=58, max_rejections=64)
         with pytest.raises(SamplingExhaustedError) as info:
-            samplers.sample_in_region_batch(cfg, "CC", "O", 10_000)
+            samplers.sample_in_region_batch(cfg, "CC", 10_000)
         # one full chunk is drawn before the budget check stops the search
         assert info.value.attempts == samplers._CHUNK
         assert 0.0 <= info.value.acceptance_rate <= 1.0
@@ -188,20 +175,20 @@ class TestRegionConditioning:
         with pytest.raises(SamplingExhaustedError):
             samplers.sample_in_region_batch(
                 samplers.SamplerConfig(seed=61, max_rejections=2 * samplers._CHUNK),
-                "DC", "O", size,
+                "DC", size,
             )
         tight = samplers.sample_in_region_batch(
-            samplers.SamplerConfig(seed=61, max_rejections=10_000), "DC", "O", size
+            samplers.SamplerConfig(seed=61, max_rejections=10_000), "DC", size
         )
         loose = samplers.sample_in_region_batch(
-            samplers.SamplerConfig(seed=61, max_rejections=10_000_000), "DC", "O", size
+            samplers.SamplerConfig(seed=61, max_rejections=10_000_000), "DC", size
         )
         np.testing.assert_array_equal(tight, loose)
 
     def test_determinism_of_conditioned_stream(self):
         cfg = samplers.SamplerConfig(seed=60)
-        a = samplers.sample_in_region_batch(cfg, "DC", "O", 200)
-        b = samplers.sample_in_region_batch(cfg, "DC", "O", 200)
+        a = samplers.sample_in_region_batch(cfg, "DC", 200)
+        b = samplers.sample_in_region_batch(cfg, "DC", 200)
         np.testing.assert_array_equal(a, b)
 
 
@@ -272,15 +259,17 @@ class TestDraws:
             lambda rng: samplers.sample_real_pure(rng, size=2.5),
             lambda rng: samplers.sample_complex_pure(rng, size=-0.5),
             lambda rng: samplers.sample_region_components(
-                samplers.SamplerConfig(), "CC", "O", size=2.5, rng=rng),
+                samplers.SamplerConfig(), "CC", size=2.5, rng=rng),
             lambda rng: samplers.sample_region_components(
-                samplers.SamplerConfig(density_rank=2.5), "CC", "O", size=3, rng=rng),
+                samplers.SamplerConfig(density_rank=2.5), "CC", size=3, rng=rng),
             lambda rng: samplers.sample_region_components(
-                samplers.SamplerConfig(max_rejections=2.5), "CC", "O", size=3, rng=rng),
+                samplers.SamplerConfig(max_rejections=2.5), "CC", size=3, rng=rng),
+            lambda rng: samplers.sample_region_components(
+                samplers.SamplerConfig(), "O", size=3, rng=rng),
         ],
         ids=["lowercase-kind", "rank-0", "rank-5", "bool-rank", "size-0", "size-minus-1",
              "size-2.5", "real-pure-size-2.5", "complex-pure-size-minus-0.5",
-             "region-size-2.5", "config-rank-2.5", "config-max-rejections-2.5"],
+             "region-size-2.5", "config-rank-2.5", "config-max-rejections-2.5", "region-kind-O"],
     )
     def test_bad_arguments_raise_before_drawing(self, draw):
         rng = samplers.SamplerConfig(seed=19).rng()
